@@ -21,9 +21,10 @@ from .experiments import (
     ExperimentConfig,
     ExperimentReport,
     KIND_DESCRIPTIONS,
+    check_keys,
     emit_report,
-    read_report_json,
     run_experiment,
+    write_rows_csv,
 )
 from .poissonized import run_coupled
 from .samplers import SeedSpec
@@ -121,20 +122,15 @@ def _cmd_simulate(args) -> int:
         if args.scheme == "coupled":
             header.append("arrival_time")
         writer.writerow(header)
+        sampler = run_coupled if args.scheme == "coupled" else run_discrete
         for j in range(args.reps):
-            stream = SeedSpec(args.seed, j)
-            if args.scheme == "discrete":
-                trace = run_discrete(args.n, args.rmax, stream)
-                for i in range(args.n):
-                    for k in range(args.rmax):
-                        writer.writerow([j, i + 1, k + 1, int(trace.arrivals[i, k])])
-            else:
-                trace = run_coupled(args.n, args.rmax, stream)
-                for i in range(args.n):
-                    for k in range(args.rmax):
-                        writer.writerow([j, i + 1, k + 1,
-                                         int(trace.arrivals[i, k]),
-                                         repr(float(trace.times[i, k]))])
+            trace = sampler(args.n, args.rmax, SeedSpec(args.seed, j))
+            for i in range(args.n):
+                for k in range(args.rmax):
+                    row = [j, i + 1, k + 1, int(trace.arrivals[i, k])]
+                    if args.scheme == "coupled":
+                        row.append(repr(float(trace.times[i, k])))
+                    writer.writerow(row)
     return EXIT_PASS
 
 
@@ -295,21 +291,37 @@ def _cmd_battery(args) -> int:
 # report
 
 def _cmd_report(args) -> int:
-    report = read_report_json(args.input)
+    with open(args.input) as fh:
+        data = json.load(fh)
+    battery = isinstance(data, dict) and "experiments" in data
+    if battery:
+        check_keys(data, ("master_seed", "scale", "experiments", "passed"),
+                   "battery report")
+        if not isinstance(data["experiments"], list):
+            raise ConfigError("battery experiments are not a JSON list")
+    reports = [ExperimentReport.from_dict(d)
+               for d in (data["experiments"] if battery else [data])]
+    passed = data["passed"] if battery else reports[0].passed
     if args.format == "csv":
         out = args.out or os.path.splitext(args.input)[0] + ".csv"
-        emit_report(report, "csv", out)
+        if battery:
+            write_rows_csv([row for rep in reports for row in rep.results], out)
+        else:
+            emit_report(reports[0], "csv", out)
         print(f"CSV written to {out}")
     else:
-        print(f"experiment: {report.config['kind']}")
-        print(f"verifies:   {report.theorem}")
-        for row in report.results:
-            p = "" if row["p_value"] is None else f" p={row['p_value']:.4g}"
-            status = "PASS" if row["verdict"] else "FAIL"
-            print(f"  {status}  n={row['n']:>6}  {row['statistic_name']}"
-                  f" = {row['value']:.6g}{p}")
-        print(f"overall: {'PASS' if report.passed else 'FAIL'}")
-    return EXIT_PASS if report.passed else EXIT_STAT_FAIL
+        for report in reports:
+            print(f"experiment: {report.config['kind']}")
+            print(f"verifies:   {report.theorem}")
+            for row in report.results:
+                p = "" if row["p_value"] is None else f" p={row['p_value']:.4g}"
+                status = "PASS" if row["verdict"] else "FAIL"
+                print(f"  {status}  n={row['n']:>6}  {row['statistic_name']}"
+                      f" = {row['value']:.6g}{p}")
+            print(f"overall: {'PASS' if report.passed else 'FAIL'}")
+        if battery:
+            print(f"battery: {'PASS' if passed else 'FAIL'}")
+    return EXIT_PASS if passed else EXIT_STAT_FAIL
 
 
 def main(argv=None) -> int:

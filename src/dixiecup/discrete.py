@@ -1,7 +1,6 @@
 """Discrete coupon scheme: arrival-time matrices and collection times."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,54 +46,40 @@ class CollectorTrace:
         return self.arrivals[:, r - 1]
 
 
-def _expected_draws(n: int, r_max: int) -> float:
-    log_n = math.log(n)
-    loglog = math.log(log_n) if log_n > 1.0 else 0.0
-    return n * (log_n + (r_max - 1) * loglog + 1.0)
+def _embed(rng: Generator, n: int, r_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sample the first ``r_max`` arrivals of every type: ``(arrivals, times)``.
 
-
-def _fill_arrivals(rng: Generator, n: int, r_max: int) -> np.ndarray:
-    """Draw uniform types until every type has ``r_max`` arrivals.
-
-    Works in vectorized blocks; only the first ``r_max`` arrival times per type
-    are kept, so memory stays O(n * r_max + block).
+    The discrete scheme is the jump chain of the poissonized one, in which each
+    type arrives as an independent rate-1/n Poisson process.  Only the n * r_max
+    tracked times are sampled.  A type's arrivals past its r_max-th are
+    independent of them, so the untracked draws between two consecutive tracked
+    events are Poisson with mean (#types past r_max) * gap / n.  An event's draw
+    number is its rank plus the untracked draws before it.
     """
-    counts = np.zeros(n, dtype=np.int64)
-    arrivals = np.zeros((n, r_max), dtype=np.int64)
-    drawn = 0
-    block = int(1.1 * _expected_draws(n, r_max)) + 64
-    while True:
-        types = rng.integers(0, n, size=block)
-        # stable sort by type via a composite (type, position) integer key;
-        # faster than a stable argsort for these sizes
-        key = types * block + np.arange(block, dtype=np.int64)
-        key.sort()
-        sorted_types = key // block
-        order = key % block
-        group_start = np.concatenate(
-            ([0], np.flatnonzero(np.diff(sorted_types)) + 1)
-        )
-        group_len = np.diff(np.append(group_start, block))
-        within = np.arange(block, dtype=np.int64) - np.repeat(group_start, group_len)
-        occurrence = counts[sorted_types] + within
-        mask = occurrence < r_max
-        arrivals[sorted_types[mask], occurrence[mask]] = drawn + order[mask] + 1
-        counts += np.bincount(types, minlength=n)
-        drawn += block
-        incomplete = int(np.count_nonzero(counts < r_max))
-        if incomplete == 0:
-            return arrivals
-        block = max(2048, 2 * n)
-
-
-def run_discrete(n: int, r_max: int, stream: SeedSpec) -> CollectorTrace:
-    """Simulate the discrete scheme until every type has ``r_max`` arrivals."""
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
     if r_max < 1:
         raise ValueError(f"need r_max >= 1, got r_max={r_max}")
-    rng = stream.generator()
-    return CollectorTrace(n, r_max, _fill_arrivals(rng, n, r_max))
+    times = n * np.cumsum(rng.standard_exponential((n, r_max)), axis=1)
+    order = np.argsort(times, axis=None)
+    sorted_times = times.ravel()[order]
+    completed = np.cumsum(order % r_max == r_max - 1)
+    untracked = rng.poisson(completed[:-1] * np.diff(sorted_times) / n)
+    index = np.arange(1, n * r_max + 1, dtype=np.int64)
+    index[1:] += np.cumsum(untracked)
+    arrivals = np.empty(n * r_max, dtype=np.int64)
+    arrivals[order] = index
+    arrivals = arrivals.reshape(n, r_max)
+    # an exact float tie inside a row can reverse two of its ranks; tied
+    # arrivals of one type are exchangeable, so restoring row order is exact
+    arrivals.sort(axis=1)
+    return arrivals, times
+
+
+def run_discrete(n: int, r_max: int, stream: SeedSpec) -> CollectorTrace:
+    """Simulate the discrete scheme until every type has ``r_max`` arrivals."""
+    arrivals, _ = _embed(stream.generator(), n, r_max)
+    return CollectorTrace(n, r_max, arrivals)
 
 
 def trace_from_sequence(types, n: int, r_max: int) -> CollectorTrace:

@@ -12,8 +12,9 @@ import csv
 import json
 import math
 import os
+import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from multiprocessing import Pool
 
 import numpy as np
@@ -62,6 +63,15 @@ CSV_COLUMNS = [
 
 class ConfigError(ValueError):
     """Invalid experiment description."""
+
+
+def check_keys(d, keys, what: str) -> None:
+    """Raise ConfigError unless ``d`` is a dict with exactly the given keys."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{what} is not a JSON object")
+    missing, unknown = sorted(set(keys) - set(d)), sorted(set(d) - set(keys))
+    if missing or unknown:
+        raise ConfigError(f"{what} has missing keys {missing} and unknown keys {unknown}")
 
 
 @dataclass
@@ -145,6 +155,13 @@ class ExperimentReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentReport":
+        check_keys(d, [f.name for f in fields(cls)], "report")
+        config_keys = [f.name for f in fields(ExperimentConfig) if f.name != "workers"]
+        check_keys(d["config"], config_keys, "report config")
+        if not isinstance(d["results"], list):
+            raise ConfigError("report results are not a JSON list")
+        for row in d["results"]:
+            check_keys(row, CSV_COLUMNS, "report row")
         return cls(**d)
 
 
@@ -228,6 +245,12 @@ def _harmonic(n: int) -> float:
     return float(sum(1.0 / k for k in range(1, n + 1)))
 
 
+def _warn_uncalibrated(label: str) -> None:
+    # a KS verdict without a frozen tolerance has no bound to meet, so it fails
+    print(f"warning: no calibrated KS tolerance for {label}; "
+          "its KS verdicts fail as uncalibrated", file=sys.stderr)
+
+
 def _aggregate(cfg: ExperimentConfig, per_n: dict):
     rows: list[dict] = []
     verdicts: dict = {}
@@ -267,13 +290,15 @@ def _aggregate(cfg: ExperimentConfig, per_n: dict):
 
     elif cfg.kind == "erdos-renyi":
         distances = {}
+        tol = calibration.ERDOS_RENYI_KS_TOL.get(cfg.c)
+        if tol is None:
+            _warn_uncalibrated(f"erdos-renyi c={cfg.c}")
         for n, payloads in per_n.items():
             values = np.array([p[0] for p in payloads])
             t1 = np.array([p[1] for p in payloads], dtype=np.float64)
             dist = ks_statistic(values, GumbelType(cfg.c))
             distances[n] = dist
-            tol = calibration.ERDOS_RENYI_KS_TOL.get(cfg.c)
-            ok = dist <= tol if tol is not None else True
+            ok = tol is not None and dist <= tol
             rows.append(_row(cfg, n, "ks_statistic", dist, None, len(values), ok))
             verdicts[f"ks_within_tolerance_n{n}"] = ok
             target = n * _harmonic(n)
@@ -305,12 +330,14 @@ def _aggregate(cfg: ExperimentConfig, per_n: dict):
                 verdicts[f"correlations_small_n{n}"] = corr_ok
 
     elif cfg.kind == "chi2-law":
+        tol = calibration.PARTIAL_COLLECTION_KS_TOL.get((cfg.r, cfg.m))
+        if tol is None:
+            _warn_uncalibrated(f"chi2-law r={cfg.r}, m={cfg.m}")
         for n, payloads in per_n.items():
             values = np.array(payloads)
             law = ChiSqLog(cfg.m) if cfg.r == 1 else LogGamma(cfg.r, cfg.m)
             dist = ks_statistic(values, law)
-            tol = calibration.PARTIAL_COLLECTION_KS_TOL.get((cfg.r, cfg.m))
-            ok = dist <= tol if tol is not None else True
+            ok = tol is not None and dist <= tol
             rows.append(_row(cfg, n, f"ks_vs_{law.name}", dist, None, len(values), ok))
             verdicts[f"ks_within_tolerance_n{n}"] = ok
 
@@ -430,14 +457,7 @@ def emit_report(report: ExperimentReport, fmt: str, path: str) -> None:
             json.dump(report.to_dict(), fh, sort_keys=True, indent=2)
             fh.write("\n")
     elif fmt == "csv":
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-            writer.writeheader()
-            for row in report.results:
-                out = dict(row)
-                if out["p_value"] is None:
-                    out["p_value"] = ""
-                writer.writerow(out)
+        write_rows_csv(report.results, path)
         series = report.summaries.get("mean_count_series")
         if series:
             base, _ = os.path.splitext(path)
@@ -448,6 +468,18 @@ def emit_report(report: ExperimentReport, fmt: str, path: str) -> None:
                     writer.writerow([item["x"], item["mean_count"]])
     else:
         raise ConfigError(f"unknown report format {fmt!r}; use csv or json")
+
+
+def write_rows_csv(rows: list[dict], path: str) -> None:
+    """Write result rows as flat CSV; a missing p-value becomes an empty cell."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
+        writer.writeheader()
+        for row in rows:
+            out = dict(row)
+            if out["p_value"] is None:
+                out["p_value"] = ""
+            writer.writerow(out)
 
 
 def read_report_json(path: str) -> ExperimentReport:

@@ -5,40 +5,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrete import CollectorTrace, _fill_arrivals
+from .discrete import CollectorTrace, _embed
 from .pointprocess import Normalization
 from .samplers import SeedSpec
 
 __all__ = ["CoupledTrace", "run_coupled", "count_mismatch", "mismatch_probability"]
 
-MARK_SUBKEY = 0
-GAP_SUBKEY = 1
-
 
 @dataclass(frozen=True)
-class CoupledTrace:
-    """One realization of the marked Poisson scheme.
+class CoupledTrace(CollectorTrace):
+    """One realization of the poissonized scheme and its jump chain.
 
-    ``arrivals`` is the discrete arrival-time matrix determined by the mark
-    stream alone; ``times[i, k]`` is the prefix sum of the exponential gaps up
-    to index ``arrivals[i, k]``, so the continuous times are a deterministic
-    function of (gaps, arrivals) and never resampled.
+    ``times[i, k]`` is the continuous time of the (k+1)-th arrival of type
+    ``i`` and ``arrivals[i, k]`` is the 1-based draw number of the same
+    arrival.  Draws arrive at unit rate, so given ``arrivals[i, k] = a`` the
+    time ``times[i, k]`` is Gamma(a, 1).
     """
 
-    n: int
-    r_max: int
-    arrivals: np.ndarray
     times: np.ndarray
-
-    @property
-    def total_draws(self) -> int:
-        return int(self.arrivals[:, -1].max())
-
-    def as_collector_trace(self) -> CollectorTrace:
-        return CollectorTrace(self.n, self.r_max, self.arrivals)
-
-    def arrival_column(self, r: int) -> np.ndarray:
-        return self.as_collector_trace().arrival_column(r)
 
     def time_column(self, r: int) -> np.ndarray:
         if not 1 <= r <= self.r_max:
@@ -46,26 +30,14 @@ class CoupledTrace:
         return self.times[:, r - 1]
 
 
-def run_coupled(
-    n: int, r_max: int, stream: SeedSpec, gap_subkey: int = GAP_SUBKEY
-) -> CoupledTrace:
+def run_coupled(n: int, r_max: int, stream: SeedSpec) -> CoupledTrace:
     """Simulate the coupled discrete/poissonized schemes from one seed.
 
-    Marks and gaps come from two independent substreams of ``stream``, so
-    reseeding only the gaps (``gap_subkey``) changes the continuous times but
-    leaves the discrete arrival matrix untouched.
+    Both halves come from one generator: ``arrivals`` equals
+    ``run_discrete(n, r_max, stream).arrivals`` and ``times`` are the
+    poissonized arrival times they were derived from.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got n={n}")
-    if r_max < 1:
-        raise ValueError(f"need r_max >= 1, got r_max={r_max}")
-    arrivals = _fill_arrivals(stream.generator(MARK_SUBKEY), n, r_max)
-    horizon = int(arrivals.max())
-    gaps = stream.generator(gap_subkey).exponential(1.0, horizon)
-    # Extended-precision prefix sums: the coupling identity should hold to one
-    # ulp per term even at ~n ln n summands.
-    prefix = np.cumsum(gaps, dtype=np.longdouble)
-    times = prefix[arrivals - 1].astype(np.float64)
+    arrivals, times = _embed(stream.generator(), n, r_max)
     return CoupledTrace(n, r_max, arrivals, times)
 
 

@@ -44,13 +44,9 @@ class SeedSpec:
             if not 0 <= value <= _UINT64_MAX:
                 raise ValueError(f"{name} must fit in 64 unsigned bits, got {value}")
 
-    def generator(self, *subkeys: int) -> Generator:
-        """Return a fresh Philox generator for this stream.
-
-        Optional ``subkeys`` derive further independent substreams of the same
-        replication (e.g. separate mark and gap streams).
-        """
-        entropy = (int(self.master_seed), int(self.stream_index), *map(int, subkeys))
+    def generator(self) -> Generator:
+        """Return a fresh Philox generator for this stream."""
+        entropy = (int(self.master_seed), int(self.stream_index))
         return Generator(Philox(SeedSequence(entropy)))
 
     def substream(self, offset: int) -> "SeedSpec":
@@ -109,8 +105,8 @@ def sample_negbin_trials(rng: Generator, r: int, n: int, size: int | None = None
 def sample_gamma(rng: Generator, r: int, n: int, size: int | None = None):
     """Gamma(r, rate 1/n) variate(s) for integer shape ``r``.
 
-    Built as n times the sum of ``r`` unit exponentials so that the standalone
-    law coincides exactly with the coupled construction's prefix sums.
+    Built as n times the sum of ``r`` unit exponentials, the construction of
+    the coupled scheme's r-th arrival times.
     """
     if r < 1:
         raise ValueError(f"need r >= 1, got r={r}")

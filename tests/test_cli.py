@@ -103,6 +103,20 @@ def test_verify_statistical_failure_exits_one(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ("--kind", "erdos-renyi", "--c", "7"),
+    ("--kind", "chi2-law", "--r", "3", "--m", "0"),
+])
+def test_verify_uncalibrated_tolerance_fails(argv, capsys):
+    # no frozen KS tolerance exists for these parameters, so there is no
+    # bound to meet and the KS verdict must not pass
+    code = run_cli("verify", *argv, "--n", "20", "--reps", "25", "--seed", "6")
+    captured = capsys.readouterr()
+    assert code == EXIT_STAT_FAIL
+    assert "FAIL" in captured.out
+    assert captured.err.count("uncalibrated") == 1
+
+
 def test_verify_ini_config_with_overrides(tmp_path, capsys):
     ini = tmp_path / "exp.ini"
     ini.write_text(
@@ -194,6 +208,49 @@ def test_report_rendering_round_trip(tmp_path, capsys):
     assert code == EXIT_PASS
     rows = list(csv.DictReader(csv_out.open()))
     assert rows and rows[0]["experiment"] == "erdos-renyi"
+
+
+def test_report_renders_battery(tmp_path, capsys):
+    out = tmp_path / "battery.json"
+    battery_code = run_cli("battery", "--seed", "3", "--scale", "0.01",
+                           "--out", str(out))
+    capsys.readouterr()
+    data = json.loads(out.read_text())
+
+    code = run_cli("report", str(out))
+    text = capsys.readouterr().out
+    assert code == battery_code == (EXIT_PASS if data["passed"] else EXIT_STAT_FAIL)
+    assert text.count("experiment: ") == len(data["experiments"])
+    assert f"battery: {'PASS' if data['passed'] else 'FAIL'}" in text
+
+    csv_out = tmp_path / "battery.csv"
+    run_cli("report", str(out), "--format", "csv", "--out", str(csv_out))
+    rows = list(csv.DictReader(csv_out.open()))
+    assert len(rows) == sum(len(exp["results"]) for exp in data["experiments"])
+
+
+def test_report_bad_schema_is_usage_error(tmp_path, capsys):
+    single = tmp_path / "rep.json"
+    run_cli("verify", "--kind", "erdos-renyi", "--n", "15", "--reps", "25",
+            "--seed", "4", "--out", str(single))
+    report = json.loads(single.read_text())
+    missing = {k: v for k, v in report.items() if k != "verdicts"}
+    unknown = dict(report, extra=1)
+    bad_row = dict(report, results=[{"n": 15}])
+    bad_config = dict(report, config={})
+    battery_missing = {"master_seed": 0, "experiments": [report]}
+    battery_unknown = {"master_seed": 0, "scale": 1.0, "experiments": [report],
+                       "passed": True, "extra": 1}
+    battery_bad_entry = {"master_seed": 0, "scale": 1.0, "experiments": [missing],
+                         "passed": True}
+    cases = [missing, unknown, bad_row, bad_config, battery_missing,
+             battery_unknown, battery_bad_entry, [report], "text"]
+    capsys.readouterr()
+    for k, case in enumerate(cases):
+        path = tmp_path / f"bad{k}.json"
+        path.write_text(json.dumps(case))
+        assert run_cli("report", str(path)) == EXIT_USAGE, case
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_report_missing_file_is_usage_error():

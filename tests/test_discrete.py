@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from dixiecup.discrete import (
     CollectorTrace,
@@ -39,15 +40,34 @@ def test_trace_from_explicit_sequence():
     assert trace.arrivals[1, 0] == 3
 
 
+def uniform_sequence_trace(rng, n, r_max):
+    """Oracle trace: scan uniform 1-based types until every type has r_max arrivals."""
+    chunks = []
+    while True:
+        chunks.append(rng.integers(0, n, size=4 * n * r_max) + 1)
+        raw = np.concatenate(chunks)
+        if np.bincount(raw, minlength=n + 1)[1:].min() >= r_max:
+            return trace_from_sequence(raw, n, r_max)
+
+
 def test_run_matches_sequence_scan():
-    # the simulator consumes the type stream as-is, so rebuilding the trace
-    # from an identically seeded raw sequence must give the same matrix
-    for trial in range(50):
-        n, r_max = 5 + trial % 7, 1 + trial % 3
-        trace = run_discrete(n, r_max, SeedSpec(101, trial))
-        raw = SeedSpec(101, trial).generator().integers(0, n, size=4 * trace.total_draws + 64) + 1
-        rebuilt = trace_from_sequence(raw, n, r_max)
-        assert np.array_equal(trace.arrivals, rebuilt.arrivals)
+    # run_discrete must have the law of the explicit draw-by-draw scan;
+    # the oracle sequences come from a seed stream run_discrete never uses
+    reps = 4000
+    for n, r_max in ((5, 2), (50, 3)):
+        oracle_rng = SeedSpec(102, n).generator()
+        sim = [run_discrete(n, r_max, SeedSpec(101, j)) for j in range(reps)]
+        ref = [uniform_sequence_trace(oracle_rng, n, r_max) for _ in range(reps)]
+
+        def stats_of(traces):
+            return (
+                [t.arrivals[:, -1].max() for t in traces],
+                [partial_collection_time(t, r_max, 1) for t in traces],
+                [t.arrivals[0, 1] for t in traces],
+            )
+
+        for a, b in zip(stats_of(sim), stats_of(ref)):
+            assert stats.ks_2samp(a, b).pvalue > 1e-3
 
 
 def test_trace_invariants():
@@ -96,8 +116,8 @@ def test_partial_time_reduces_to_collection_time_and_zero():
 def test_partial_time_matches_time_scan_oracle():
     n, r = 4, 2
     for j in range(500):
-        trace = run_discrete(n, r, SeedSpec(77, j))
-        raw = SeedSpec(77, j).generator().integers(0, n, size=6 * trace.total_draws + 64) + 1
+        raw = SeedSpec(77, j).generator().integers(0, n, size=200) + 1
+        trace = trace_from_sequence(raw, n, r)
         for m in range(0, n + 1):
             assert partial_collection_time(trace, r, m) == scan_partial_time(raw, n, r, m)
 

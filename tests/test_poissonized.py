@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
+from dixiecup.discrete import run_discrete
 from dixiecup.poissonized import (
     count_mismatch,
     mismatch_probability,
@@ -13,16 +14,17 @@ from dixiecup.poissonized import (
 from dixiecup.samplers import SeedSpec, sample_gamma
 
 
-def test_coupling_identity_exact():
-    # continuous times must be the gap prefix sums evaluated at the discrete
-    # arrival indices, recomputed here independently with exact summation
-    trace = run_coupled(20, 2, SeedSpec(31, 0))
-    gaps = SeedSpec(31, 0).generator(1).exponential(1.0, trace.total_draws)
-    for i in (0, 7, 19):
-        for k in (0, 1):
-            idx = trace.arrivals[i, k]
-            expected = math.fsum(gaps[:idx])
-            assert trace.times[i, k] == pytest.approx(expected, rel=1e-12)
+def test_coupling_times_are_gamma_given_arrivals():
+    # draws arrive at unit rate, so given arrivals[i, k] = a the poissonized
+    # time times[i, k] is Gamma(a, 1) and gammainc(a, times[i, k]) is uniform;
+    # one entry per trace keeps the pooled sample independent
+    pit = []
+    for n, r_max in ((20, 2), (50, 3)):
+        for j in range(2000):
+            trace = run_coupled(n, r_max, SeedSpec(31, j))
+            i, k = j % n, (j // n) % r_max
+            pit.append(special.gammainc(trace.arrivals[i, k], trace.times[i, k]))
+    assert stats.kstest(pit, "uniform").pvalue > 1e-3
 
 
 def test_times_strictly_increase_with_arrival_index():
@@ -61,11 +63,13 @@ def test_marginal_agrees_with_standalone_gamma_sampler():
     assert stats.ks_2samp(coupled, standalone).pvalue > 1e-3
 
 
-def test_gap_reseed_changes_times_not_arrivals():
-    base = run_coupled(25, 2, SeedSpec(37, 0))
-    reseeded = run_coupled(25, 2, SeedSpec(37, 0), gap_subkey=99)
-    assert np.array_equal(base.arrivals, reseeded.arrivals)
-    assert not np.allclose(base.times, reseeded.times)
+def test_coupled_arrivals_equal_discrete_trace():
+    # the discrete trace is the arrival half of the coupled one
+    for n, r_max in ((2, 1), (25, 2), (300, 3)):
+        for j in range(5):
+            stream = SeedSpec(37, j)
+            coupled = run_coupled(n, r_max, stream)
+            assert np.array_equal(coupled.arrivals, run_discrete(n, r_max, stream).arrivals)
 
 
 def test_mismatch_probability_degenerate_interval():
