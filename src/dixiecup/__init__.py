@@ -1,16 +1,12 @@
 """Coupon-collector / Dixie-cup simulation and limit-law verification toolkit."""
 
-from .samplers import SeedSpec, sample_exponential, sample_gamma, sample_negbin_trials, sample_uniform_type
+from .samplers import SeedSpec
 from .discrete import CollectorTrace, collection_time, partial_collection_time, run_discrete, trace_from_sequence
-from .poissonized import CoupledTrace, count_mismatch, mismatch_probability, run_coupled
+from .poissonized import CoupledTrace, count_mismatch, run_coupled
 from .pointprocess import (
     Normalization,
     PointPattern,
-    RarePath,
-    map_h,
-    map_h_inverse,
     normalize,
-    rare_path,
     sample_limit_process,
 )
 from .limitlaws import (
@@ -18,7 +14,6 @@ from .limitlaws import (
     ChiSqLog,
     GumbelType,
     LogGamma,
-    PoissonIntensity,
     PoissonizedMarginal,
     chisq_log_cdf,
     er_expectation,
@@ -34,6 +29,7 @@ from .experiments import (
     emit_report,
     read_report_csv,
     read_report_json,
+    run_bank,
     run_experiment,
 )
 

@@ -9,19 +9,19 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import copy
 import csv
 import json
-import math
 import os
 import sys
 
 from .discrete import run_discrete
 from .experiments import (
+    KINDS,
     ConfigError,
     ExperimentConfig,
     ExperimentReport,
-    KIND_DESCRIPTIONS,
-    check_keys,
+    battery_from_dict,
     emit_report,
     run_experiment,
     write_rows_csv,
@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run one experiment kind")
     ver.add_argument("--config", help="INI file with key = value experiment sections")
     ver.add_argument("--section", help="section of the config file to run")
-    ver.add_argument("--kind", choices=sorted(KIND_DESCRIPTIONS))
+    ver.add_argument("--kind", choices=sorted(KINDS))
     ver.add_argument("--n", type=_parse_ints, help="comma-separated n grid")
     ver.add_argument("--r", type=int)
     ver.add_argument("--c", type=int)
@@ -178,10 +178,14 @@ def _config_from_ini(path: str, section: str | None) -> dict:
     return out
 
 
-def _cmd_verify(args) -> int:
+def _verify_config(args) -> ExperimentConfig:
+    """The validated experiment config of a ``verify`` command line."""
     fields: dict = {}
     if args.config:
-        fields = _config_from_ini(args.config, args.section)
+        try:
+            fields = _config_from_ini(args.config, args.section)
+        except (configparser.Error, argparse.ArgumentTypeError) as exc:
+            raise ConfigError(f"config file {args.config!r}: {exc}") from exc
     overrides = {
         "kind": args.kind,
         "n_grid": args.n,
@@ -203,7 +207,12 @@ def _cmd_verify(args) -> int:
     fields.setdefault("workers", _default_workers())
     config = ExperimentConfig(**fields)
     config.validate()
-    if any(n < 3 for n in config.n_grid) and config.kind != "limit-consistency":
+    return config
+
+
+def _cmd_verify(args) -> int:
+    config = _verify_config(args)
+    if 0 < min(config.grid) < 3:
         print("warning: n below 3 makes the ln ln n centering negative",
               file=sys.stderr)
 
@@ -220,45 +229,16 @@ def _cmd_verify(args) -> int:
 # battery
 
 def battery_configs(seed: int, scale: float, workers: int) -> list[ExperimentConfig]:
-    """The standard suite: one config per verified limit statement."""
-
-    def reps(base: int) -> int:
-        return max(20, int(round(base * scale)))
-
+    """The standard suite: each kind's battery experiments, in registry order."""
     configs: list[ExperimentConfig] = []
-    for r in (1, 2, 3):
-        configs.append(ExperimentConfig(
-            kind="poissonized-marginal", n_grid=[100], r=r,
-            replications=reps(100)))
-    for r in (1, 2):
-        configs.append(ExperimentConfig(
-            kind="theorem1-counts", n_grid=[100, 10000], r=r,
-            intervals=[(0.0, math.inf), (-1.0, 0.0), (0.0, 1.0)],
-            replications=reps(2000)))
-    for c in (1, 2):
-        configs.append(ExperimentConfig(
-            kind="erdos-renyi", n_grid=[100, 1000, 10000], c=c,
-            replications=reps(2000)))
-    configs.append(ExperimentConfig(
-        kind="partial-collection", n_grid=[10000], r=1, m=2,
-        replications=reps(2000)))
-    for r, m in ((1, 0), (1, 1), (1, 3), (2, 0), (2, 1), (3, 2)):
-        configs.append(ExperimentConfig(
-            kind="chi2-law", n_grid=[10000], r=r, m=m, replications=reps(2000)))
-    for r in (1, 2):
-        configs.append(ExperimentConfig(
-            kind="rare-path", n_grid=[10000], r=r,
-            thresholds=[-1.0, 0.0, 1.0, 2.0], replications=reps(2000)))
-    configs.append(ExperimentConfig(
-        kind="coupling-decay", n_grid=[100, 1000, 10000], r=1,
-        intervals=[(-2.0, 2.0)], replications=reps(2000)))
-    configs.append(ExperimentConfig(
-        kind="limit-consistency", r=1, m=0, replications=reps(200)))
-
-    for idx, cfg in enumerate(configs):
-        # distinct master seeds keep experiment streams mutually independent
-        cfg.master_seed = seed + 7919 * idx
-        cfg.workers = workers
+    for kind, entry in KINDS.items():
+        for fields in entry.battery:
+            cfg = ExperimentConfig(kind, **copy.deepcopy(fields))
+            cfg.replications = max(20, int(round(cfg.replications * scale)))
+            # distinct master seeds keep experiment streams mutually independent
+            cfg.master_seed = seed + 7919 * len(configs)
+            cfg.workers = workers
+            configs.append(cfg)
     return configs
 
 
@@ -294,14 +274,8 @@ def _cmd_report(args) -> int:
     with open(args.input) as fh:
         data = json.load(fh)
     battery = isinstance(data, dict) and "experiments" in data
-    if battery:
-        check_keys(data, ("master_seed", "scale", "experiments", "passed"),
-                   "battery report")
-        if not isinstance(data["experiments"], list):
-            raise ConfigError("battery experiments are not a JSON list")
-    reports = [ExperimentReport.from_dict(d)
-               for d in (data["experiments"] if battery else [data])]
-    passed = data["passed"] if battery else reports[0].passed
+    reports = battery_from_dict(data) if battery else [ExperimentReport.from_dict(data)]
+    passed = all(report.passed for report in reports)
     if args.format == "csv":
         out = args.out or os.path.splitext(args.input)[0] + ".csv"
         if battery:

@@ -1,10 +1,12 @@
 """Declarative experiment orchestration and report persistence.
 
-Each experiment kind exercises one limit statement: it fans replications out
-over workers (replication ``j`` always uses global stream index ``j``, so the
-numbers are independent of the worker count), aggregates the per-replication
-statistics, runs the relevant goodness-of-fit battery, and renders a
-self-contained report.
+Each experiment kind exercises one limit statement and is one entry of
+:data:`KINDS`: what it verifies, how many arrivals per type its traces track,
+what it extracts from one trace, and how it aggregates those payloads into
+rows, summaries and verdicts.  :func:`run_bank` simulates each trace once and
+hands it to every config's extraction; replication ``j`` at grid index ``gi``
+always uses stream ``gi * replications + j``, so the numbers are independent of
+the worker count.
 """
 from __future__ import annotations
 
@@ -14,13 +16,16 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, field
+from functools import partial
 from multiprocessing import Pool
+from operator import attrgetter
 
 import numpy as np
 
 from . import calibration
-from .discrete import collection_time, partial_collection_time, run_discrete
+from .discrete import collection_time, partial_collection_time
 from .gof import increment_test, ks_statistic, ks_test, poisson_count_test
 from .limitlaws import (
     ChiSqLog,
@@ -37,27 +42,12 @@ __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "ExperimentReport",
+    "KINDS",
+    "run_bank",
     "run_experiment",
     "emit_report",
     "read_report_json",
     "read_report_csv",
-    "KIND_DESCRIPTIONS",
-]
-
-KIND_DESCRIPTIONS = {
-    "poissonized-marginal": "exact finite-n law of the normalized poissonized arrival times",
-    "theorem1-counts": "Poisson limit of interval counts of the normalized arrival pattern",
-    "erdos-renyi": "Gumbel-type limit and exact mean identity for full-collection times",
-    "partial-collection": "i.i.d. exponential increments of the last-but-j projections",
-    "chi2-law": "chi-square-log / log-gamma limits for partial-collection times",
-    "rare-path": "Poisson process limit of the rare-type counting path",
-    "coupling-decay": "vanishing mismatch between discrete and poissonized patterns",
-    "limit-consistency": "null calibration of the battery against its own limit laws",
-}
-
-CSV_COLUMNS = [
-    "experiment", "n", "r", "c", "m",
-    "statistic_name", "value", "p_value", "sample_size", "verdict",
 ]
 
 
@@ -65,13 +55,53 @@ class ConfigError(ValueError):
     """Invalid experiment description."""
 
 
-def check_keys(d, keys, what: str) -> None:
-    """Raise ConfigError unless ``d`` is a dict with exactly the given keys."""
+# ---------------------------------------------------------------------------
+# report schema: the type of each JSON value, as a predicate
+
+def _number(value) -> bool:
+    """A JSON number that formats as a float; a bool is not a number here."""
+    return isinstance(value, float) or (type(value) is int and abs(value) <= sys.float_info.max)
+
+
+def _of(kind: type) -> Callable[[object], bool]:
+    return lambda value: type(value) is kind
+
+
+ROW_TYPES = {
+    "experiment": _of(str), "n": _of(int), "r": _of(int), "c": _of(int), "m": _of(int),
+    "statistic_name": _of(str), "value": _number,
+    "p_value": lambda value: value is None or _number(value),
+    "sample_size": _of(int), "verdict": _of(bool),
+}
+CSV_COLUMNS = list(ROW_TYPES)
+
+CONFIG_TYPES = {
+    "kind": _of(str), "n_grid": _of(list), "r": _of(int), "c": _of(int), "m": _of(int),
+    "intervals": _of(list), "thresholds": _of(list), "replications": _of(int),
+    "master_seed": _of(int), "significance": _number,
+}
+
+REPORT_TYPES = {
+    "config": _of(dict), "theorem": _of(str), "results": _of(list), "summaries": _of(dict),
+    "verdicts": _of(dict), "passed": _of(bool), "telemetry": _of(dict),
+}
+
+BATTERY_TYPES = {
+    "master_seed": _of(int), "scale": _number, "experiments": _of(list), "passed": _of(bool),
+}
+
+
+def check_fields(d, types: dict, what: str) -> None:
+    """Raise ConfigError unless ``d`` is a dict with exactly these keys, each
+    holding a value its predicate in ``types`` accepts."""
     if not isinstance(d, dict):
         raise ConfigError(f"{what} is not a JSON object")
-    missing, unknown = sorted(set(keys) - set(d)), sorted(set(d) - set(keys))
+    missing, unknown = sorted(set(types) - set(d)), sorted(set(d) - set(types))
     if missing or unknown:
         raise ConfigError(f"{what} has missing keys {missing} and unknown keys {unknown}")
+    for key, ok in types.items():
+        if not ok(d[key]):
+            raise ConfigError(f"{what} key {key!r} has a value of the wrong type: {d[key]!r}")
 
 
 @dataclass
@@ -90,13 +120,18 @@ class ExperimentConfig:
     significance: float = 1e-3
     workers: int = 1
 
+    @property
+    def grid(self) -> list[int]:
+        """The n of each bank row: the n grid, or [0] for a kind that samples no trace."""
+        return list(self.n_grid) if KINDS[self.kind].r_max(self) else [0]
+
     def validate(self) -> None:
-        if self.kind not in KIND_DESCRIPTIONS:
+        if self.kind not in KINDS:
             raise ConfigError(
                 f"unknown experiment kind {self.kind!r}; "
-                f"choose from {sorted(KIND_DESCRIPTIONS)}"
+                f"choose from {sorted(KINDS)}"
             )
-        if self.kind != "limit-consistency":
+        if KINDS[self.kind].r_max(self):
             if not self.n_grid:
                 raise ConfigError("n_grid must not be empty")
             for n in self.n_grid:
@@ -155,76 +190,28 @@ class ExperimentReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentReport":
-        check_keys(d, [f.name for f in fields(cls)], "report")
-        config_keys = [f.name for f in fields(ExperimentConfig) if f.name != "workers"]
-        check_keys(d["config"], config_keys, "report config")
-        if not isinstance(d["results"], list):
-            raise ConfigError("report results are not a JSON list")
+        check_fields(d, REPORT_TYPES, "report")
+        check_fields(d["config"], CONFIG_TYPES, "report config")
         for row in d["results"]:
-            check_keys(row, CSV_COLUMNS, "report row")
+            check_fields(row, ROW_TYPES, "report row")
+        if not all(type(v) is bool for v in d["verdicts"].values()):
+            raise ConfigError("report verdicts are not all true or false")
+        if d["passed"] != all(d["verdicts"].values()):
+            raise ConfigError("report passed disagrees with its verdicts")
         return cls(**d)
 
 
-# ---------------------------------------------------------------------------
-# per-replication work (top-level for pickling)
-
-def _replicate(task):
-    kind, n, r, c, m, intervals, thresholds, master_seed, index = task
-    stream = SeedSpec(master_seed, index)
-
-    if kind == "poissonized-marginal":
-        trace = run_coupled(n, r, stream)
-        values = Normalization(n, r).apply(trace.time_column(r))
-        return trace.total_draws, values
-
-    if kind == "theorem1-counts":
-        trace = run_discrete(n, r, stream)
-        pattern = normalize(trace.arrival_column(r), Normalization(n, r))
-        counts = [pattern.count(a, b) for a, b in intervals]
-        return trace.total_draws, (counts, float(pattern.points[-1]))
-
-    if kind == "erdos-renyi":
-        trace = run_discrete(n, c, stream)
-        value = float(Normalization(n, c).apply(collection_time(trace, c)))
-        return trace.total_draws, (value, collection_time(trace, 1))
-
-    if kind == "partial-collection":
-        trace = run_discrete(n, r, stream)
-        norm = Normalization(n, r)
-        vector = [float(norm.apply(partial_collection_time(trace, r, j)))
-                  for j in range(m + 1)]
-        return trace.total_draws, vector
-
-    if kind == "chi2-law":
-        trace = run_discrete(n, r, stream)
-        t_rm = partial_collection_time(trace, r, m)
-        if r == 1:
-            value = math.log(2 * n) - t_rm / n
-        else:
-            value = float(Normalization(n, r).apply(t_rm))
-        return trace.total_draws, value
-
-    if kind == "rare-path":
-        trace = run_discrete(n, r, stream)
-        pattern = normalize(trace.arrival_column(r), Normalization(n, r))
-        return trace.total_draws, [pattern.count_from(x) for x in thresholds]
-
-    if kind == "coupling-decay":
-        trace = run_coupled(n, r, stream)
-        a, b = intervals[0]
-        return trace.total_draws, int(count_mismatch(trace, r, a, b))
-
-    if kind == "limit-consistency":
-        rng = stream.generator()
-        sums = rng.exponential(1.0, (1000, m + 1)).sum(axis=1)
-        sample = -math.lgamma(r) - np.log(sums)
-        return 0, ks_test(sample, LogGamma(r, m)).p_value
-
-    raise ConfigError(f"unknown experiment kind {kind!r}")
+def battery_from_dict(d: dict) -> list[ExperimentReport]:
+    """The experiment reports of a battery report, checked like single ones."""
+    check_fields(d, BATTERY_TYPES, "battery report")
+    reports = [ExperimentReport.from_dict(e) for e in d["experiments"]]
+    if d["passed"] != all(rep.passed for rep in reports):
+        raise ConfigError("battery passed disagrees with its experiments")
+    return reports
 
 
 # ---------------------------------------------------------------------------
-# per-kind aggregation
+# experiment kinds: the payload each reads from one trace, and its aggregation
 
 def _row(cfg, n, name, value, p_value, sample_size, verdict):
     return {
@@ -251,198 +238,344 @@ def _warn_uncalibrated(label: str) -> None:
           "its KS verdicts fail as uncalibrated", file=sys.stderr)
 
 
-def _aggregate(cfg: ExperimentConfig, per_n: dict):
-    rows: list[dict] = []
-    verdicts: dict = {}
-    summaries: dict = {}
-    sig = cfg.significance
+def _extract_marginal(trace, cfg, n):
+    return Normalization(n, cfg.r).apply(trace.time_column(cfg.r))
 
-    if cfg.kind == "poissonized-marginal":
-        for n, payloads in per_n.items():
-            pooled = np.concatenate(payloads)
-            res = ks_test(pooled, PoissonizedMarginal(n, cfg.r))
-            ok = res.p_value >= sig
-            rows.append(_row(cfg, n, "ks_statistic", res.statistic, res.p_value,
+
+def _aggregate_marginal(cfg, per_n):
+    rows, verdicts = [], {}
+    for n, payloads in per_n.items():
+        res = ks_test(np.concatenate(payloads), PoissonizedMarginal(n, cfg.r))
+        ok = res.p_value >= cfg.significance
+        rows.append(_row(cfg, n, "ks_statistic", res.statistic, res.p_value,
+                         res.sample_size, ok))
+        verdicts[f"ks_pass_n{n}"] = ok
+    return rows, {}, verdicts
+
+
+def _extract_counts(trace, cfg, n):
+    pattern = normalize(trace.arrival_column(cfg.r), Normalization(n, cfg.r))
+    return [pattern.count(a, b) for a, b in cfg.intervals], float(pattern.points[-1])
+
+
+def _aggregate_counts(cfg, per_n):
+    rows, verdicts = [], {}
+    first_point_ks = {}
+    for n, payloads in per_n.items():
+        counts = np.array([p[0] for p in payloads], dtype=np.int64)
+        for k, (a, b) in enumerate(cfg.intervals):
+            mean = intensity_mass(cfg.r, a, b)
+            res = poisson_count_test(counts[:, k], mean)
+            ok = res.p_value >= cfg.significance
+            name = f"poisson_counts[{a},{b}]"
+            rows.append(_row(cfg, n, name, res.statistic, res.p_value,
                              res.sample_size, ok))
-            verdicts[f"ks_pass_n{n}"] = ok
-
-    elif cfg.kind == "theorem1-counts":
-        first_point_ks = {}
-        for n, payloads in per_n.items():
-            counts = np.array([p[0] for p in payloads], dtype=np.int64)
-            for k, (a, b) in enumerate(cfg.intervals):
-                mean = intensity_mass(cfg.r, a, b)
-                res = poisson_count_test(counts[:, k], mean)
-                ok = res.p_value >= sig
-                name = f"poisson_counts[{a},{b}]"
-                rows.append(_row(cfg, n, name, res.statistic, res.p_value,
-                                 res.sample_size, ok))
-                verdicts[f"counts_pass_n{n}_interval{k}"] = ok
-            first = np.array([p[1] for p in payloads])
-            dist = ks_statistic(first, GumbelType(cfg.r))
-            first_point_ks[n] = dist
-            rows.append(_row(cfg, n, "first_point_ks", dist, None, len(first), True))
-        summaries["first_point_ks"] = {str(n): d for n, d in first_point_ks.items()}
-        if len(cfg.n_grid) >= 2:
-            lo, hi = min(cfg.n_grid), max(cfg.n_grid)
-            ok = first_point_ks[hi] < first_point_ks[lo]
-            verdicts["first_point_ks_decreases"] = ok
-
-    elif cfg.kind == "erdos-renyi":
-        distances = {}
-        tol = calibration.ERDOS_RENYI_KS_TOL.get(cfg.c)
-        if tol is None:
-            _warn_uncalibrated(f"erdos-renyi c={cfg.c}")
-        for n, payloads in per_n.items():
-            values = np.array([p[0] for p in payloads])
-            t1 = np.array([p[1] for p in payloads], dtype=np.float64)
-            dist = ks_statistic(values, GumbelType(cfg.c))
-            distances[n] = dist
-            ok = tol is not None and dist <= tol
-            rows.append(_row(cfg, n, "ks_statistic", dist, None, len(values), ok))
-            verdicts[f"ks_within_tolerance_n{n}"] = ok
-            target = n * _harmonic(n)
-            stderr = float(t1.std(ddof=1)) / math.sqrt(len(t1))
-            mean_ok = abs(float(t1.mean()) - target) <= 3 * stderr
-            rows.append(_row(cfg, n, "mean_T1_minus_nHn",
-                             float(t1.mean()) - target, None, len(t1), mean_ok))
-            verdicts[f"mean_identity_n{n}"] = mean_ok
-        summaries["ks_by_n"] = {str(n): d for n, d in distances.items()}
-        grid = sorted(cfg.n_grid)
-        mono = all(distances[grid[i + 1]] <= distances[grid[i]]
-                   for i in range(len(grid) - 1))
-        if len(grid) >= 2:
-            verdicts["ks_nonincreasing"] = mono
-
-    elif cfg.kind == "partial-collection":
-        for n, payloads in per_n.items():
-            vectors = np.array(payloads)
-            res = increment_test(vectors, cfg.r, cfg.m)
-            ok = res.p_value >= sig
-            rows.append(_row(cfg, n, "increment_ks", res.statistic, res.p_value,
-                             res.sample_size, ok))
-            verdicts[f"increments_pass_n{n}"] = ok
-            max_corr = res.details.get("max_abs_increment_correlation")
-            if max_corr is not None:
-                corr_ok = max_corr <= 3.0 / math.sqrt(len(vectors))
-                rows.append(_row(cfg, n, "max_abs_increment_correlation",
-                                 max_corr, None, len(vectors), corr_ok))
-                verdicts[f"correlations_small_n{n}"] = corr_ok
-
-    elif cfg.kind == "chi2-law":
-        tol = calibration.PARTIAL_COLLECTION_KS_TOL.get((cfg.r, cfg.m))
-        if tol is None:
-            _warn_uncalibrated(f"chi2-law r={cfg.r}, m={cfg.m}")
-        for n, payloads in per_n.items():
-            values = np.array(payloads)
-            law = ChiSqLog(cfg.m) if cfg.r == 1 else LogGamma(cfg.r, cfg.m)
-            dist = ks_statistic(values, law)
-            ok = tol is not None and dist <= tol
-            rows.append(_row(cfg, n, f"ks_vs_{law.name}", dist, None, len(values), ok))
-            verdicts[f"ks_within_tolerance_n{n}"] = ok
-
-    elif cfg.kind == "rare-path":
-        mean_series = []
-        for n, payloads in per_n.items():
-            counts = np.array(payloads, dtype=np.int64)
-            for k, x in enumerate(cfg.thresholds):
-                mean = intensity_mass(cfg.r, x, math.inf)
-                res = poisson_count_test(counts[:, k], mean)
-                ok = res.p_value >= sig
-                rows.append(_row(cfg, n, f"rare_counts[x={x}]", res.statistic,
-                                 res.p_value, res.sample_size, ok))
-                verdicts[f"rare_pass_n{n}_x{k}"] = ok
-                mean_series.append((n, float(x), float(counts[:, k].mean())))
-            for k in range(len(cfg.thresholds) - 1):
-                x1, x2 = cfg.thresholds[k], cfg.thresholds[k + 1]
-                incr = counts[:, k] - counts[:, k + 1]
-                mean = intensity_mass(cfg.r, x1, x2)
-                res = poisson_count_test(incr, mean)
-                ok = res.p_value >= sig
-                rows.append(_row(cfg, n, f"rare_increment[{x1},{x2})", res.statistic,
-                                 res.p_value, res.sample_size, ok))
-                verdicts[f"rare_increment_pass_n{n}_pair{k}"] = ok
-        summaries["mean_count_series"] = [
-            {"n": n, "x": x, "mean_count": mc} for n, x, mc in mean_series
-        ]
-
-    elif cfg.kind == "coupling-decay":
-        freqs = {}
-        for n, payloads in per_n.items():
-            freq = float(np.mean(payloads))
-            freqs[n] = freq
-            rows.append(_row(cfg, n, "mismatch_frequency", freq, None,
-                             len(payloads), True))
-        summaries["mismatch_by_n"] = {str(n): f for n, f in freqs.items()}
-        grid = sorted(cfg.n_grid)
-        reps = cfg.replications
-        mono = True
-        for i in range(len(grid) - 1):
-            f_lo, f_hi = freqs[grid[i]], freqs[grid[i + 1]]
-            slack = 2.0 * math.sqrt(max(f_lo * (1 - f_lo), 1e-12) / reps)
-            if f_hi > f_lo + slack:
-                mono = False
-        if len(grid) >= 2:
-            verdicts["mismatch_nonincreasing"] = mono
-        bound_ok = freqs[max(grid)] <= calibration.COUPLING_MISMATCH_BOUND_N1E4
-        verdicts["largest_n_below_bound"] = bound_ok
-
-    elif cfg.kind == "limit-consistency":
-        p_values = np.array(per_n[0])
-        frac = float(np.mean(p_values < 0.05))
-        frac_ok = abs(frac - 0.05) <= 0.05
-        rows.append(_row(cfg, 0, "fraction_p_below_0.05", frac, None,
-                         len(p_values), frac_ok))
-        verdicts["p_fraction_calibrated"] = frac_ok
-        unif = ks_statistic(p_values, lambda u: np.clip(u, 0.0, 1.0))
-        rows.append(_row(cfg, 0, "p_value_uniformity_ks", unif, None,
-                         len(p_values), True))
-        summaries["p_values"] = [float(p) for p in p_values]
-
+            verdicts[f"counts_pass_n{n}_interval{k}"] = ok
+        first = np.array([p[1] for p in payloads])
+        dist = ks_statistic(first, GumbelType(cfg.r))
+        first_point_ks[n] = dist
+        rows.append(_row(cfg, n, "first_point_ks", dist, None, len(first), True))
+    summaries = {"first_point_ks": {str(n): d for n, d in first_point_ks.items()}}
+    if len(cfg.n_grid) >= 2:
+        lo, hi = min(cfg.n_grid), max(cfg.n_grid)
+        verdicts["first_point_ks_decreases"] = first_point_ks[hi] < first_point_ks[lo]
     return rows, summaries, verdicts
+
+
+def _extract_collection(trace, cfg, n):
+    value = float(Normalization(n, cfg.c).apply(collection_time(trace, cfg.c)))
+    return value, collection_time(trace, 1)
+
+
+def _aggregate_collection(cfg, per_n):
+    rows, verdicts = [], {}
+    distances = {}
+    tol = calibration.ERDOS_RENYI_KS_TOL.get(cfg.c)
+    if tol is None:
+        _warn_uncalibrated(f"erdos-renyi c={cfg.c}")
+    for n, payloads in per_n.items():
+        values = np.array([p[0] for p in payloads])
+        t1 = np.array([p[1] for p in payloads], dtype=np.float64)
+        dist = ks_statistic(values, GumbelType(cfg.c))
+        distances[n] = dist
+        ok = tol is not None and dist <= tol
+        rows.append(_row(cfg, n, "ks_statistic", dist, None, len(values), ok))
+        verdicts[f"ks_within_tolerance_n{n}"] = ok
+        target = n * _harmonic(n)
+        stderr = float(t1.std(ddof=1)) / math.sqrt(len(t1))
+        mean_ok = abs(float(t1.mean()) - target) <= 3 * stderr
+        rows.append(_row(cfg, n, "mean_T1_minus_nHn",
+                         float(t1.mean()) - target, None, len(t1), mean_ok))
+        verdicts[f"mean_identity_n{n}"] = mean_ok
+    summaries = {"ks_by_n": {str(n): d for n, d in distances.items()}}
+    grid = sorted(cfg.n_grid)
+    if len(grid) >= 2:
+        verdicts["ks_nonincreasing"] = all(distances[grid[i + 1]] <= distances[grid[i]]
+                                           for i in range(len(grid) - 1))
+    return rows, summaries, verdicts
+
+
+def _extract_lastbut(trace, cfg, n):
+    norm = Normalization(n, cfg.r)
+    return [float(norm.apply(partial_collection_time(trace, cfg.r, j)))
+            for j in range(cfg.m + 1)]
+
+
+def _aggregate_lastbut(cfg, per_n):
+    rows, verdicts = [], {}
+    for n, payloads in per_n.items():
+        vectors = np.array(payloads)
+        res = increment_test(vectors, cfg.r, cfg.m)
+        ok = res.p_value >= cfg.significance
+        rows.append(_row(cfg, n, "increment_ks", res.statistic, res.p_value,
+                         res.sample_size, ok))
+        verdicts[f"increments_pass_n{n}"] = ok
+        max_corr = res.details.get("max_abs_increment_correlation")
+        if max_corr is not None:
+            corr_ok = max_corr <= 3.0 / math.sqrt(len(vectors))
+            rows.append(_row(cfg, n, "max_abs_increment_correlation",
+                             max_corr, None, len(vectors), corr_ok))
+            verdicts[f"correlations_small_n{n}"] = corr_ok
+    return rows, {}, verdicts
+
+
+def _extract_partial(trace, cfg, n):
+    t_rm = partial_collection_time(trace, cfg.r, cfg.m)
+    if cfg.r == 1:
+        return math.log(2 * n) - t_rm / n
+    return float(Normalization(n, cfg.r).apply(t_rm))
+
+
+def _aggregate_partial(cfg, per_n):
+    rows, verdicts = [], {}
+    tol = calibration.PARTIAL_COLLECTION_KS_TOL.get((cfg.r, cfg.m))
+    if tol is None:
+        _warn_uncalibrated(f"chi2-law r={cfg.r}, m={cfg.m}")
+    law = ChiSqLog(cfg.m) if cfg.r == 1 else LogGamma(cfg.r, cfg.m)
+    for n, payloads in per_n.items():
+        values = np.array(payloads)
+        dist = ks_statistic(values, law)
+        ok = tol is not None and dist <= tol
+        rows.append(_row(cfg, n, f"ks_vs_{law.name}", dist, None, len(values), ok))
+        verdicts[f"ks_within_tolerance_n{n}"] = ok
+    return rows, {}, verdicts
+
+
+def _extract_rare(trace, cfg, n):
+    pattern = normalize(trace.arrival_column(cfg.r), Normalization(n, cfg.r))
+    return [pattern.count_from(x) for x in cfg.thresholds]
+
+
+def _aggregate_rare(cfg, per_n):
+    rows, verdicts = [], {}
+    mean_series = []
+    for n, payloads in per_n.items():
+        counts = np.array(payloads, dtype=np.int64)
+        for k, x in enumerate(cfg.thresholds):
+            mean = intensity_mass(cfg.r, x, math.inf)
+            res = poisson_count_test(counts[:, k], mean)
+            ok = res.p_value >= cfg.significance
+            rows.append(_row(cfg, n, f"rare_counts[x={x}]", res.statistic,
+                             res.p_value, res.sample_size, ok))
+            verdicts[f"rare_pass_n{n}_x{k}"] = ok
+            mean_series.append((n, float(x), float(counts[:, k].mean())))
+        for k in range(len(cfg.thresholds) - 1):
+            x1, x2 = cfg.thresholds[k], cfg.thresholds[k + 1]
+            incr = counts[:, k] - counts[:, k + 1]
+            mean = intensity_mass(cfg.r, x1, x2)
+            res = poisson_count_test(incr, mean)
+            ok = res.p_value >= cfg.significance
+            rows.append(_row(cfg, n, f"rare_increment[{x1},{x2})", res.statistic,
+                             res.p_value, res.sample_size, ok))
+            verdicts[f"rare_increment_pass_n{n}_pair{k}"] = ok
+    summaries = {"mean_count_series": [
+        {"n": n, "x": x, "mean_count": mc} for n, x, mc in mean_series
+    ]}
+    return rows, summaries, verdicts
+
+
+def _extract_mismatch(trace, cfg, n):
+    a, b = cfg.intervals[0]
+    return int(count_mismatch(trace, cfg.r, a, b))
+
+
+def _aggregate_mismatch(cfg, per_n):
+    rows, verdicts = [], {}
+    freqs = {}
+    for n, payloads in per_n.items():
+        freq = float(np.mean(payloads))
+        freqs[n] = freq
+        rows.append(_row(cfg, n, "mismatch_frequency", freq, None,
+                         len(payloads), True))
+    summaries = {"mismatch_by_n": {str(n): f for n, f in freqs.items()}}
+    grid = sorted(cfg.n_grid)
+    mono = True
+    for i in range(len(grid) - 1):
+        f_lo, f_hi = freqs[grid[i]], freqs[grid[i + 1]]
+        slack = 2.0 * math.sqrt(max(f_lo * (1 - f_lo), 1e-12) / cfg.replications)
+        if f_hi > f_lo + slack:
+            mono = False
+    if len(grid) >= 2:
+        verdicts["mismatch_nonincreasing"] = mono
+    bound_ok = freqs[max(grid)] <= calibration.COUPLING_MISMATCH_BOUND_N1E4
+    verdicts["largest_n_below_bound"] = bound_ok
+    return rows, summaries, verdicts
+
+
+def _extract_null_p_value(stream, cfg, n):
+    sums = stream.generator().exponential(1.0, (1000, cfg.m + 1)).sum(axis=1)
+    return ks_test(-math.lgamma(cfg.r) - np.log(sums), LogGamma(cfg.r, cfg.m)).p_value
+
+
+def _aggregate_null(cfg, per_n):
+    p_values = np.array(per_n[0])
+    frac = float(np.mean(p_values < 0.05))
+    frac_ok = abs(frac - 0.05) <= 0.05
+    unif = ks_statistic(p_values, lambda u: np.clip(u, 0.0, 1.0))
+    rows = [
+        _row(cfg, 0, "fraction_p_below_0.05", frac, None, len(p_values), frac_ok),
+        _row(cfg, 0, "p_value_uniformity_ks", unif, None, len(p_values), True),
+    ]
+    summaries = {"p_values": [float(p) for p in p_values]}
+    return rows, summaries, {"p_fraction_calibrated": frac_ok}
+
+
+@dataclass(frozen=True)
+class Kind:
+    """One experiment kind.
+
+    ``r_max(cfg)`` is the number of arrivals per type its traces must track, 0
+    for a kind that samples no trace.  ``extract(trace, cfg, n)`` reads one
+    replication's payload from its trace (from its :class:`SeedSpec` when
+    r_max is 0), and ``aggregate(cfg, per_n)`` turns the payloads at each n
+    into ``(rows, summaries, verdicts)``.  ``battery`` holds the config fields
+    of the kind's experiments in the standard suite, replications at scale 1.
+    """
+
+    description: str
+    r_max: Callable[[ExperimentConfig], int]
+    extract: Callable
+    aggregate: Callable
+    battery: tuple[dict, ...]
+
+
+_r, _c = attrgetter("r"), attrgetter("c")
+
+KINDS = {
+    "poissonized-marginal": Kind(
+        "exact finite-n law of the normalized poissonized arrival times",
+        _r, _extract_marginal, _aggregate_marginal,
+        tuple(dict(n_grid=[100], r=r, replications=100) for r in (1, 2, 3))),
+    "theorem1-counts": Kind(
+        "Poisson limit of interval counts of the normalized arrival pattern",
+        _r, _extract_counts, _aggregate_counts,
+        tuple(dict(n_grid=[100, 10000], r=r,
+                   intervals=[(0.0, math.inf), (-1.0, 0.0), (0.0, 1.0)],
+                   replications=2000) for r in (1, 2))),
+    "erdos-renyi": Kind(
+        "Gumbel-type limit and exact mean identity for full-collection times",
+        _c, _extract_collection, _aggregate_collection,
+        tuple(dict(n_grid=[100, 1000, 10000], c=c, replications=2000) for c in (1, 2))),
+    "partial-collection": Kind(
+        "i.i.d. exponential increments of the last-but-j projections",
+        _r, _extract_lastbut, _aggregate_lastbut,
+        (dict(n_grid=[10000], r=1, m=2, replications=2000),)),
+    "chi2-law": Kind(
+        "chi-square-log / log-gamma limits for partial-collection times",
+        _r, _extract_partial, _aggregate_partial,
+        tuple(dict(n_grid=[10000], r=r, m=m, replications=2000)
+              for r, m in ((1, 0), (1, 1), (1, 3), (2, 0), (2, 1), (3, 2)))),
+    "rare-path": Kind(
+        "Poisson process limit of the rare-type counting path",
+        _r, _extract_rare, _aggregate_rare,
+        tuple(dict(n_grid=[10000], r=r, thresholds=[-1.0, 0.0, 1.0, 2.0],
+                   replications=2000) for r in (1, 2))),
+    "coupling-decay": Kind(
+        "vanishing mismatch between discrete and poissonized patterns",
+        _r, _extract_mismatch, _aggregate_mismatch,
+        (dict(n_grid=[100, 1000, 10000], r=1, intervals=[(-2.0, 2.0)],
+              replications=2000),)),
+    "limit-consistency": Kind(
+        "null calibration of the battery against its own limit laws",
+        lambda cfg: 0, _extract_null_p_value, _aggregate_null,
+        (dict(r=1, m=0, replications=200),)),
+}
+
+
+# ---------------------------------------------------------------------------
+# the trace bank
+
+def _bank_row(configs, r_max, master_seed, task):
+    """One replication: its trace's total draws and every config's payload."""
+    n, index = task
+    stream = SeedSpec(master_seed, index)
+    source = run_coupled(n, r_max, stream) if r_max else stream
+    payloads = [KINDS[cfg.kind].extract(source, cfg, n) for cfg in configs]
+    return (source.total_draws if r_max else 0), payloads
+
+
+def run_bank(configs: list[ExperimentConfig]) -> tuple[list[dict], int]:
+    """Simulate each trace once and apply every config's extraction to it.
+
+    The configs must share ``master_seed``, grid and ``replications``.
+    Replication ``j`` at grid index ``gi`` reads the trace
+    ``run_coupled(n, r_max, SeedSpec(master_seed, gi * replications + j))``,
+    where r_max is the largest any config needs; discrete kinds read its
+    arrival half.  So a config whose r_max is the bank's sees the payloads it
+    would alone.  Sampling runs on a pool of the largest worker count asked.
+
+    Returns one ``{n: [payload of each replication]}`` per config, and the
+    total draws of the simulated traces.
+    """
+    if not configs:
+        raise ConfigError("a bank needs at least one config")
+    for cfg in configs:
+        cfg.validate()
+    first = configs[0]
+    shared = (first.master_seed, first.grid, first.replications)
+    if any((cfg.master_seed, cfg.grid, cfg.replications) != shared for cfg in configs):
+        raise ConfigError("configs on one bank must share master_seed, n grid "
+                          "and replications")
+    r_max = max(KINDS[cfg.kind].r_max(cfg) for cfg in configs)
+    reps = first.replications
+    tasks = [(n, gi * reps + j) for gi, n in enumerate(first.grid) for j in range(reps)]
+    work = partial(_bank_row, configs, r_max, first.master_seed)
+    workers = max(cfg.workers for cfg in configs)
+    if workers > 1:
+        chunk = max(1, len(tasks) // (4 * workers))
+        with Pool(workers) as pool:
+            outcomes = pool.map(work, tasks, chunksize=chunk)
+    else:
+        outcomes = [work(t) for t in tasks]
+
+    per_config = [{n: [] for n in first.grid} for _ in configs]
+    total_draws = 0
+    for (n, _), (draws, payloads) in zip(tasks, outcomes):
+        total_draws += draws
+        for per_n, payload in zip(per_config, payloads):
+            per_n[n].append(payload)
+    return per_config, total_draws
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run one experiment; the report numbers depend only on (config, seed)."""
-    config.validate()
-    grid = [0] if config.kind == "limit-consistency" else list(config.n_grid)
-    reps = config.replications
-    tasks = [
-        (config.kind, n, config.r, config.c, config.m,
-         [tuple(p) for p in config.intervals], list(config.thresholds),
-         config.master_seed, gi * reps + j)
-        for gi, n in enumerate(grid)
-        for j in range(reps)
-    ]
     start = time.perf_counter()
-    if config.workers > 1:
-        chunk = max(1, len(tasks) // (4 * config.workers))
-        with Pool(config.workers) as pool:
-            outcomes = pool.map(_replicate, tasks, chunksize=chunk)
-    else:
-        outcomes = [_replicate(t) for t in tasks]
+    (per_n,), total_draws = run_bank([config])
     elapsed = time.perf_counter() - start
-
-    per_n: dict = {}
-    total_draws = 0
-    for (kind, n, *_rest), (draws, payload) in zip(tasks, outcomes):
-        total_draws += draws
-        per_n.setdefault(n, []).append(payload)
-
-    rows, summaries, verdicts = _aggregate(config, per_n)
-    passed = all(verdicts.values()) if verdicts else True
+    kind = KINDS[config.kind]
+    rows, summaries, verdicts = kind.aggregate(config, per_n)
+    replications = config.replications * len(config.grid)
     report = ExperimentReport(
         config=config.to_dict(),
-        theorem=KIND_DESCRIPTIONS[config.kind],
+        theorem=kind.description,
         results=rows,
         summaries=summaries,
         verdicts=verdicts,
-        passed=passed,
-        telemetry={"total_draws": int(total_draws),
-                   "replications": reps * len(grid)},
+        passed=all(verdicts.values()),
+        telemetry={"total_draws": int(total_draws), "replications": replications},
     )
     # wall-clock goes to the console, not the report, so reruns are byte-identical
-    print(f"[{config.kind}] {len(tasks)} replications in {elapsed:.2f}s "
+    print(f"[{config.kind}] {replications} replications in {elapsed:.2f}s "
           f"(workers={config.workers})", flush=True)
     return report
 

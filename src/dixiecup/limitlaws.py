@@ -21,7 +21,6 @@ __all__ = [
     "chisq_log_cdf",
     "exact_poissonized_marginal_cdf",
     "er_expectation",
-    "PoissonIntensity",
     "GumbelType",
     "LogGamma",
     "ChiSqLog",
@@ -95,20 +94,6 @@ def er_expectation(n: int, c: int) -> float:
         raise ValueError(f"need c >= 1, got c={c}")
     log_n = math.log(n)
     return n * log_n + (c - 1) * n * math.log(log_n) + (EULER_GAMMA - math.lgamma(c)) * n
-
-
-@dataclass(frozen=True)
-class PoissonIntensity:
-    """Intensity measure exp(-x)/(r-1)! dx of the limiting point process."""
-
-    r: int
-
-    def mass(self, a: float, b: float) -> float:
-        return intensity_mass(self.r, a, b)
-
-    @property
-    def name(self) -> str:
-        return f"poisson-intensity(r={self.r})"
 
 
 @dataclass(frozen=True)

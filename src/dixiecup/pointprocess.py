@@ -1,9 +1,9 @@
 """Finite point patterns and the transformations applied to them.
 
-Houses the affine centering/scaling of arrival times, interval counting,
-last-but-j order statistics, the log map between the exponential-intensity
-process and the homogeneous one, rare-type counting paths, and direct
-simulation of the limiting Poisson pattern.
+Houses the affine centering/scaling of arrival times, interval and tail
+(rare-type) counting, last-but-j order statistics, the log map between the
+exponential-intensity process and the homogeneous one, and direct simulation
+of the limiting Poisson pattern.
 """
 from __future__ import annotations
 
@@ -16,13 +16,9 @@ from numpy.random import Generator
 __all__ = [
     "Normalization",
     "PointPattern",
-    "RarePath",
     "normalize",
     "h_transform",
     "h_inverse_transform",
-    "map_h",
-    "map_h_inverse",
-    "rare_path",
     "sample_limit_process",
 ]
 
@@ -78,14 +74,6 @@ class PointPattern:
         """Number of points in [x, +inf)."""
         return self.mass - int(np.searchsorted(self.points, x, side="left"))
 
-    def count_open_closed(self, a: float, b: float) -> int:
-        """Number of points in the half-open interval (a, b], for additivity checks."""
-        if a > b:
-            raise ValueError(f"need a <= b, got ({a}, {b}]")
-        lo = np.searchsorted(self.points, a, side="right")
-        hi = np.searchsorted(self.points, b, side="right")
-        return int(hi - lo)
-
     def last_but(self, m: int) -> np.ndarray:
         """The m+1 largest points, largest first."""
         if m < 0:
@@ -111,37 +99,6 @@ def h_transform(x, r: int):
 def h_inverse_transform(x, r: int):
     """exp(-x) / (r-1)!, the inverse of :func:`h_transform`."""
     return np.exp(-np.asarray(x, dtype=np.float64) - math.lgamma(r))
-
-
-def map_h(pattern: PointPattern, r: int) -> PointPattern:
-    return PointPattern.from_values(h_transform(pattern.points, r))
-
-
-def map_h_inverse(pattern: PointPattern, r: int) -> PointPattern:
-    return PointPattern.from_values(h_inverse_transform(pattern.points, r))
-
-
-@dataclass(frozen=True)
-class RarePath:
-    """Nonincreasing step path x -> number of pattern points in [x, +inf)."""
-
-    thresholds: np.ndarray
-    counts: np.ndarray
-
-    def __post_init__(self) -> None:
-        if len(self.thresholds) != len(self.counts):
-            raise ValueError("thresholds and counts must have equal length")
-        if np.any(np.diff(self.counts) > 0):
-            raise ValueError("counts must be nonincreasing in the threshold")
-
-
-def rare_path(pattern: PointPattern, thresholds) -> RarePath:
-    """Evaluate the rare-type counting path at sorted thresholds."""
-    thresholds = np.asarray(thresholds, dtype=np.float64)
-    if np.any(np.diff(thresholds) < 0):
-        raise ValueError("thresholds must be sorted ascending")
-    counts = np.array([pattern.count_from(x) for x in thresholds], dtype=np.int64)
-    return RarePath(thresholds, counts)
 
 
 def sample_limit_process(r: int, a: float, rng: Generator) -> PointPattern:

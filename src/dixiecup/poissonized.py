@@ -9,7 +9,7 @@ from .discrete import CollectorTrace, _embed
 from .pointprocess import Normalization
 from .samplers import SeedSpec
 
-__all__ = ["CoupledTrace", "run_coupled", "count_mismatch", "mismatch_probability"]
+__all__ = ["CoupledTrace", "run_coupled", "count_mismatch"]
 
 
 @dataclass(frozen=True)
@@ -51,26 +51,3 @@ def count_mismatch(trace: CoupledTrace, r: int, a: float, b: float) -> bool:
         return int(np.count_nonzero((x >= a) & (x <= b)))
 
     return inside(discrete_pts) != inside(poisson_pts)
-
-
-def mismatch_probability(
-    n: int,
-    r: int,
-    interval: tuple[float, float],
-    replications: int,
-    stream: SeedSpec,
-) -> float:
-    """Fraction of replications whose patterns disagree on the given interval."""
-    a, b = interval
-    if not a < b:
-        raise ValueError(f"need a < b, got [{a}, {b}]")
-    if replications < 1:
-        raise ValueError(f"need replications >= 1, got {replications}")
-    if n < 3:
-        raise ValueError(f"need n >= 3 for a well-behaved normalization, got n={n}")
-    mismatches = 0
-    for j in range(replications):
-        trace = run_coupled(n, r, stream.substream(j))
-        if count_mismatch(trace, r, a, b):
-            mismatches += 1
-    return mismatches / replications

@@ -1,5 +1,12 @@
 """Acceptance gates: one numbered test and one printed verdict line per gate.
 
+Every statistic of a simulated trace comes from ``run_bank``, the package's
+one "simulate once, extract many" path: it is the per-trace payload of an
+experiment kind.  Gates 2, 3, 5, 6, 7 and 8 share one bank (``ACCEPT_SEED``,
+n = 1e2, 1e3, 1e4, 2000 replications, r_max 3), whose replication j at grid
+index gi reads stream gi * 2000 + j, so the three n never share a stream.
+Gates 1 and 4 run on banks of their own seeds.
+
 The limit theorems hold only as n -> infinity, so where a limit is still far
 off at desk-scale n the gate tests the simulation against the exact finite-n
 law instead and checks, deterministically, that this law converges to the
@@ -29,7 +36,7 @@ import pytest
 from scipy import special, stats
 
 from dixiecup import calibration
-from dixiecup.discrete import collection_time, partial_collection_time, run_discrete
+from dixiecup.experiments import ExperimentConfig, run_bank
 from dixiecup.gof import increment_test, ks_statistic, ks_test, poisson_count_test
 from dixiecup.limitlaws import (
     ChiSqLog,
@@ -39,8 +46,6 @@ from dixiecup.limitlaws import (
     er_expectation,
     intensity_mass,
 )
-from dixiecup.pointprocess import Normalization, normalize
-from dixiecup.poissonized import mismatch_probability, run_coupled
 from dixiecup.samplers import SeedSpec
 
 ACCEPT_SEED = 46
@@ -109,55 +114,57 @@ def exact_mean_approaches_limit(a, b=math.inf):
 
 
 # ---------------------------------------------------------------------------
-# shared simulation banks
+# the shared simulation bank
+
+def bank_config(kind, **fields):
+    return ExperimentConfig(kind, n_grid=list(GRID), replications=REPS,
+                            master_seed=ACCEPT_SEED, **fields)
+
+
+# statistic -> the experiment kind whose per-trace payload it is
+BANK = {
+    **{("counts", r): bank_config("theorem1-counts", r=r, intervals=INTERVALS)
+       for r in (1, 2)},
+    **{("rare", r): bank_config("rare-path", r=r, thresholds=THRESHOLDS) for r in (1, 2)},
+    **{("T", c): bank_config("erdos-renyi", c=c) for c in (1, 2)},
+    **{("psiT", pair): bank_config("chi2-law", r=pair[0], m=pair[1])
+       for pair in calibration.PARTIAL_COLLECTION_KS_TOL},
+    "vec12": bank_config("partial-collection", r=1, m=2),
+    "mismatch": bank_config("coupling-decay", r=1, intervals=[(-2.0, 2.0)]),
+}
+
+
+def as_arrays(payloads):
+    """One array over the replications, or one per field of a tuple payload."""
+    if isinstance(payloads[0], tuple):
+        return tuple(np.array(field) for field in zip(*payloads))
+    return np.array(payloads)
+
 
 @pytest.fixture(scope="session")
-def discrete_bank():
-    bank = {}
-    for gi, n in enumerate(GRID):
-        per = {"counts": {1: [], 2: []}, "first": {1: [], 2: []},
-               "rare": {1: [], 2: []}, "T": {1: [], 2: []},
-               "psiT": {}, "vec12": []}
-        for j in range(REPS):
-            trace = run_discrete(n, 3, SeedSpec(ACCEPT_SEED, gi * REPS + j))
-            for r in (1, 2):
-                pattern = normalize(trace.arrival_column(r), Normalization(n, r))
-                per["counts"][r].append([pattern.count(a, b) for a, b in INTERVALS])
-                per["first"][r].append(float(pattern.points[-1]))
-                per["rare"][r].append([pattern.count_from(x) for x in THRESHOLDS])
-                per["T"][r].append(collection_time(trace, r))
-            for (r, m) in ((1, 0), (1, 1), (1, 3), (2, 0), (2, 1), (3, 2)):
-                per["psiT"].setdefault((r, m), []).append(
-                    partial_collection_time(trace, r, m))
-            norm1 = Normalization(n, 1)
-            per["vec12"].append([
-                float(norm1.apply(partial_collection_time(trace, 1, j2)))
-                for j2 in range(3)])
-        bank[n] = per
-    return bank
+def bank():
+    """statistic -> {n: its payloads over the replications, as arrays}."""
+    per_config, _ = run_bank(list(BANK.values()))
+    return {key: {n: as_arrays(payloads) for n, payloads in per_n.items()}
+            for key, per_n in zip(BANK, per_config)}
 
 
-@pytest.fixture(scope="session")
-def mismatch_freqs():
-    return {
-        n: mismatch_probability(n, 1, (-2.0, 2.0), REPS, SeedSpec(ACCEPT_SEED + 3, n))
-        for n in GRID
-    }
+def mismatch_freqs(bank):
+    return {n: float(np.mean(bank["mismatch"][n])) for n in GRID}
 
 
 # ---------------------------------------------------------------------------
 # 1. exact poissonized marginal law
 
 def test_criterion_01_exact_poissonized_marginal():
+    configs = [ExperimentConfig("poissonized-marginal", n_grid=[100], r=r,
+                                replications=100, master_seed=ACCEPT_SEED + 2)
+               for r in (1, 2, 3)]
     ok = True
-    for r in (1, 2, 3):
-        pooled = np.concatenate([
-            Normalization(100, r).apply(
-                run_coupled(100, 3, SeedSpec(ACCEPT_SEED + 2, j)).time_column(r))
-            for j in range(100)
-        ])
+    for cfg, per_n in zip(configs, run_bank(configs)[0]):
+        pooled = np.concatenate(per_n[100])
         assert len(pooled) == 10_000
-        res = ks_test(pooled, PoissonizedMarginal(100, r))
+        res = ks_test(pooled, PoissonizedMarginal(100, cfg.r))
         ok = ok and res.p_value >= SIG
     verdict_line(1, ok, "pooled normalized poissonized arrival times match the "
                         "exact finite-n law (KS, r=1,2,3, n=100)")
@@ -167,10 +174,10 @@ def test_criterion_01_exact_poissonized_marginal():
 # ---------------------------------------------------------------------------
 # 2. Poisson limit of interval counts
 
-def test_criterion_02_interval_counts_and_first_point(discrete_bank):
+def test_criterion_02_interval_counts_and_first_point(bank):
     ok = True
     for r in (1, 2):
-        counts = np.array(discrete_bank[10000]["counts"][r])
+        counts = bank["counts", r][10000][0]
         for k, (a, b) in enumerate(INTERVALS):
             if r == 1:
                 mean = intensity_mass(r, a, b)
@@ -179,8 +186,8 @@ def test_criterion_02_interval_counts_and_first_point(discrete_bank):
                 ok = ok and exact_mean_approaches_limit(a, b)
             res = poisson_count_test(counts[:, k], mean)
             ok = ok and res.p_value >= SIG
-        first_lo = ks_statistic(np.array(discrete_bank[100]["first"][r]), GumbelType(r))
-        first_hi = ks_statistic(np.array(discrete_bank[10000]["first"][r]), GumbelType(r))
+        first_lo = ks_statistic(bank["counts", r][100][1], GumbelType(r))
+        first_hi = ks_statistic(bank["counts", r][10000][1], GumbelType(r))
         ok = ok and first_hi < first_lo
     verdict_line(2, ok, "interval counts of the normalized pattern at n=1e4 are "
                         "Poisson(limit intensity) for r=1 and Poisson(exact "
@@ -197,21 +204,21 @@ def test_criterion_02_interval_counts_and_first_point(discrete_bank):
     )
 
 
-def test_criterion_02_attainable_subset(discrete_bank):
+def test_criterion_02_attainable_subset(bank):
     for k, (a, b) in enumerate(INTERVALS):
-        counts = np.array(discrete_bank[10000]["counts"][1])
+        counts = bank["counts", 1][10000][0]
         assert poisson_count_test(counts[:, k], intensity_mass(1, a, b)).p_value >= SIG
     for r in (1, 2):
-        first_lo = ks_statistic(np.array(discrete_bank[100]["first"][r]), GumbelType(r))
-        first_hi = ks_statistic(np.array(discrete_bank[10000]["first"][r]), GumbelType(r))
+        first_lo = ks_statistic(bank["counts", r][100][1], GumbelType(r))
+        first_hi = ks_statistic(bank["counts", r][10000][1], GumbelType(r))
         assert first_hi < first_lo
 
 
-def test_criterion_02_supplementary_exact_finite_n_means(discrete_bank):
+def test_criterion_02_supplementary_exact_finite_n_means(bank):
     # the same r=2 counts that reject the limit mean match the exact
     # trial-counting-law mean, so the gap is purely asymptotic
     for n in (100, 10000):
-        counts = np.array(discrete_bank[n]["counts"][2], dtype=float)
+        counts = bank["counts", 2][n][0].astype(float)
         for k, (a, b) in enumerate(INTERVALS):
             target = exact_count_mean(n, 2, a, b)
             se = counts[:, k].std(ddof=1) / math.sqrt(len(counts))
@@ -221,16 +228,11 @@ def test_criterion_02_supplementary_exact_finite_n_means(discrete_bank):
 # ---------------------------------------------------------------------------
 # 3. Gumbel-type law for full-collection times
 
-def test_criterion_03_collection_time_limit_law(discrete_bank):
+def test_criterion_03_collection_time_limit_law(bank):
     ok = True
     for c in (1, 2):
-        distances = {
-            n: ks_statistic(
-                Normalization(n, c).apply(
-                    np.array(discrete_bank[n]["T"][c], dtype=np.float64)),
-                GumbelType(c))
-            for n in GRID
-        }
+        # the first field of an erdos-renyi payload is the normalized T_c
+        distances = {n: ks_statistic(bank["T", c][n][0], GumbelType(c)) for n in GRID}
         ok = ok and distances[10000] <= calibration.ERDOS_RENYI_KS_TOL[c]
         ok = ok and distances[100] >= distances[1000] >= distances[10000]
     verdict_line(3, ok, "normalized c-collection times approach the "
@@ -244,14 +246,17 @@ def test_criterion_03_collection_time_limit_law(discrete_bank):
 
 def test_criterion_04_exact_mean_identity():
     ok = True
-    for n, reps in ((3, 100_000), (10, 10_000), (100, 10_000)):
-        times = np.array([
-            collection_time(run_discrete(n, 1, SeedSpec(ACCEPT_SEED + 1, n * 1_000_000 + j)), 1)
-            for j in range(reps)
-        ], dtype=float)
-        target = n * sum(1.0 / k for k in range(1, n + 1))
-        se = times.std(ddof=1) / math.sqrt(reps)
-        ok = ok and abs(times.mean() - target) < 3 * se
+    configs = [ExperimentConfig("erdos-renyi", n_grid=grid, replications=reps,
+                                master_seed=ACCEPT_SEED + 1)
+               for grid, reps in (([3], 100_000), ([10, 100], 10_000))]
+    for cfg in configs:
+        (per_n,), _ = run_bank([cfg])
+        for n in cfg.n_grid:
+            # the second field of an erdos-renyi payload is T_1
+            times = as_arrays(per_n[n])[1].astype(float)
+            target = n * sum(1.0 / k for k in range(1, n + 1))
+            se = times.std(ddof=1) / math.sqrt(cfg.replications)
+            ok = ok and abs(times.mean() - target) < 3 * se
     h = sum(1.0 / k for k in range(1, 1001))
     ok = ok and abs(er_expectation(1000, 1) - 1000 * h) < 1.0
     verdict_line(4, ok, "mean collection time equals n H_n within 3 standard "
@@ -263,18 +268,12 @@ def test_criterion_04_exact_mean_identity():
 # ---------------------------------------------------------------------------
 # 5. chi-square-log and log-gamma laws for partial collection
 
-def test_criterion_05_partial_collection_laws(discrete_bank):
-    n = 10000
+def test_criterion_05_partial_collection_laws(bank):
     ok = True
     for (r, m), tol in calibration.PARTIAL_COLLECTION_KS_TOL.items():
-        t_rm = np.array(discrete_bank[n]["psiT"][(r, m)], dtype=np.float64)
-        if r == 1:
-            values = math.log(2 * n) - t_rm / n
-            law = ChiSqLog(m)
-        else:
-            values = Normalization(n, r).apply(t_rm)
-            law = LogGamma(r, m)
-        ok = ok and ks_statistic(values, law) <= tol
+        # a chi2-law payload is ln(2n) - T/n for r=1 and the normalized T for r>=2
+        law = ChiSqLog(m) if r == 1 else LogGamma(r, m)
+        ok = ok and ks_statistic(bank["psiT", (r, m)][10000], law) <= tol
     verdict_line(5, ok, "partial-collection statistics match the "
                         "chi-square-log (r=1) and log-gamma (r>=2) laws "
                         "within calibrated KS tolerances at n=1e4")
@@ -284,8 +283,8 @@ def test_criterion_05_partial_collection_laws(discrete_bank):
 # ---------------------------------------------------------------------------
 # 6. infinite-dimensional projections via increments
 
-def test_criterion_06_lastbut_increments(discrete_bank):
-    vectors = np.array(discrete_bank[10000]["vec12"])
+def test_criterion_06_lastbut_increments(bank):
+    vectors = bank["vec12"][10000]
     res = increment_test(vectors, 1, 2)
     ok = res.p_value >= SIG
     max_corr = res.details["max_abs_increment_correlation"]
@@ -299,10 +298,10 @@ def test_criterion_06_lastbut_increments(discrete_bank):
 # ---------------------------------------------------------------------------
 # 7. rare-type counting process
 
-def test_criterion_07_rare_type_counts(discrete_bank):
+def test_criterion_07_rare_type_counts(bank):
     ok = True
     for r in (1, 2):
-        rare = np.array(discrete_bank[10000]["rare"][r])
+        rare = bank["rare", r][10000]
         if r == 2:
             tail_means = [exact_count_mean(10000, r, x) for x in THRESHOLDS]
             ok = ok and all(exact_mean_approaches_limit(x) for x in THRESHOLDS)
@@ -331,8 +330,8 @@ def test_criterion_07_rare_type_counts(discrete_bank):
     )
 
 
-def test_criterion_07_attainable_subset(discrete_bank):
-    rare = np.array(discrete_bank[10000]["rare"][1])
+def test_criterion_07_attainable_subset(bank):
+    rare = bank["rare", 1][10000]
     for k, x in enumerate(THRESHOLDS):
         assert poisson_count_test(rare[:, k], intensity_mass(1, x, math.inf)).p_value >= SIG
     for k in range(len(THRESHOLDS) - 1):
@@ -341,8 +340,8 @@ def test_criterion_07_attainable_subset(discrete_bank):
         assert poisson_count_test(incr, mean).p_value >= SIG
 
 
-def test_criterion_07_supplementary_exact_finite_n_means(discrete_bank):
-    rare = np.array(discrete_bank[10000]["rare"][2], dtype=float)
+def test_criterion_07_supplementary_exact_finite_n_means(bank):
+    rare = bank["rare", 2][10000].astype(float)
     for k, x in enumerate(THRESHOLDS):
         target = exact_count_mean(10000, 2, x)
         se = rare[:, k].std(ddof=1) / math.sqrt(len(rare))
@@ -352,8 +351,8 @@ def test_criterion_07_supplementary_exact_finite_n_means(discrete_bank):
 # ---------------------------------------------------------------------------
 # 8. discrete / poissonized coupling decay
 
-def test_criterion_08_coupling_decay(mismatch_freqs):
-    freqs = mismatch_freqs
+def test_criterion_08_coupling_decay(bank):
+    freqs = mismatch_freqs(bank)
     ok = True
     for lo, hi in zip(GRID, GRID[1:]):
         slack = 2.0 * math.sqrt(freqs[lo] * (1 - freqs[lo]) / REPS)
@@ -377,8 +376,8 @@ def test_criterion_08_coupling_decay(mismatch_freqs):
     )
 
 
-def test_criterion_08_attainable_subset(mismatch_freqs):
-    freqs = mismatch_freqs
+def test_criterion_08_attainable_subset(bank):
+    freqs = mismatch_freqs(bank)
     for lo, hi in zip(GRID, GRID[1:]):
         slack = 2.0 * math.sqrt(freqs[lo] * (1 - freqs[lo]) / REPS)
         assert freqs[hi] <= freqs[lo] + slack

@@ -1,16 +1,21 @@
 """Command-line interface: subcommands, exit codes, config files, rendering."""
+import copy
 import csv
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dixiecup.cli import (
     EXIT_PASS,
     EXIT_STAT_FAIL,
     EXIT_USAGE,
     WORKERS_ENV,
+    _verify_config,
     battery_configs,
+    build_parser,
     main,
 )
 from dixiecup.discrete import run_discrete
@@ -142,6 +147,42 @@ def test_verify_ini_unknown_key_is_usage_error(tmp_path):
     assert run_cli("verify", "--config", str(ini)) == EXIT_USAGE
 
 
+def test_verify_malformed_ini_is_usage_error(tmp_path, capsys):
+    no_header = "kind = erdos-renyi\n"
+    bad_interval = "[theorem1-counts]\nintervals = 1\n"
+    for k, text in enumerate((no_header, bad_interval)):
+        ini = tmp_path / f"bad{k}.ini"
+        ini.write_text(text)
+        assert run_cli("verify", "--config", str(ini)) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+INI_KEYS = ["kind", "n_grid", "r", "c", "m", "intervals", "thresholds",
+            "replications", "master_seed", "significance", "workers", "bogus"]
+INI_CHARS = st.sampled_from("0123456789 ,;.-+eE:=[]%()nfia\t\n")
+INI_LINES = st.one_of(
+    st.sampled_from(["[erdos-renyi]", "[limit-consistency]", "[x]", "[DEFAULT]", ""]),
+    st.builds("{} = {}".format, st.sampled_from(INI_KEYS), st.one_of(
+        st.sampled_from(["erdos-renyi", "limit-consistency", "1, 2", "0, inf; -1, 0"]),
+        st.text(INI_CHARS, max_size=10))),
+    st.text(INI_CHARS, max_size=16),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.lists(INI_LINES, max_size=8).map("\n".join),
+       section=st.sampled_from([None, "erdos-renyi", "x", "DEFAULT"]))
+def test_verify_config_from_any_ini_raises_only_value_errors(tmp_path_factory, text, section):
+    # parse and validate only; main maps a ValueError (ConfigError is one) to exit 2
+    ini = tmp_path_factory.getbasetemp() / "fuzz.ini"
+    ini.write_text(text)
+    argv = ["verify", "--config", str(ini)] + (["--section", section] if section else [])
+    try:
+        _verify_config(build_parser().parse_args(argv))
+    except ValueError:
+        pass
+
+
 def test_verify_missing_config_file_is_usage_error(tmp_path):
     assert run_cli("verify", "--config", str(tmp_path / "none.ini")) == EXIT_USAGE
 
@@ -243,8 +284,14 @@ def test_report_bad_schema_is_usage_error(tmp_path, capsys):
                        "passed": True, "extra": 1}
     battery_bad_entry = {"master_seed": 0, "scale": 1.0, "experiments": [missing],
                          "passed": True}
+    bad_value = dict(report, results=[dict(report["results"][0], n={})])
+    passed_text = dict(report, passed="yes")
+    passed_wrong = dict(report, passed=not report["passed"])
+    battery_passed_wrong = {"master_seed": 0, "scale": 1.0, "experiments": [report],
+                            "passed": not report["passed"]}
     cases = [missing, unknown, bad_row, bad_config, battery_missing,
-             battery_unknown, battery_bad_entry, [report], "text"]
+             battery_unknown, battery_bad_entry, [report], "text", bad_value,
+             passed_text, passed_wrong, battery_passed_wrong]
     capsys.readouterr()
     for k, case in enumerate(cases):
         path = tmp_path / f"bad{k}.json"
@@ -255,3 +302,34 @@ def test_report_bad_schema_is_usage_error(tmp_path, capsys):
 
 def test_report_missing_file_is_usage_error():
     assert run_cli("report", "/nonexistent/report.json") == EXIT_USAGE
+
+
+@pytest.fixture(scope="module")
+def small_report(tmp_path_factory):
+    out = tmp_path_factory.mktemp("small") / "rep.json"
+    run_cli("verify", "--kind", "theorem1-counts", "--n", "15", "--reps", "25",
+            "--seed", "4", "--out", str(out))
+    return json.loads(out.read_text())
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(where=st.sampled_from(["report", "config", "row", "verdicts"]),
+       index=st.integers(0, 20), value=JSON_VALUES)
+def test_report_of_mutated_values_exits_cleanly(small_report, tmp_path_factory, where,
+                                                index, value):
+    report = copy.deepcopy(small_report)
+    target = {"report": report, "config": report["config"],
+              "row": report["results"][index % len(report["results"])],
+              "verdicts": report["verdicts"]}[where]
+    target[sorted(target)[index % len(target)]] = value
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(json.dumps(report))
+    assert run_cli("report", str(path)) in (EXIT_PASS, EXIT_STAT_FAIL, EXIT_USAGE)

@@ -1,6 +1,8 @@
 """Experiment orchestration: determinism, aggregation, persistence."""
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,11 +10,12 @@ import pytest
 from dixiecup.experiments import (
     CSV_COLUMNS,
     ConfigError,
+    KINDS,
     ExperimentConfig,
-    KIND_DESCRIPTIONS,
     emit_report,
     read_report_csv,
     read_report_json,
+    run_bank,
     run_experiment,
 )
 
@@ -60,12 +63,12 @@ def test_config_round_trip_drops_workers():
 
 
 def test_every_kind_has_a_description():
-    assert set(KIND_DESCRIPTIONS) == {
+    assert set(KINDS) == {
         "poissonized-marginal", "theorem1-counts", "erdos-renyi",
         "partial-collection", "chi2-law", "rare-path", "coupling-decay",
         "limit-consistency",
     }
-    assert all(isinstance(v, str) and v for v in KIND_DESCRIPTIONS.values())
+    assert all(isinstance(k.description, str) and k.description for k in KINDS.values())
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +96,45 @@ def test_different_seed_changes_statistics():
 
 
 # ---------------------------------------------------------------------------
+# the trace bank
+
+def bank_configs(**shared):
+    return [
+        small_config("chi2-law", r=3, m=1, **shared),
+        small_config("theorem1-counts", r=1, intervals=[(0.0, math.inf), (-1.0, 0.0)],
+                     **shared),
+        small_config("coupling-decay", r=2, intervals=[(-2.0, 2.0)], **shared),
+        small_config("erdos-renyi", c=2, **shared),
+    ]
+
+
+def test_bank_config_at_the_bank_r_max_sees_its_own_payloads():
+    configs = bank_configs(n_grid=[15, 30])
+    shared, draws = run_bank(configs)
+    (alone,), alone_draws = run_bank(configs[:1])
+    assert configs[0].r == 3 == max(cfg.r for cfg in configs)
+    assert shared[0] == alone and draws == alone_draws
+    assert all(len(per_n[30]) == 30 for per_n in shared)
+
+
+def test_bank_worker_count_does_not_change_payloads():
+    serial = run_bank(bank_configs())
+    parallel = run_bank(bank_configs(workers=2))
+    assert serial == parallel
+
+
+@pytest.mark.parametrize("other", [
+    dict(master_seed=6), dict(n_grid=[21]), dict(replications=31),
+    dict(kind="limit-consistency"),
+])
+def test_bank_rejects_configs_that_do_not_share_its_streams(other):
+    configs = bank_configs()
+    configs[1] = small_config(**{"kind": "rare-path", **other})
+    with pytest.raises(ConfigError):
+        run_bank(configs)
+
+
+# ---------------------------------------------------------------------------
 # per-kind smoke runs and aggregation shape
 
 @pytest.mark.parametrize("kind,extra", [
@@ -107,7 +149,7 @@ def test_different_seed_changes_statistics():
 ])
 def test_kind_smoke_produces_well_formed_rows(kind, extra):
     report = run_experiment(small_config(kind, **extra))
-    assert report.theorem == KIND_DESCRIPTIONS[kind]
+    assert report.theorem == KINDS[kind].description
     assert report.results
     for row in report.results:
         assert set(row) == set(CSV_COLUMNS)
@@ -215,3 +257,21 @@ def test_report_json_is_sorted_and_newline_terminated(tmp_path):
     assert json.loads(text) == json.loads(
         json.dumps(report.to_dict(), sort_keys=True)
     )
+
+
+def test_calibration_pilot_prints_every_statistic(monkeypatch, capsys):
+    path = Path(__file__).resolve().parents[1] / "tools" / "calibrate.py"
+    spec = importlib.util.spec_from_file_location("calibrate", path)
+    calibrate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(calibrate)
+    monkeypatch.setattr(calibrate, "DISCRETE_GRID", (20,))
+    monkeypatch.setattr(calibrate, "MISMATCH_GRID", (20, 40))
+    monkeypatch.setattr(calibrate, "REPS", 5)
+    calibrate.main()
+    results = json.loads(capsys.readouterr().out)
+    assert set(results) == {"discrete_n20", "mismatch_n20", "mismatch_n40"}
+    assert set(results["discrete_n20"]) == {
+        "erdos_renyi_ks_c1", "erdos_renyi_ks_c2",
+        *(f"partial_ks_r{r}_m{m}" for r, m in calibrate.PAIRS),
+    }
+    assert all(0.0 <= d <= 1.0 for d in results["discrete_n20"].values())

@@ -1,4 +1,4 @@
-"""Point patterns, normalization, order statistics, log maps, rare paths."""
+"""Point patterns, normalization, counts, order statistics, log maps."""
 import math
 
 import numpy as np
@@ -12,15 +12,18 @@ from dixiecup.pointprocess import (
     PointPattern,
     h_inverse_transform,
     h_transform,
-    map_h,
-    map_h_inverse,
     normalize,
-    rare_path,
     sample_limit_process,
 )
 from dixiecup.samplers import SeedSpec
 
 finite_floats = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+def count_open_closed(pattern, a, b):
+    """Number of points in the half-open interval (a, b]."""
+    return int(np.searchsorted(pattern.points, b, side="right")
+               - np.searchsorted(pattern.points, a, side="right"))
 
 
 def test_normalization_reference_values():
@@ -64,7 +67,7 @@ def test_count_examples():
 def test_count_additivity(values, endpoints):
     a, b, c = sorted(endpoints)
     pattern = PointPattern.from_values(values)
-    assert pattern.count(a, b) + pattern.count_open_closed(b, c) == pattern.count(a, c)
+    assert pattern.count(a, b) + count_open_closed(pattern, b, c) == pattern.count(a, c)
 
 
 def test_last_but_examples():
@@ -108,21 +111,9 @@ def test_h_round_trip(x, r):
     assert h_inverse_transform(h_transform(x, r), r) == pytest.approx(x, rel=1e-12)
 
 
-def test_map_h_preserves_mass():
-    pattern = PointPattern.from_values([0.5, 1.0, 7.0])
-    mapped = map_h(pattern, 2)
-    assert mapped.mass == 3
-    back = map_h_inverse(mapped, 2)
-    assert np.allclose(np.sort(back.points), pattern.points)
-
-
 def test_rare_path_examples():
     pattern = PointPattern.from_values([-3.0, -1.0, 0.0, 2.5])
-    path = rare_path(pattern, [-10.0, -1.0, 1.0, 3.0])
-    assert list(path.counts) == [4, 3, 1, 0]
-    assert (np.diff(path.counts) <= 0).all()
-    with pytest.raises(ValueError):
-        rare_path(pattern, [1.0, 0.0])
+    assert [pattern.count_from(x) for x in (-10.0, -1.0, 1.0, 3.0)] == [4, 3, 1, 0]
 
 
 def test_rare_path_equals_interval_counts_on_trace():
@@ -131,13 +122,11 @@ def test_rare_path_equals_interval_counts_on_trace():
     norm = Normalization(n, r)
     pattern = normalize(trace.arrival_column(r), norm)
     thresholds = [-5.0, -1.0, 0.0, 1.0]
-    path = rare_path(pattern, thresholds)
-    for x, count in zip(thresholds, path.counts):
+    for x in thresholds:
         # definitional identity with the raw-time threshold form
         raw_cut = n * x + n * math.log(n) + (r - 1) * n * math.log(math.log(n))
-        assert count == int(np.sum(trace.arrival_column(r) >= raw_cut))
-        assert count == pattern.count_from(x)
-    assert path.counts[0] <= n
+        assert pattern.count_from(x) == int(np.sum(trace.arrival_column(r) >= raw_cut))
+        assert pattern.count_from(x) == pattern.count(x, math.inf)
 
 
 def test_limit_process_mean_counts():
@@ -163,7 +152,7 @@ def test_limit_process_disjoint_counts_uncorrelated():
     for _ in range(20_000):
         pattern = sample_limit_process(1, -1.0, rng)
         left.append(pattern.count(-1.0, 0.0))
-        right.append(pattern.count_open_closed(0.0, 10.0))
+        right.append(count_open_closed(pattern, 0.0, 10.0))
     corr = np.corrcoef(left, right)[0, 1]
     assert abs(corr) < 3.0 / math.sqrt(len(left))
 

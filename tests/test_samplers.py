@@ -1,19 +1,46 @@
-"""Distributional and reproducibility checks for the variate generators."""
+"""Seed streams, and the single-draw laws the trace samplers realize."""
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from dixiecup.samplers import (
-    SeedSpec,
-    sample_exponential,
-    sample_gamma,
-    sample_negbin_trials,
-    sample_uniform_type,
-)
+from dixiecup.discrete import run_discrete
+from dixiecup.poissonized import run_coupled
+from dixiecup.samplers import SeedSpec
 
 SIG = 1e-3
+
+
+def early_draw_types(n, r_max, reps, seed):
+    """1-based types of draws 1..r_max of each discrete trace.
+
+    No type can pass r_max arrivals within r_max draws, so each of these draws
+    is a tracked arrival, and their types are i.i.d. uniform on 1..n.
+    """
+    out = []
+    for j in range(reps):
+        arrivals = run_discrete(n, r_max, SeedSpec(seed, j)).arrivals
+        early = arrivals <= r_max
+        types = np.zeros(r_max, dtype=np.int64)
+        types[arrivals[early] - 1] = np.nonzero(early)[0] + 1
+        assert types.min() >= 1  # every early draw is someone's arrival
+        out.append(types)
+    return np.concatenate(out)
+
+
+def rth_arrival_draws(n, r, reps, seed):
+    """Draw number of one type's r-th arrival, one type per trace so the
+    sample is independent; its law is the trial-counting NegBin(r, 1/n)."""
+    return np.array([run_discrete(n, r, SeedSpec(seed, j)).arrivals[j % n, r - 1]
+                     for j in range(reps)])
+
+
+def rth_arrival_times(n, r, reps, seed):
+    """Coupled r-th arrival times of every type over ``reps`` traces; the types
+    of the poissonized scheme are independent, so these are i.i.d. Gamma(r, n)."""
+    return np.concatenate([run_coupled(n, r, SeedSpec(seed, j)).time_column(r)
+                           for j in range(reps)])
 
 
 def test_seed_spec_validation():
@@ -31,15 +58,15 @@ def test_bit_exact_reproducibility():
 
 
 def test_distinct_streams_differ_and_are_uncorrelated():
-    x = sample_exponential(SeedSpec(5, 0).generator(), 100_000)
-    y = sample_exponential(SeedSpec(5, 1).generator(), 100_000)
+    x = SeedSpec(5, 0).generator().exponential(1.0, 100_000)
+    y = SeedSpec(5, 1).generator().exponential(1.0, 100_000)
     assert not np.array_equal(x[:100], y[:100])
     corr = np.corrcoef(x, y)[0, 1]
     assert abs(corr) < 3.0 / math.sqrt(len(x))
 
 
 def test_exponential_moments_and_median():
-    x = sample_exponential(SeedSpec(11, 0).generator(), 10**6)
+    x = rth_arrival_times(1000, 1, 1000, 11) / 1000
     assert x.mean() == pytest.approx(1.0, abs=0.004)       # 3 std errors of Exp(1) mean
     assert x.var(ddof=1) == pytest.approx(1.0, abs=0.01)
     # P(X > ln 2) = 1/2 exactly
@@ -47,47 +74,41 @@ def test_exponential_moments_and_median():
 
 
 def test_uniform_type_frequencies():
-    rng = SeedSpec(12, 0).generator()
-    x = sample_uniform_type(rng, 2, 10**6)
+    x = early_draw_types(2, 1000, 1000, 12)
     assert set(np.unique(x)) == {1, 2}
     assert np.mean(x == 1) == pytest.approx(0.5, abs=0.0015)
 
 
 def test_uniform_type_chi_square_gof():
-    x = sample_uniform_type(SeedSpec(13, 0).generator(), 10, 10**6)
+    x = early_draw_types(10, 1000, 200, 13)
     observed = np.bincount(x, minlength=11)[1:]
     _, p = stats.chisquare(observed)
     assert p > SIG
 
 
-def test_uniform_type_rejects_degenerate_n():
-    with pytest.raises(ValueError):
-        sample_uniform_type(SeedSpec(0, 0).generator(), 1)
-
-
 def test_negbin_mean_geometric_case():
-    x = sample_negbin_trials(SeedSpec(14, 0).generator(), 1, 100, 10**6)
+    x = rth_arrival_draws(100, 1, 5000, 14)
     se = x.std(ddof=1) / math.sqrt(len(x))
     assert abs(x.mean() - 100.0) < 3 * se
 
 
 def test_negbin_mean_general_case():
     # E = r * n from the trial-counting negative binomial moment formula
-    x = sample_negbin_trials(SeedSpec(15, 0).generator(), 3, 50, 10**6)
+    x = rth_arrival_draws(50, 3, 5000, 15)
     se = x.std(ddof=1) / math.sqrt(len(x))
     assert abs(x.mean() - 150.0) < 3 * se
 
 
 def test_negbin_support_floor():
-    x = sample_negbin_trials(SeedSpec(16, 0).generator(), 4, 2, 20_000)
+    x = np.concatenate([run_discrete(2, 4, SeedSpec(16, j)).arrivals[:, 3]
+                        for j in range(2000)])
     assert x.min() == 4  # counting-trials support starts at r
 
 
 def test_negbin_two_sampling_paths_same_law():
-    # small n*r goes through Bernoulli counting, large through geometric sums;
-    # compare both against the exact pmf
-    for r, n, seed in ((2, 5, 17), (2, 500, 18)):
-        x = sample_negbin_trials(SeedSpec(seed, 0).generator(), r, n, 50_000)
+    # a small and a large n, each against the exact pmf
+    for r, n, reps, seed in ((2, 5, 20_000, 17), (2, 500, 5000, 18)):
+        x = rth_arrival_draws(n, r, reps, seed)
         kmax = int(np.quantile(x, 0.999))
         support = np.arange(r, kmax + 1)
         # number of failures before the r-th success is the scipy convention
@@ -103,23 +124,15 @@ def test_negbin_two_sampling_paths_same_law():
         assert p > SIG
 
 
-def test_negbin_invalid_parameters():
-    rng = SeedSpec(0, 0).generator()
-    with pytest.raises(ValueError):
-        sample_negbin_trials(rng, 0, 10)
-    with pytest.raises(ValueError):
-        sample_negbin_trials(rng, 1, 1)
-
-
 def test_gamma_mean():
-    x = sample_gamma(SeedSpec(19, 0).generator(), 2, 100, 10**6)
+    x = rth_arrival_times(100, 2, 1000, 19)
     se = x.std(ddof=1) / math.sqrt(len(x))
     assert abs(x.mean() - 200.0) < 3 * se
 
 
 def test_gamma_variance():
     # variance = shape / rate^2 = 3 * 100
-    x = sample_gamma(SeedSpec(20, 0).generator(), 3, 10, 10**6)
+    x = rth_arrival_times(10, 3, 10_000, 20)
     sample_var = x.var(ddof=1)
     # std error of the variance of a gamma sample, via fourth-moment formula
     se = np.sqrt((np.mean((x - x.mean()) ** 4) - sample_var**2) / len(x))
@@ -127,15 +140,6 @@ def test_gamma_variance():
 
 
 def test_gamma_shape_one_is_exponential():
-    n = 100_000
-    x = sample_gamma(SeedSpec(21, 0).generator(), 1, 100, n)
+    x = rth_arrival_times(100, 1, 1000, 21)
     d = stats.kstest(x, lambda t: stats.expon.cdf(t, scale=100)).statistic
-    assert d < 1.36 / math.sqrt(n)
-
-
-def test_gamma_invalid_parameters():
-    rng = SeedSpec(0, 0).generator()
-    with pytest.raises(ValueError):
-        sample_gamma(rng, 0, 10)
-    with pytest.raises(ValueError):
-        sample_gamma(rng, 2, 1)
+    assert d < 1.36 / math.sqrt(len(x))

@@ -2,75 +2,60 @@
 """One-off calibration pilot for the frozen regression constants.
 
 Runs the n-grid pilots behind ``dixiecup.calibration`` and prints the raw
-numbers; the chosen thresholds are then frozen by hand into that module.
+numbers as one JSON object; the chosen thresholds are then frozen by hand into
+that module.  Both pilots are banks of the package's experiment kinds, so
+replication ``j`` at grid index ``gi`` reads stream ``gi * REPS + j`` of
+``PILOT_SEED``.
+
+Usage, from the root of a source checkout::
+
+    PYTHONPATH=src python3 tools/calibrate.py
 """
 from __future__ import annotations
 
 import json
-import math
 import sys
 import time
 
-import numpy as np
-
-from dixiecup.discrete import collection_time, partial_collection_time, run_discrete
-from dixiecup.gof import ks_statistic
-from dixiecup.limitlaws import ChiSqLog, GumbelType, LogGamma
-from dixiecup.pointprocess import Normalization
-from dixiecup.poissonized import count_mismatch, run_coupled
-from dixiecup.samplers import SeedSpec
+from dixiecup.experiments import KINDS, ExperimentConfig, run_bank
 
 PILOT_SEED = 20240817
 REPS = 2000
 PAIRS = [(1, 0), (1, 1), (1, 3), (2, 0), (2, 1), (3, 2)]
+# n grids of the KS-distance pilot and of the coupling-mismatch pilot
+DISCRETE_GRID = (100, 1000, 10000, 100000)
+MISMATCH_GRID = (100, 1000, 10000)
 
 
-def discrete_bank(n: int, reps: int) -> dict:
-    """Partial-collection statistics from one bank of discrete runs."""
-    t_rm = {pair: np.empty(reps) for pair in PAIRS}
-    t_c = {c: np.empty(reps) for c in (1, 2)}
-    for j in range(reps):
-        trace = run_discrete(n, 3, SeedSpec(PILOT_SEED, j))
-        for r, m in PAIRS:
-            t_rm[(r, m)][j] = partial_collection_time(trace, r, m)
-        for c in (1, 2):
-            t_c[c][j] = collection_time(trace, c)
-    out = {}
-    for c in (1, 2):
-        values = Normalization(n, c).apply(t_c[c])
-        out[f"erdos_renyi_ks_c{c}"] = ks_statistic(values, GumbelType(c))
-    for r, m in PAIRS:
-        if r == 1:
-            values = np.log(2 * n) - t_rm[(r, m)] / n
-            law = ChiSqLog(m)
-        else:
-            values = Normalization(n, r).apply(t_rm[(r, m)])
-            law = LogGamma(r, m)
-        out[f"partial_ks_r{r}_m{m}"] = ks_statistic(values, law)
-    return out
+def pilot(kind: str, grid, **fields) -> ExperimentConfig:
+    return ExperimentConfig(kind, n_grid=list(grid), replications=REPS,
+                            master_seed=PILOT_SEED, **fields)
 
 
-def mismatch_bank(n: int, reps: int) -> float:
-    hits = sum(
-        count_mismatch(run_coupled(n, 1, SeedSpec(PILOT_SEED, j)), 1, -2.0, 2.0)
-        for j in range(reps)
-    )
-    return hits / reps
+def bank_rows(configs: dict) -> dict:
+    """Run the named configs on one bank; name -> the result rows of its report."""
+    start = time.time()
+    per_config, _ = run_bank(list(configs.values()))
+    print(f"bank of {sorted(configs)}: {time.time() - start:.0f}s", file=sys.stderr)
+    return {name: KINDS[cfg.kind].aggregate(cfg, per_n)[0]
+            for (name, cfg), per_n in zip(configs.items(), per_config)}
 
 
 def main() -> None:
-    results: dict = {}
-    for n in (100, 1000, 10000, 100000):
-        start = time.time()
-        results[f"discrete_n{n}"] = discrete_bank(n, REPS)
-        print(f"discrete n={n}: {time.time() - start:.0f}s", file=sys.stderr)
-        print(json.dumps(results[f"discrete_n{n}"], indent=2))
-    for n in (100, 1000, 10000):
-        start = time.time()
-        freq = mismatch_bank(n, REPS)
-        results[f"mismatch_n{n}"] = freq
-        print(f"mismatch n={n}: freq={freq:.4f} ({time.time() - start:.0f}s)",
-              file=sys.stderr)
+    ks_pilot = {f"erdos_renyi_ks_c{c}": pilot("erdos-renyi", DISCRETE_GRID, c=c)
+                for c in (1, 2)}
+    ks_pilot.update({f"partial_ks_r{r}_m{m}": pilot("chi2-law", DISCRETE_GRID, r=r, m=m)
+                     for r, m in PAIRS})
+    mismatch = pilot("coupling-decay", MISMATCH_GRID, r=1, intervals=[(-2.0, 2.0)])
+
+    results: dict = {f"discrete_n{n}": {} for n in DISCRETE_GRID}
+    for name, rows in bank_rows(ks_pilot).items():
+        for row in rows:
+            # the KS distance of each n; erdos-renyi adds a mean-identity row
+            if row["statistic_name"].startswith("ks"):
+                results[f"discrete_n{row['n']}"][name] = row["value"]
+    for row in bank_rows({"mismatch": mismatch})["mismatch"]:
+        results[f"mismatch_n{row['n']}"] = row["value"]
     print(json.dumps(results, indent=2))
 
 
