@@ -72,5 +72,13 @@ def test_count_mismatch_consistency():
     trace = run_coupled(100, 1, SeedSpec(40, 0))
     # the whole real line always agrees: both patterns have n points
     assert count_mismatch(trace, 1, -1e9, 1e9) is False
-    # so does an interval far beyond every point: both count none
-    assert count_mismatch(trace, 1, 1e6, 1e6 + 1) is False
+
+
+def test_mismatch_probability_degenerate_interval():
+    # an interval far beyond every point holds none of either pattern, so the
+    # mismatch frequency over any number of replicates is exactly zero
+    mismatches = [
+        count_mismatch(run_coupled(50, 1, SeedSpec(38, j)), 1, 1e6, 1e6 + 1)
+        for j in range(50)
+    ]
+    assert sum(mismatches) == 0
