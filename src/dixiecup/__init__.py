@@ -15,20 +15,14 @@ from .limitlaws import (
     GumbelType,
     LogGamma,
     PoissonizedMarginal,
-    chisq_log_cdf,
     er_expectation,
-    exact_poissonized_marginal_cdf,
-    gumbel_type_cdf,
     intensity_mass,
-    log_gamma_cdf,
 )
 from .gof import GofResult, increment_test, ks_statistic, ks_test, poisson_count_test
 from .experiments import (
     ExperimentConfig,
     ExperimentReport,
     emit_report,
-    read_report_csv,
-    read_report_json,
     run_bank,
     run_experiment,
 )

@@ -3,8 +3,9 @@
 The limit statements verified by this package come with no convergence rates,
 so the pass thresholds for fixed-n KS distances and mismatch frequencies were
 calibrated once from pilot runs (``tools/calibrate.py``: n up to 1e5, 2000
-replications, master seed 20240817) and frozen here.  The raw pilot values are
-kept alongside each threshold so future recalibrations can detect drift.
+replications, master seed 20240817) and frozen here.  The comment above each
+threshold gives the pilot values behind it; to check for drift, rerun
+``PYTHONPATH=src python3 tools/calibrate.py`` and compare its output with them.
 
 The tolerances are the pilot distance at the gated n plus headroom for the
 sampling noise of a 2000-replication empirical CDF (about 0.02-0.03).  The
@@ -18,17 +19,12 @@ from __future__ import annotations
 # limit, gated at n = 1e4.  Pilot distances (2000 reps): c=1 0.0270 at n=1e4,
 # 0.0155 at n=1e5; c=2 0.1283 at n=1e4, 0.1202 at n=1e5.
 ERDOS_RENYI_KS_TOL: dict[int, float] = {1: 0.06, 2: 0.17}
-ERDOS_RENYI_KS_PILOT_N1E4: dict[int, float] = {
-    1: 0.02700370521873141,
-    2: 0.12826551037027095,
-}
-ERDOS_RENYI_KS_PILOT_N1E5: dict[int, float] = {
-    1: 0.015463092251806754,
-    2: 0.12016514380628701,
-}
 
 # KS distance of the partial-collection statistic against the chi-square-log
 # law (r=1) and the log-gamma law (r>=2), keyed by (r, m), gated at n = 1e4.
+# Pilot distances (2000 reps) at n=1e4 and n=1e5: (1, 0) 0.0270, 0.0155;
+# (1, 1) 0.0323, 0.0309; (1, 3) 0.0174, 0.0160; (2, 0) 0.1283, 0.1202;
+# (2, 1) 0.1447, 0.1444; (3, 2) 0.4590, 0.4102.
 PARTIAL_COLLECTION_KS_TOL: dict[tuple[int, int], float] = {
     (1, 0): 0.06,
     (1, 1): 0.07,
@@ -36,22 +32,6 @@ PARTIAL_COLLECTION_KS_TOL: dict[tuple[int, int], float] = {
     (2, 0): 0.17,
     (2, 1): 0.19,
     (3, 2): 0.52,
-}
-PARTIAL_COLLECTION_KS_PILOT_N1E4: dict[tuple[int, int], float] = {
-    (1, 0): 0.02700370521873191,
-    (1, 1): 0.03231488814278216,
-    (1, 3): 0.017351809330919843,
-    (2, 0): 0.12826551037027095,
-    (2, 1): 0.14472947580361756,
-    (3, 2): 0.4589647238825633,
-}
-PARTIAL_COLLECTION_KS_PILOT_N1E5: dict[tuple[int, int], float] = {
-    (1, 0): 0.015463092251806837,
-    (1, 1): 0.030920383276559993,
-    (1, 3): 0.016030016344654507,
-    (2, 0): 0.12016514380628701,
-    (2, 1): 0.1444217938073012,
-    (3, 2): 0.4101905872258657,
 }
 
 # Mismatch frequency between the discrete and poissonized normalized patterns

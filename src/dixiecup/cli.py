@@ -12,6 +12,7 @@ import configparser
 import copy
 import csv
 import json
+import math
 import os
 import sys
 
@@ -29,21 +30,9 @@ from .experiments import (
 from .poissonized import run_coupled
 from .samplers import SeedSpec
 
-WORKERS_ENV = "DIXIECUP_WORKERS"
-
 EXIT_PASS = 0
 EXIT_STAT_FAIL = 1
 EXIT_USAGE = 2
-
-
-def _default_workers() -> int:
-    value = os.environ.get(WORKERS_ENV)
-    if value is None:
-        return 1
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -90,13 +79,13 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--reps", type=int)
     ver.add_argument("--seed", type=int)
     ver.add_argument("--sig", type=float)
-    ver.add_argument("--workers", type=int)
+    ver.add_argument("--workers", type=int, default=1)
     ver.add_argument("--out")
     ver.add_argument("--format", choices=["csv", "json"], default="json")
 
     bat = sub.add_parser("battery", help="run the full verification suite")
     bat.add_argument("--seed", type=int, default=42)
-    bat.add_argument("--workers", type=int, default=None)
+    bat.add_argument("--workers", type=int, default=1)
     bat.add_argument("--scale", type=float, default=1.0,
                      help="replication scale factor (1.0 = full suite)")
     bat.add_argument("--out", default="battery_report.json")
@@ -147,7 +136,6 @@ _CONFIG_KEYS = {
     "replications": int,
     "master_seed": int,
     "significance": float,
-    "workers": int,
 }
 
 
@@ -197,14 +185,12 @@ def _verify_config(args) -> ExperimentConfig:
         "replications": args.reps,
         "master_seed": args.seed,
         "significance": args.sig,
-        "workers": args.workers,
     }
     for key, value in overrides.items():
         if value is not None:
             fields[key] = value
     if "kind" not in fields:
         raise ConfigError("an experiment kind is required (--kind or config file)")
-    fields.setdefault("workers", _default_workers())
     config = ExperimentConfig(**fields)
     config.validate()
     return config
@@ -216,7 +202,7 @@ def _cmd_verify(args) -> int:
         print("warning: n below 3 makes the ln ln n centering negative",
               file=sys.stderr)
 
-    report = run_experiment(config)
+    report = run_experiment(config, args.workers)
     for name, ok in sorted(report.verdicts.items()):
         print(f"{'PASS' if ok else 'FAIL'}  {config.kind}: {name}")
     if args.out:
@@ -228,8 +214,10 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # battery
 
-def battery_configs(seed: int, scale: float, workers: int) -> list[ExperimentConfig]:
+def battery_configs(seed: int, scale: float) -> list[ExperimentConfig]:
     """The standard suite: each kind's battery experiments, in registry order."""
+    if not 0.0 < scale < math.inf:
+        raise ConfigError(f"scale must be finite and positive, got {scale}")
     configs: list[ExperimentConfig] = []
     for kind, entry in KINDS.items():
         for fields in entry.battery:
@@ -237,18 +225,16 @@ def battery_configs(seed: int, scale: float, workers: int) -> list[ExperimentCon
             cfg.replications = max(20, int(round(cfg.replications * scale)))
             # distinct master seeds keep experiment streams mutually independent
             cfg.master_seed = seed + 7919 * len(configs)
-            cfg.workers = workers
             configs.append(cfg)
     return configs
 
 
 def _cmd_battery(args) -> int:
-    workers = args.workers if args.workers is not None else _default_workers()
-    configs = battery_configs(args.seed, args.scale, workers)
+    configs = battery_configs(args.seed, args.scale)
     reports = []
     all_pass = True
     for cfg in configs:
-        report = run_experiment(cfg)
+        report = run_experiment(cfg, args.workers)
         reports.append(report)
         all_pass = all_pass and report.passed
         status = "PASS" if report.passed else "FAIL"

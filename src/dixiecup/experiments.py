@@ -46,8 +46,6 @@ __all__ = [
     "run_bank",
     "run_experiment",
     "emit_report",
-    "read_report_json",
-    "read_report_csv",
 ]
 
 
@@ -86,6 +84,8 @@ REPORT_TYPES = {
     "verdicts": _of(dict), "passed": _of(bool), "telemetry": _of(dict),
 }
 
+SERIES_TYPES = {"n": _of(int), "x": _number, "mean_count": _number}
+
 BATTERY_TYPES = {
     "master_seed": _of(int), "scale": _number, "experiments": _of(list), "passed": _of(bool),
 }
@@ -118,7 +118,6 @@ class ExperimentConfig:
     replications: int = 1000
     master_seed: int = 0
     significance: float = 1e-3
-    workers: int = 1
 
     @property
     def grid(self) -> list[int]:
@@ -147,8 +146,10 @@ class ExperimentConfig:
             raise ConfigError(f"need replications >= 1, got {self.replications}")
         if not 0.0 < self.significance < 1.0:
             raise ConfigError(f"significance must lie in (0, 1), got {self.significance}")
-        if self.workers < 1:
-            raise ConfigError(f"need workers >= 1, got {self.workers}")
+        if not self.intervals:
+            raise ConfigError("intervals must not be empty")
+        if not self.thresholds:
+            raise ConfigError("thresholds must not be empty")
         for a, b in self.intervals:
             if not a <= b:
                 raise ConfigError(f"interval [{a}, {b}] is empty")
@@ -158,21 +159,7 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         d = asdict(self)
         d["intervals"] = [[a, b] for a, b in self.intervals]
-        # worker count is an execution detail, not part of the experiment
-        # identity; the persisted report must not depend on it
-        d.pop("workers")
         return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        d = dict(d)
-        d.setdefault("workers", 1)
-        d["intervals"] = [tuple(pair) for pair in d.get("intervals", [])] or [
-            (0.0, math.inf)
-        ]
-        cfg = cls(**d)
-        cfg.validate()
-        return cfg
 
 
 @dataclass
@@ -194,6 +181,12 @@ class ExperimentReport:
         check_fields(d["config"], CONFIG_TYPES, "report config")
         for row in d["results"]:
             check_fields(row, ROW_TYPES, "report row")
+        if "mean_count_series" in d["summaries"]:
+            series = d["summaries"]["mean_count_series"]
+            if not isinstance(series, list):
+                raise ConfigError("report mean_count_series is not a JSON list")
+            for item in series:
+                check_fields(item, SERIES_TYPES, "report series item")
         if not all(type(v) is bool for v in d["verdicts"].values()):
             raise ConfigError("report verdicts are not all true or false")
         if d["passed"] != all(d["verdicts"].values()):
@@ -245,7 +238,7 @@ def _extract_marginal(trace, cfg, n):
 def _aggregate_marginal(cfg, per_n):
     rows, verdicts = [], {}
     for n, payloads in per_n.items():
-        res = ks_test(np.concatenate(payloads), PoissonizedMarginal(n, cfg.r))
+        res = ks_test(np.concatenate(payloads), PoissonizedMarginal(n, cfg.r).cdf)
         ok = res.p_value >= cfg.significance
         rows.append(_row(cfg, n, "ks_statistic", res.statistic, res.p_value,
                          res.sample_size, ok))
@@ -272,7 +265,7 @@ def _aggregate_counts(cfg, per_n):
                              res.sample_size, ok))
             verdicts[f"counts_pass_n{n}_interval{k}"] = ok
         first = np.array([p[1] for p in payloads])
-        dist = ks_statistic(first, GumbelType(cfg.r))
+        dist = ks_statistic(first, GumbelType(cfg.r).cdf)
         first_point_ks[n] = dist
         rows.append(_row(cfg, n, "first_point_ks", dist, None, len(first), True))
     summaries = {"first_point_ks": {str(n): d for n, d in first_point_ks.items()}}
@@ -296,7 +289,7 @@ def _aggregate_collection(cfg, per_n):
     for n, payloads in per_n.items():
         values = np.array([p[0] for p in payloads])
         t1 = np.array([p[1] for p in payloads], dtype=np.float64)
-        dist = ks_statistic(values, GumbelType(cfg.c))
+        dist = ks_statistic(values, GumbelType(cfg.c).cdf)
         distances[n] = dist
         ok = tol is not None and dist <= tol
         rows.append(_row(cfg, n, "ks_statistic", dist, None, len(values), ok))
@@ -354,7 +347,7 @@ def _aggregate_partial(cfg, per_n):
     law = ChiSqLog(cfg.m) if cfg.r == 1 else LogGamma(cfg.r, cfg.m)
     for n, payloads in per_n.items():
         values = np.array(payloads)
-        dist = ks_statistic(values, law)
+        dist = ks_statistic(values, law.cdf)
         ok = tol is not None and dist <= tol
         rows.append(_row(cfg, n, f"ks_vs_{law.name}", dist, None, len(values), ok))
         verdicts[f"ks_within_tolerance_n{n}"] = ok
@@ -424,7 +417,7 @@ def _aggregate_mismatch(cfg, per_n):
 
 def _extract_null_p_value(stream, cfg, n):
     sums = stream.generator().exponential(1.0, (1000, cfg.m + 1)).sum(axis=1)
-    return ks_test(-math.lgamma(cfg.r) - np.log(sums), LogGamma(cfg.r, cfg.m)).p_value
+    return ks_test(-math.lgamma(cfg.r) - np.log(sums), LogGamma(cfg.r, cfg.m).cdf).p_value
 
 
 def _aggregate_null(cfg, per_n):
@@ -514,7 +507,7 @@ def _bank_row(configs, r_max, master_seed, task):
     return (source.total_draws if r_max else 0), payloads
 
 
-def run_bank(configs: list[ExperimentConfig]) -> tuple[list[dict], int]:
+def run_bank(configs: list[ExperimentConfig], workers: int = 1) -> tuple[list[dict], int]:
     """Simulate each trace once and apply every config's extraction to it.
 
     The configs must share ``master_seed``, grid and ``replications``.
@@ -522,13 +515,16 @@ def run_bank(configs: list[ExperimentConfig]) -> tuple[list[dict], int]:
     ``run_coupled(n, r_max, SeedSpec(master_seed, gi * replications + j))``,
     where r_max is the largest any config needs; discrete kinds read its
     arrival half.  So a config whose r_max is the bank's sees the payloads it
-    would alone.  Sampling runs on a pool of the largest worker count asked.
+    would alone.  Sampling runs serially, or on a pool of ``workers`` processes;
+    the payloads do not depend on which.
 
     Returns one ``{n: [payload of each replication]}`` per config, and the
     total draws of the simulated traces.
     """
     if not configs:
         raise ConfigError("a bank needs at least one config")
+    if workers < 1:
+        raise ConfigError(f"need workers >= 1, got {workers}")
     for cfg in configs:
         cfg.validate()
     first = configs[0]
@@ -540,7 +536,6 @@ def run_bank(configs: list[ExperimentConfig]) -> tuple[list[dict], int]:
     reps = first.replications
     tasks = [(n, gi * reps + j) for gi, n in enumerate(first.grid) for j in range(reps)]
     work = partial(_bank_row, configs, r_max, first.master_seed)
-    workers = max(cfg.workers for cfg in configs)
     if workers > 1:
         chunk = max(1, len(tasks) // (4 * workers))
         with Pool(workers) as pool:
@@ -557,10 +552,11 @@ def run_bank(configs: list[ExperimentConfig]) -> tuple[list[dict], int]:
     return per_config, total_draws
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Run one experiment; the report numbers depend only on (config, seed)."""
+def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
+    """Run one experiment, sampling on ``workers`` processes; the report
+    numbers depend only on (config, seed), not on the worker count."""
     start = time.perf_counter()
-    (per_n,), total_draws = run_bank([config])
+    (per_n,), total_draws = run_bank([config], workers)
     elapsed = time.perf_counter() - start
     kind = KINDS[config.kind]
     rows, summaries, verdicts = kind.aggregate(config, per_n)
@@ -576,7 +572,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     )
     # wall-clock goes to the console, not the report, so reruns are byte-identical
     print(f"[{config.kind}] {replications} replications in {elapsed:.2f}s "
-          f"(workers={config.workers})", flush=True)
+          f"(workers={workers})", flush=True)
     return report
 
 
@@ -613,13 +609,3 @@ def write_rows_csv(rows: list[dict], path: str) -> None:
             if out["p_value"] is None:
                 out["p_value"] = ""
             writer.writerow(out)
-
-
-def read_report_json(path: str) -> ExperimentReport:
-    with open(path) as fh:
-        return ExperimentReport.from_dict(json.load(fh))
-
-
-def read_report_csv(path: str) -> list[dict]:
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))

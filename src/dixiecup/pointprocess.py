@@ -18,7 +18,6 @@ __all__ = [
     "PointPattern",
     "normalize",
     "h_transform",
-    "h_inverse_transform",
     "sample_limit_process",
 ]
 
@@ -42,9 +41,6 @@ class Normalization:
 
     def apply(self, x):
         return np.asarray(x, dtype=np.float64) / self.n - self.shift
-
-    def invert(self, y):
-        return (np.asarray(y, dtype=np.float64) + self.shift) * self.n
 
 
 @dataclass(frozen=True)
@@ -94,11 +90,6 @@ def h_transform(x, r: int):
     if np.any(x <= 0):
         raise ValueError("h is defined for strictly positive points only")
     return -math.lgamma(r) - np.log(x)
-
-
-def h_inverse_transform(x, r: int):
-    """exp(-x) / (r-1)!, the inverse of :func:`h_transform`."""
-    return np.exp(-np.asarray(x, dtype=np.float64) - math.lgamma(r))
 
 
 def sample_limit_process(r: int, a: float, rng: Generator) -> PointPattern:

@@ -164,7 +164,7 @@ def test_criterion_01_exact_poissonized_marginal():
     for cfg, per_n in zip(configs, run_bank(configs)[0]):
         pooled = np.concatenate(per_n[100])
         assert len(pooled) == 10_000
-        res = ks_test(pooled, PoissonizedMarginal(100, cfg.r))
+        res = ks_test(pooled, PoissonizedMarginal(100, cfg.r).cdf)
         ok = ok and res.p_value >= SIG
     verdict_line(1, ok, "pooled normalized poissonized arrival times match the "
                         "exact finite-n law (KS, r=1,2,3, n=100)")
@@ -186,8 +186,8 @@ def test_criterion_02_interval_counts_and_first_point(bank):
                 ok = ok and exact_mean_approaches_limit(a, b)
             res = poisson_count_test(counts[:, k], mean)
             ok = ok and res.p_value >= SIG
-        first_lo = ks_statistic(bank["counts", r][100][1], GumbelType(r))
-        first_hi = ks_statistic(bank["counts", r][10000][1], GumbelType(r))
+        first_lo = ks_statistic(bank["counts", r][100][1], GumbelType(r).cdf)
+        first_hi = ks_statistic(bank["counts", r][10000][1], GumbelType(r).cdf)
         ok = ok and first_hi < first_lo
     verdict_line(2, ok, "interval counts of the normalized pattern at n=1e4 are "
                         "Poisson(limit intensity) for r=1 and Poisson(exact "
@@ -209,8 +209,8 @@ def test_criterion_02_attainable_subset(bank):
         counts = bank["counts", 1][10000][0]
         assert poisson_count_test(counts[:, k], intensity_mass(1, a, b)).p_value >= SIG
     for r in (1, 2):
-        first_lo = ks_statistic(bank["counts", r][100][1], GumbelType(r))
-        first_hi = ks_statistic(bank["counts", r][10000][1], GumbelType(r))
+        first_lo = ks_statistic(bank["counts", r][100][1], GumbelType(r).cdf)
+        first_hi = ks_statistic(bank["counts", r][10000][1], GumbelType(r).cdf)
         assert first_hi < first_lo
 
 
@@ -232,7 +232,7 @@ def test_criterion_03_collection_time_limit_law(bank):
     ok = True
     for c in (1, 2):
         # the first field of an erdos-renyi payload is the normalized T_c
-        distances = {n: ks_statistic(bank["T", c][n][0], GumbelType(c)) for n in GRID}
+        distances = {n: ks_statistic(bank["T", c][n][0], GumbelType(c).cdf) for n in GRID}
         ok = ok and distances[10000] <= calibration.ERDOS_RENYI_KS_TOL[c]
         ok = ok and distances[100] >= distances[1000] >= distances[10000]
     verdict_line(3, ok, "normalized c-collection times approach the "
@@ -273,7 +273,7 @@ def test_criterion_05_partial_collection_laws(bank):
     for (r, m), tol in calibration.PARTIAL_COLLECTION_KS_TOL.items():
         # a chi2-law payload is ln(2n) - T/n for r=1 and the normalized T for r>=2
         law = ChiSqLog(m) if r == 1 else LogGamma(r, m)
-        ok = ok and ks_statistic(bank["psiT", (r, m)][10000], law) <= tol
+        ok = ok and ks_statistic(bank["psiT", (r, m)][10000], law.cdf) <= tol
     verdict_line(5, ok, "partial-collection statistics match the "
                         "chi-square-log (r=1) and log-gamma (r>=2) laws "
                         "within calibrated KS tolerances at n=1e4")
@@ -397,7 +397,7 @@ def test_criterion_09_null_calibration():
     for t in range(trials):
         rng = SeedSpec(ACCEPT_SEED + 4, t).generator()
         sample = -np.log(rng.exponential(1.0, 1000))
-        if ks_test(sample, GumbelType(1)).p_value < 0.05:
+        if ks_test(sample, GumbelType(1).cdf).p_value < 0.05:
             low_p += 1
     frac = low_p / trials
     ok = abs(frac - 0.05) <= 0.05

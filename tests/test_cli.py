@@ -12,7 +12,6 @@ from dixiecup.cli import (
     EXIT_PASS,
     EXIT_STAT_FAIL,
     EXIT_USAGE,
-    WORKERS_ENV,
     _verify_config,
     battery_configs,
     build_parser,
@@ -94,6 +93,10 @@ def test_verify_bad_parameters_are_usage_errors():
     assert run_cli("verify", "--kind", "erdos-renyi", "--n", "1") == EXIT_USAGE
     assert run_cli("verify", "--kind", "chi2-law", "--reps", "0") == EXIT_USAGE
     assert run_cli("verify", "--kind", "chi2-law", "--sig", "2.0") == EXIT_USAGE
+    assert run_cli("verify", "--kind", "chi2-law", "--workers", "0") == EXIT_USAGE
+    # no thresholds would leave no verdicts, and an empty verdict set passes
+    assert run_cli("verify", "--kind", "rare-path", "--n", "100", "--reps", "20",
+                   "--thresholds", "") == EXIT_USAGE
 
 
 def test_verify_statistical_failure_exits_one(capsys):
@@ -150,7 +153,8 @@ def test_verify_ini_unknown_key_is_usage_error(tmp_path):
 def test_verify_malformed_ini_is_usage_error(tmp_path, capsys):
     no_header = "kind = erdos-renyi\n"
     bad_interval = "[theorem1-counts]\nintervals = 1\n"
-    for k, text in enumerate((no_header, bad_interval)):
+    no_intervals = "[theorem1-counts]\nintervals = ;\n"
+    for k, text in enumerate((no_header, bad_interval, no_intervals)):
         ini = tmp_path / f"bad{k}.ini"
         ini.write_text(text)
         assert run_cli("verify", "--config", str(ini)) == EXIT_USAGE
@@ -196,28 +200,11 @@ def test_verify_ini_two_sections_needs_selector(tmp_path):
     assert code in (EXIT_PASS, EXIT_STAT_FAIL)
 
 
-def test_workers_env_override(monkeypatch, tmp_path):
-    monkeypatch.setenv(WORKERS_ENV, "2")
-    out = tmp_path / "w.json"
-    code = run_cli("verify", "--kind", "erdos-renyi", "--n", "15",
-                   "--reps", "25", "--seed", "4", "--out", str(out))
-    assert code in (EXIT_PASS, EXIT_STAT_FAIL)
-    # the report itself never records the worker count
-    assert "workers" not in json.loads(out.read_text())["config"]
-
-
-def test_workers_env_garbage_falls_back_to_one(monkeypatch):
-    monkeypatch.setenv(WORKERS_ENV, "not-a-number")
-    code = run_cli("verify", "--kind", "erdos-renyi", "--n", "15",
-                   "--reps", "25", "--seed", "4")
-    assert code in (EXIT_PASS, EXIT_STAT_FAIL)
-
-
 # ---------------------------------------------------------------------------
 # battery
 
 def test_battery_configs_cover_every_kind():
-    configs = battery_configs(seed=42, scale=1.0, workers=1)
+    configs = battery_configs(seed=42, scale=1.0)
     kinds = {cfg.kind for cfg in configs}
     assert kinds == {
         "poissonized-marginal", "theorem1-counts", "erdos-renyi",
@@ -229,8 +216,21 @@ def test_battery_configs_cover_every_kind():
 
 
 def test_battery_scale_floors_replications():
-    configs = battery_configs(seed=0, scale=0.0001, workers=1)
+    configs = battery_configs(seed=0, scale=0.0001)
     assert all(cfg.replications >= 20 for cfg in configs)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--workers", "0"),
+    ("--scale", "inf"),
+    ("--scale", "nan"),
+    ("--scale", "0"),
+    ("--scale", "-1"),
+], ids=["workers-0", "scale-inf", "scale-nan", "scale-0", "scale-negative"])
+def test_battery_bad_arguments_are_usage_errors(argv, tmp_path, capsys):
+    code = run_cli("battery", *argv, "--out", str(tmp_path / "battery.json"))
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_report_rendering_round_trip(tmp_path, capsys):
@@ -289,9 +289,12 @@ def test_report_bad_schema_is_usage_error(tmp_path, capsys):
     passed_wrong = dict(report, passed=not report["passed"])
     battery_passed_wrong = {"master_seed": 0, "scale": 1.0, "experiments": [report],
                             "passed": not report["passed"]}
+    series_of_numbers = dict(report, summaries={"mean_count_series": [1, 2]})
+    series_missing_keys = dict(report, summaries={"mean_count_series": [{"n": 100}]})
     cases = [missing, unknown, bad_row, bad_config, battery_missing,
              battery_unknown, battery_bad_entry, [report], "text", bad_value,
-             passed_text, passed_wrong, battery_passed_wrong]
+             passed_text, passed_wrong, battery_passed_wrong, series_of_numbers,
+             series_missing_keys]
     capsys.readouterr()
     for k, case in enumerate(cases):
         path = tmp_path / f"bad{k}.json"
@@ -307,7 +310,7 @@ def test_report_missing_file_is_usage_error():
 @pytest.fixture(scope="module")
 def small_report(tmp_path_factory):
     out = tmp_path_factory.mktemp("small") / "rep.json"
-    run_cli("verify", "--kind", "theorem1-counts", "--n", "15", "--reps", "25",
+    run_cli("verify", "--kind", "rare-path", "--n", "15", "--reps", "25",
             "--seed", "4", "--out", str(out))
     return json.loads(out.read_text())
 
@@ -321,15 +324,20 @@ JSON_VALUES = st.recursive(
 
 
 @settings(max_examples=200, deadline=None)
-@given(where=st.sampled_from(["report", "config", "row", "verdicts"]),
+@given(where=st.sampled_from(["report", "config", "row", "verdicts", "summaries",
+                              "series"]),
        index=st.integers(0, 20), value=JSON_VALUES)
 def test_report_of_mutated_values_exits_cleanly(small_report, tmp_path_factory, where,
                                                 index, value):
     report = copy.deepcopy(small_report)
+    series = report["summaries"]["mean_count_series"]
     target = {"report": report, "config": report["config"],
               "row": report["results"][index % len(report["results"])],
-              "verdicts": report["verdicts"]}[where]
+              "verdicts": report["verdicts"], "summaries": report["summaries"],
+              "series": series[index % len(series)]}[where]
     target[sorted(target)[index % len(target)]] = value
     path = tmp_path_factory.getbasetemp() / "mutated.json"
     path.write_text(json.dumps(report))
-    assert run_cli("report", str(path)) in (EXIT_PASS, EXIT_STAT_FAIL, EXIT_USAGE)
+    csv_out = tmp_path_factory.getbasetemp() / "mutated.csv"
+    for fmt in (["--format", "text"], ["--format", "csv", "--out", str(csv_out)]):
+        assert run_cli("report", str(path), *fmt) in (EXIT_PASS, EXIT_STAT_FAIL, EXIT_USAGE)

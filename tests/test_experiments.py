@@ -1,4 +1,5 @@
 """Experiment orchestration: determinism, aggregation, persistence."""
+import csv
 import importlib.util
 import json
 import math
@@ -12,9 +13,8 @@ from dixiecup.experiments import (
     ConfigError,
     KINDS,
     ExperimentConfig,
+    ExperimentReport,
     emit_report,
-    read_report_csv,
-    read_report_json,
     run_bank,
     run_experiment,
 )
@@ -45,21 +45,14 @@ def test_config_validation_rejects_bad_values():
     with pytest.raises(ConfigError):
         ExperimentConfig(kind="chi2-law", significance=0.0).validate()
     with pytest.raises(ConfigError):
-        ExperimentConfig(kind="chi2-law", workers=0).validate()
-    with pytest.raises(ConfigError):
         ExperimentConfig(kind="theorem1-counts", intervals=[(1.0, 0.0)]).validate()
     with pytest.raises(ConfigError):
         ExperimentConfig(kind="rare-path", thresholds=[1.0, 0.0]).validate()
-
-
-def test_config_round_trip_drops_workers():
-    cfg = small_config("theorem1-counts", intervals=[(0.0, 1.0)], workers=8)
-    d = cfg.to_dict()
-    assert "workers" not in d
-    rebuilt = ExperimentConfig.from_dict(d)
-    assert rebuilt.workers == 1
-    assert rebuilt.intervals == [(0.0, 1.0)]
-    assert rebuilt.kind == cfg.kind and rebuilt.master_seed == cfg.master_seed
+    # an experiment with nothing to test would pass with no verdicts
+    with pytest.raises(ConfigError):
+        ExperimentConfig(kind="theorem1-counts", intervals=[]).validate()
+    with pytest.raises(ConfigError):
+        ExperimentConfig(kind="rare-path", thresholds=[]).validate()
 
 
 def test_every_kind_has_a_description():
@@ -83,10 +76,15 @@ def test_same_seed_gives_identical_report():
 
 def test_worker_count_does_not_change_the_report():
     serial = run_experiment(small_config("chi2-law", r=1, m=1)).to_dict()
-    parallel = run_experiment(
-        small_config("chi2-law", r=1, m=1, workers=2)
-    ).to_dict()
+    parallel = run_experiment(small_config("chi2-law", r=1, m=1), workers=2).to_dict()
     assert serial == parallel
+
+
+def test_worker_count_below_one_is_rejected():
+    with pytest.raises(ConfigError):
+        run_bank(bank_configs(), workers=0)
+    with pytest.raises(ConfigError):
+        run_experiment(small_config("erdos-renyi"), workers=0)
 
 
 def test_different_seed_changes_statistics():
@@ -119,7 +117,7 @@ def test_bank_config_at_the_bank_r_max_sees_its_own_payloads():
 
 def test_bank_worker_count_does_not_change_payloads():
     serial = run_bank(bank_configs())
-    parallel = run_bank(bank_configs(workers=2))
+    parallel = run_bank(bank_configs(), workers=2)
     assert serial == parallel
 
 
@@ -190,7 +188,8 @@ def test_json_round_trip(tmp_path):
     report = run_experiment(small_config("erdos-renyi"))
     path = tmp_path / "report.json"
     emit_report(report, "json", str(path))
-    loaded = read_report_json(str(path))
+    with open(path) as fh:
+        loaded = ExperimentReport.from_dict(json.load(fh))
     assert loaded.to_dict() == report.to_dict()
 
 
@@ -208,7 +207,8 @@ def test_csv_round_trip(tmp_path):
     )
     path = tmp_path / "report.csv"
     emit_report(report, "csv", str(path))
-    rows = read_report_csv(str(path))
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == len(report.results)
     assert list(rows[0]) == CSV_COLUMNS
     for raw, original in zip(rows, report.results):
@@ -232,14 +232,13 @@ def test_csv_rare_path_writes_series_sidecar(tmp_path):
 
 
 def test_empty_report_gives_header_only_csv(tmp_path):
-    from dixiecup.experiments import ExperimentReport
-
     empty = ExperimentReport(config={}, theorem="", results=[], summaries={},
                              verdicts={}, passed=True, telemetry={})
     path = tmp_path / "empty.csv"
     emit_report(empty, "csv", str(path))
     assert path.read_text().strip() == ",".join(CSV_COLUMNS)
-    assert read_report_csv(str(path)) == []
+    with open(path, newline="") as fh:
+        assert list(csv.DictReader(fh)) == []
 
 
 def test_emit_report_rejects_unknown_format(tmp_path):
