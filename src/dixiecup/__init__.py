@@ -10,12 +10,10 @@ from .pointprocess import (
     sample_limit_process,
 )
 from .limitlaws import (
-    EULER_GAMMA,
     ChiSqLog,
     GumbelType,
     LogGamma,
     PoissonizedMarginal,
-    er_expectation,
     intensity_mass,
 )
 from .gof import GofResult, increment_test, ks_statistic, ks_test, poisson_count_test
@@ -24,7 +22,7 @@ from .experiments import (
     ExperimentReport,
     emit_report,
     run_bank,
-    run_experiment,
+    run_experiments,
 )
 
 __version__ = "0.1.0"

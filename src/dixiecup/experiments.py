@@ -4,9 +4,12 @@ Each experiment kind exercises one limit statement and is one entry of
 :data:`KINDS`: what it verifies, how many arrivals per type its traces track,
 what it extracts from one trace, and how it aggregates those payloads into
 rows, summaries and verdicts.  :func:`run_bank` simulates each trace once and
-hands it to every config's extraction; replication ``j`` at grid index ``gi``
-always uses stream ``gi * replications + j``, so the numbers are independent of
-the worker count.
+hands it to the extraction of every config that reads it.  A trace is keyed by
+``(master_seed, n, j)`` alone: replication ``j`` at ``n`` reads stream
+``(n << 32) | j`` of its seed, with the largest r_max any config reading that
+``(master_seed, n)`` needs, so configs sharing a seed share their traces and
+the numbers are independent of the worker count.  :func:`run_experiments` runs
+any list of configs on one bank, and ``verify`` and ``battery`` both use it.
 """
 from __future__ import annotations
 
@@ -44,7 +47,7 @@ __all__ = [
     "ExperimentReport",
     "KINDS",
     "run_bank",
-    "run_experiment",
+    "run_experiments",
     "emit_report",
 ]
 
@@ -133,6 +136,9 @@ class ExperimentConfig:
         if KINDS[self.kind].r_max(self):
             if not self.n_grid:
                 raise ConfigError("n_grid must not be empty")
+            # a trace is keyed by n, so a repeated n would read its traces twice
+            if len(set(self.n_grid)) != len(self.n_grid):
+                raise ConfigError(f"n_grid entries must be distinct, got {self.n_grid}")
             for n in self.n_grid:
                 if n < 2:
                     raise ConfigError(f"n_grid entries must be >= 2, got {n}")
@@ -498,28 +504,31 @@ KINDS = {
 # ---------------------------------------------------------------------------
 # the trace bank
 
-def _bank_row(configs, r_max, master_seed, task):
-    """One replication: its trace's total draws and every config's payload."""
-    n, index = task
-    stream = SeedSpec(master_seed, index)
+def _bank_row(configs, task):
+    """One trace: its total draws and the payload of each config reading it."""
+    seed, n, j, r_max, readers = task
+    stream = SeedSpec(seed, (n << 32) | j)
     source = run_coupled(n, r_max, stream) if r_max else stream
-    payloads = [KINDS[cfg.kind].extract(source, cfg, n) for cfg in configs]
+    payloads = [KINDS[configs[k].kind].extract(source, configs[k], n) for k in readers]
     return (source.total_draws if r_max else 0), payloads
 
 
-def run_bank(configs: list[ExperimentConfig], workers: int = 1) -> tuple[list[dict], int]:
-    """Simulate each trace once and apply every config's extraction to it.
+def run_bank(configs: list[ExperimentConfig],
+             workers: int = 1) -> tuple[list[dict], list[int], int]:
+    """Simulate each trace once and apply the extraction of every config that reads it.
 
-    The configs must share ``master_seed``, grid and ``replications``.
-    Replication ``j`` at grid index ``gi`` reads the trace
-    ``run_coupled(n, r_max, SeedSpec(master_seed, gi * replications + j))``,
-    where r_max is the largest any config needs; discrete kinds read its
-    arrival half.  So a config whose r_max is the bank's sees the payloads it
-    would alone.  Sampling runs serially, or on a pool of ``workers`` processes;
-    the payloads do not depend on which.
+    A trace is identified by ``(master_seed, n, j)`` alone: it is
+    ``run_coupled(n, r_max, SeedSpec(master_seed, (n << 32) | j))``, where
+    r_max is the largest that any config reading that ``(master_seed, n)``
+    needs, and r_max 0 (limit-consistency, n = 0) hands the bare stream to
+    the extraction.  A config reads the traces with its seed, an n in its grid
+    and a j below its replication count; discrete kinds read the arrival half.
+    So a config whose r_max is the bank's at each of its ``(seed, n)`` sees
+    the payloads it would alone.  Sampling runs serially, or on one pool of
+    ``workers`` processes; the payloads do not depend on which.
 
-    Returns one ``{n: [payload of each replication]}`` per config, and the
-    total draws of the simulated traces.
+    Returns one ``{n: [payload of each replication]}`` per config, the total
+    draws of the traces each config read, and the number of traces simulated.
     """
     if not configs:
         raise ConfigError("a bank needs at least one config")
@@ -527,15 +536,16 @@ def run_bank(configs: list[ExperimentConfig], workers: int = 1) -> tuple[list[di
         raise ConfigError(f"need workers >= 1, got {workers}")
     for cfg in configs:
         cfg.validate()
-    first = configs[0]
-    shared = (first.master_seed, first.grid, first.replications)
-    if any((cfg.master_seed, cfg.grid, cfg.replications) != shared for cfg in configs):
-        raise ConfigError("configs on one bank must share master_seed, n grid "
-                          "and replications")
-    r_max = max(KINDS[cfg.kind].r_max(cfg) for cfg in configs)
-    reps = first.replications
-    tasks = [(n, gi * reps + j) for gi, n in enumerate(first.grid) for j in range(reps)]
-    work = partial(_bank_row, configs, r_max, first.master_seed)
+    readers: dict[tuple[int, int], list[int]] = {}
+    for k, cfg in enumerate(configs):
+        for n in cfg.grid:
+            readers.setdefault((cfg.master_seed, n), []).append(k)
+    tasks = []
+    for (seed, n), ks in readers.items():
+        r_max = max(KINDS[configs[k].kind].r_max(configs[k]) for k in ks)
+        for j in range(max(configs[k].replications for k in ks)):
+            tasks.append((seed, n, j, r_max, [k for k in ks if j < configs[k].replications]))
+    work = partial(_bank_row, configs)
     if workers > 1:
         chunk = max(1, len(tasks) // (4 * workers))
         with Pool(workers) as pool:
@@ -543,37 +553,41 @@ def run_bank(configs: list[ExperimentConfig], workers: int = 1) -> tuple[list[di
     else:
         outcomes = [work(t) for t in tasks]
 
-    per_config = [{n: [] for n in first.grid} for _ in configs]
-    total_draws = 0
-    for (n, _), (draws, payloads) in zip(tasks, outcomes):
-        total_draws += draws
-        for per_n, payload in zip(per_config, payloads):
-            per_n[n].append(payload)
-    return per_config, total_draws
+    per_config = [{n: [] for n in cfg.grid} for cfg in configs]
+    draws = [0] * len(configs)
+    for (_, n, _, _, ks), (trace_draws, payloads) in zip(tasks, outcomes):
+        for k, payload in zip(ks, payloads):
+            per_config[k][n].append(payload)
+            draws[k] += trace_draws
+    return per_config, draws, len(tasks)
 
 
-def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
-    """Run one experiment, sampling on ``workers`` processes; the report
-    numbers depend only on (config, seed), not on the worker count."""
+def run_experiments(configs: list[ExperimentConfig], workers: int = 1) -> list[ExperimentReport]:
+    """Run the experiments on one trace bank, sampling on ``workers`` processes.
+
+    The report numbers depend only on the configs, not on the worker count.
+    """
     start = time.perf_counter()
-    (per_n,), total_draws = run_bank([config], workers)
-    elapsed = time.perf_counter() - start
-    kind = KINDS[config.kind]
-    rows, summaries, verdicts = kind.aggregate(config, per_n)
-    replications = config.replications * len(config.grid)
-    report = ExperimentReport(
-        config=config.to_dict(),
-        theorem=kind.description,
-        results=rows,
-        summaries=summaries,
-        verdicts=verdicts,
-        passed=all(verdicts.values()),
-        telemetry={"total_draws": int(total_draws), "replications": replications},
-    )
-    # wall-clock goes to the console, not the report, so reruns are byte-identical
-    print(f"[{config.kind}] {replications} replications in {elapsed:.2f}s "
-          f"(workers={workers})", flush=True)
-    return report
+    per_config, draws, traces = run_bank(configs, workers)
+    reports = []
+    for cfg, per_n, total_draws in zip(configs, per_config, draws):
+        kind = KINDS[cfg.kind]
+        rows, summaries, verdicts = kind.aggregate(cfg, per_n)
+        reports.append(ExperimentReport(
+            config=cfg.to_dict(),
+            theorem=kind.description,
+            results=rows,
+            summaries=summaries,
+            verdicts=verdicts,
+            passed=all(verdicts.values()),
+            telemetry={"total_draws": int(total_draws),
+                       "replications": cfg.replications * len(cfg.grid)},
+        ))
+    # wall-clock goes to stderr, not the reports, so reruns are byte-identical
+    replications = sum(cfg.replications * len(cfg.grid) for cfg in configs)
+    print(f"{replications} replications from {traces} traces in "
+          f"{time.perf_counter() - start:.2f}s (workers={workers})", file=sys.stderr, flush=True)
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -592,9 +606,9 @@ def emit_report(report: ExperimentReport, fmt: str, path: str) -> None:
             base, _ = os.path.splitext(path)
             with open(base + ".series.csv", "w", newline="") as fh:
                 writer = csv.writer(fh)
-                writer.writerow(["x", "mean_count"])
+                writer.writerow(["n", "x", "mean_count"])
                 for item in series:
-                    writer.writerow([item["x"], item["mean_count"]])
+                    writer.writerow([item["n"], item["x"], item["mean_count"]])
     else:
         raise ConfigError(f"unknown report format {fmt!r}; use csv or json")
 

@@ -15,18 +15,12 @@ import numpy as np
 from scipy import special
 
 __all__ = [
-    "EULER_GAMMA",
     "intensity_mass",
-    "er_expectation",
     "GumbelType",
     "LogGamma",
     "ChiSqLog",
     "PoissonizedMarginal",
 ]
-
-# Euler-Mascheroni constant, 20 digits.
-EULER_GAMMA = 0.57721566490153286061
-
 
 def intensity_mass(r: int, a: float, b: float) -> float:
     """Mass of the measure exp(-x)/(r-1)! dx on [a, b]; b may be +inf."""
@@ -35,16 +29,6 @@ def intensity_mass(r: int, a: float, b: float) -> float:
     if a > b:
         raise ValueError(f"need a <= b, got [{a}, {b}]")
     return (math.exp(-a) - (0.0 if math.isinf(b) else math.exp(-b))) / math.factorial(r - 1)
-
-
-def er_expectation(n: int, c: int) -> float:
-    """Three-term expectation approximation for the c-collection time."""
-    if n < 3:
-        raise ValueError(f"need n >= 3, got n={n}")
-    if c < 1:
-        raise ValueError(f"need c >= 1, got c={c}")
-    log_n = math.log(n)
-    return n * log_n + (c - 1) * n * math.log(log_n) + (EULER_GAMMA - math.lgamma(c)) * n
 
 
 @dataclass(frozen=True)

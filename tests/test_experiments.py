@@ -16,8 +16,13 @@ from dixiecup.experiments import (
     ExperimentReport,
     emit_report,
     run_bank,
-    run_experiment,
+    run_experiments,
 )
+
+
+def run_one(config, workers=1):
+    (report,) = run_experiments([config], workers)
+    return report
 
 
 def small_config(kind, **kwargs):
@@ -36,6 +41,8 @@ def test_config_validation_rejects_bad_values():
         ExperimentConfig(kind="erdos-renyi", n_grid=[]).validate()
     with pytest.raises(ConfigError):
         ExperimentConfig(kind="erdos-renyi", n_grid=[1]).validate()
+    with pytest.raises(ConfigError):
+        ExperimentConfig(kind="erdos-renyi", n_grid=[20, 20]).validate()
     with pytest.raises(ConfigError):
         ExperimentConfig(kind="chi2-law", r=0).validate()
     with pytest.raises(ConfigError):
@@ -69,14 +76,14 @@ def test_every_kind_has_a_description():
 
 def test_same_seed_gives_identical_report():
     cfg = small_config("erdos-renyi", n_grid=[15, 30])
-    a = run_experiment(cfg).to_dict()
-    b = run_experiment(small_config("erdos-renyi", n_grid=[15, 30])).to_dict()
+    a = run_one(cfg).to_dict()
+    b = run_one(small_config("erdos-renyi", n_grid=[15, 30])).to_dict()
     assert a == b
 
 
 def test_worker_count_does_not_change_the_report():
-    serial = run_experiment(small_config("chi2-law", r=1, m=1)).to_dict()
-    parallel = run_experiment(small_config("chi2-law", r=1, m=1), workers=2).to_dict()
+    serial = run_one(small_config("chi2-law", r=1, m=1)).to_dict()
+    parallel = run_one(small_config("chi2-law", r=1, m=1), workers=2).to_dict()
     assert serial == parallel
 
 
@@ -84,12 +91,14 @@ def test_worker_count_below_one_is_rejected():
     with pytest.raises(ConfigError):
         run_bank(bank_configs(), workers=0)
     with pytest.raises(ConfigError):
-        run_experiment(small_config("erdos-renyi"), workers=0)
+        run_bank([])
+    with pytest.raises(ConfigError):
+        run_one(small_config("erdos-renyi"), workers=0)
 
 
 def test_different_seed_changes_statistics():
-    a = run_experiment(small_config("erdos-renyi"))
-    b = run_experiment(small_config("erdos-renyi", master_seed=6))
+    a = run_one(small_config("erdos-renyi"))
+    b = run_one(small_config("erdos-renyi", master_seed=6))
     assert a.results[0]["value"] != b.results[0]["value"]
 
 
@@ -106,13 +115,37 @@ def bank_configs(**shared):
     ]
 
 
-def test_bank_config_at_the_bank_r_max_sees_its_own_payloads():
-    configs = bank_configs(n_grid=[15, 30])
-    shared, draws = run_bank(configs)
-    (alone,), alone_draws = run_bank(configs[:1])
-    assert configs[0].r == 3 == max(cfg.r for cfg in configs)
-    assert shared[0] == alone and draws == alone_draws
-    assert all(len(per_n[30]) == 30 for per_n in shared)
+# configs that share no seed, no grid or no replication count with bank_configs
+MIXED = [dict(master_seed=6), dict(n_grid=[21]), dict(replications=31),
+         dict(kind="limit-consistency")]
+
+
+@pytest.fixture(scope="module")
+def mixed_bank():
+    """bank_configs at n = 15, 30 and one rare-path config per MIXED case, on one bank."""
+    configs = bank_configs(n_grid=[15, 30]) + [
+        small_config(**{"kind": "rare-path", "n_grid": [15, 30], **other}) for other in MIXED]
+    return configs, run_bank(configs)
+
+
+def bank_r_max(configs, cfg, n):
+    """The r_max of the traces at (cfg's seed, n) on a bank of these configs."""
+    return max(KINDS[c.kind].r_max(c) for c in configs
+               if c.master_seed == cfg.master_seed and n in c.grid)
+
+
+def test_bank_config_at_the_bank_r_max_sees_its_own_payloads(mixed_bank):
+    configs, (per_config, draws, _) = mixed_bank
+    alike = [k for k, cfg in enumerate(configs)
+             if all(bank_r_max(configs, cfg, n) == KINDS[cfg.kind].r_max(cfg)
+                    for n in cfg.grid)]
+    # chi2-law r=3 and the MIXED configs of another seed, another grid, no trace
+    assert alike == [0, 4, 5, 7]
+    for k in alike:
+        (alone,), (alone_draws,), _ = run_bank([configs[k]])
+        assert per_config[k] == alone and draws[k] == alone_draws
+    # bank_configs read the same 2 x 30 traces, so they count the same draws
+    assert len(set(draws[:4])) == 1
 
 
 def test_bank_worker_count_does_not_change_payloads():
@@ -121,15 +154,16 @@ def test_bank_worker_count_does_not_change_payloads():
     assert serial == parallel
 
 
-@pytest.mark.parametrize("other", [
-    dict(master_seed=6), dict(n_grid=[21]), dict(replications=31),
-    dict(kind="limit-consistency"),
-])
-def test_bank_rejects_configs_that_do_not_share_its_streams(other):
-    configs = bank_configs()
-    configs[1] = small_config(**{"kind": "rare-path", **other})
-    with pytest.raises(ConfigError):
-        run_bank(configs)
+@pytest.mark.parametrize("case", range(len(MIXED)),
+                         ids=["seed", "grid", "replications", "limit-consistency"])
+def test_bank_serves_configs_that_do_not_share_their_streams(mixed_bank, case):
+    configs, (per_config, _, traces) = mixed_bank
+    # (5, n, j < 31) and (6, n, j < 30) at n = 15, 30; (5, 21, j < 30); (5, 0, j < 30)
+    assert traces == 2 * 31 + 2 * 30 + 30 + 30
+    k = len(configs) - len(MIXED) + case
+    assert list(per_config[k]) == configs[k].grid
+    assert all(len(payloads) == configs[k].replications
+               for payloads in per_config[k].values())
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +180,7 @@ def test_bank_rejects_configs_that_do_not_share_its_streams(other):
     ("limit-consistency", dict(r=1, m=0)),
 ])
 def test_kind_smoke_produces_well_formed_rows(kind, extra):
-    report = run_experiment(small_config(kind, **extra))
+    report = run_one(small_config(kind, **extra))
     assert report.theorem == KINDS[kind].description
     assert report.results
     for row in report.results:
@@ -157,16 +191,27 @@ def test_kind_smoke_produces_well_formed_rows(kind, extra):
     assert report.telemetry["replications"] > 0
 
 
+def test_reports_of_one_bank_count_what_each_config_read(mixed_bank):
+    configs, (_, draws, _) = mixed_bank
+    reports = run_experiments(configs)
+    for cfg, report, read in zip(configs, reports, draws):
+        assert report.config == cfg.to_dict()
+        assert report.telemetry == {"total_draws": read,
+                                    "replications": cfg.replications * len(cfg.grid)}
+    # limit-consistency reads bare streams, no trace
+    assert draws[-1] == 0 < min(draws[:-1])
+
+
 def test_telemetry_counts_every_draw():
     cfg = small_config("theorem1-counts", r=1, n_grid=[10], replications=5)
-    report = run_experiment(cfg)
+    report = run_one(cfg)
     # T_1 >= n per replication, so at least n * reps draws were consumed
     assert report.telemetry["total_draws"] >= 10 * 5
     assert report.telemetry["replications"] == 5
 
 
 def test_limit_consistency_is_calibrated_at_small_scale():
-    report = run_experiment(
+    report = run_one(
         small_config("limit-consistency", r=1, m=0, replications=100)
     )
     assert report.verdicts["p_fraction_calibrated"]
@@ -175,7 +220,7 @@ def test_limit_consistency_is_calibrated_at_small_scale():
 def test_rare_path_mean_series_matches_rows():
     cfg = small_config("rare-path", r=1, n_grid=[50],
                        thresholds=[0.0, 1.0], replications=40)
-    report = run_experiment(cfg)
+    report = run_one(cfg)
     series = report.summaries["mean_count_series"]
     assert [item["x"] for item in series] == [0.0, 1.0]
     assert all(item["mean_count"] >= 0.0 for item in series)
@@ -185,7 +230,7 @@ def test_rare_path_mean_series_matches_rows():
 # persistence
 
 def test_json_round_trip(tmp_path):
-    report = run_experiment(small_config("erdos-renyi"))
+    report = run_one(small_config("erdos-renyi"))
     path = tmp_path / "report.json"
     emit_report(report, "json", str(path))
     with open(path) as fh:
@@ -194,7 +239,7 @@ def test_json_round_trip(tmp_path):
 
 
 def test_json_output_is_byte_stable(tmp_path):
-    report = run_experiment(small_config("chi2-law", r=1, m=0))
+    report = run_one(small_config("chi2-law", r=1, m=0))
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     emit_report(report, "json", str(p1))
     emit_report(report, "json", str(p2))
@@ -202,7 +247,7 @@ def test_json_output_is_byte_stable(tmp_path):
 
 
 def test_csv_round_trip(tmp_path):
-    report = run_experiment(
+    report = run_one(
         small_config("theorem1-counts", r=1, intervals=[(0.0, math.inf)])
     )
     path = tmp_path / "report.csv"
@@ -219,16 +264,19 @@ def test_csv_round_trip(tmp_path):
 
 
 def test_csv_rare_path_writes_series_sidecar(tmp_path):
-    report = run_experiment(
-        small_config("rare-path", r=1, n_grid=[40], thresholds=[0.0, 1.0])
+    report = run_one(
+        small_config("rare-path", r=1, n_grid=[40, 60], thresholds=[0.0, 1.0])
     )
     path = tmp_path / "rare.csv"
     emit_report(report, "csv", str(path))
     sidecar = tmp_path / "rare.series.csv"
     assert sidecar.exists()
-    lines = sidecar.read_text().strip().splitlines()
-    assert lines[0] == "x,mean_count"
-    assert len(lines) == 1 + len(report.summaries["mean_count_series"])
+    with open(sidecar, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == ["n", "x", "mean_count"]
+    assert [(int(row["n"]), float(row["x"])) for row in rows] == [
+        (40, 0.0), (40, 1.0), (60, 0.0), (60, 1.0)]
+    assert len(rows) == len(report.summaries["mean_count_series"])
 
 
 def test_empty_report_gives_header_only_csv(tmp_path):
@@ -242,13 +290,13 @@ def test_empty_report_gives_header_only_csv(tmp_path):
 
 
 def test_emit_report_rejects_unknown_format(tmp_path):
-    report = run_experiment(small_config("erdos-renyi"))
+    report = run_one(small_config("erdos-renyi"))
     with pytest.raises(ConfigError):
         emit_report(report, "xml", str(tmp_path / "x"))
 
 
 def test_report_json_is_sorted_and_newline_terminated(tmp_path):
-    report = run_experiment(small_config("erdos-renyi"))
+    report = run_one(small_config("erdos-renyi"))
     path = tmp_path / "report.json"
     emit_report(report, "json", str(path))
     text = path.read_text()

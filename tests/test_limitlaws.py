@@ -6,18 +6,12 @@ import pytest
 from scipy.integrate import quad
 
 from dixiecup.limitlaws import (
-    EULER_GAMMA,
     ChiSqLog,
     GumbelType,
     LogGamma,
     PoissonizedMarginal,
-    er_expectation,
     intensity_mass,
 )
-
-
-def harmonic(n):
-    return sum(1.0 / k for k in range(1, n + 1))
 
 
 def test_intensity_mass_values():
@@ -112,16 +106,6 @@ def test_marginal_density_scales_to_intensity():
             assert all(a > b for a, b in zip(errors, errors[1:])) or errors[-1] < 1e-4
 
 
-def test_er_expectation():
-    # c=1 at n=1000 against the exact harmonic-sum oracle
-    approx = er_expectation(1000, 1)
-    assert approx == pytest.approx(1000 * math.log(1000) + EULER_GAMMA * 1000, rel=1e-14)
-    assert abs(approx - 1000 * harmonic(1000)) < 1.0
-    # middle term at c=2, n=1e4
-    middle = er_expectation(10**4, 2) - er_expectation(10**4, 1)
-    assert middle == pytest.approx(10**4 * math.log(math.log(10**4)), rel=1e-12)
-
-
 def test_cdfs_monotone_with_unit_limits():
     grid = np.linspace(-20, 20, 10_000)
     for law in (GumbelType(2), LogGamma(2, 1), ChiSqLog(3), PoissonizedMarginal(50, 2)):
@@ -152,5 +136,3 @@ def test_parameter_validation():
                  lambda: PoissonizedMarginal(10, 0)):
         with pytest.raises(ValueError):
             make()
-    with pytest.raises(ValueError):
-        er_expectation(2, 1)

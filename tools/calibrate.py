@@ -3,9 +3,10 @@
 
 Runs the n-grid pilots behind ``dixiecup.calibration`` and prints the raw
 numbers as one JSON object; the chosen thresholds are then frozen by hand into
-that module.  Both pilots are banks of the package's experiment kinds, so
-replication ``j`` at grid index ``gi`` reads stream ``gi * REPS + j`` of
-``PILOT_SEED``.
+that module.  Both pilots are experiment configs of ``PILOT_SEED`` on one
+trace bank: replication ``j`` at ``n`` reads stream ``(n << 32) | j`` with the
+largest r_max any pilot needs at that n, so where their grids overlap the KS
+and mismatch pilots read the same traces.
 
 Usage, from the root of a source checkout::
 
@@ -35,27 +36,27 @@ def pilot(kind: str, grid, **fields) -> ExperimentConfig:
 def bank_rows(configs: dict) -> dict:
     """Run the named configs on one bank; name -> the result rows of its report."""
     start = time.time()
-    per_config, _ = run_bank(list(configs.values()))
-    print(f"bank of {sorted(configs)}: {time.time() - start:.0f}s", file=sys.stderr)
+    per_config, _, traces = run_bank(list(configs.values()))
+    print(f"bank of {traces} traces: {time.time() - start:.0f}s", file=sys.stderr)
     return {name: KINDS[cfg.kind].aggregate(cfg, per_n)[0]
             for (name, cfg), per_n in zip(configs.items(), per_config)}
 
 
 def main() -> None:
-    ks_pilot = {f"erdos_renyi_ks_c{c}": pilot("erdos-renyi", DISCRETE_GRID, c=c)
-                for c in (1, 2)}
-    ks_pilot.update({f"partial_ks_r{r}_m{m}": pilot("chi2-law", DISCRETE_GRID, r=r, m=m)
-                     for r, m in PAIRS})
-    mismatch = pilot("coupling-decay", MISMATCH_GRID, r=1, intervals=[(-2.0, 2.0)])
+    pilots = {f"erdos_renyi_ks_c{c}": pilot("erdos-renyi", DISCRETE_GRID, c=c)
+              for c in (1, 2)}
+    pilots.update({f"partial_ks_r{r}_m{m}": pilot("chi2-law", DISCRETE_GRID, r=r, m=m)
+                   for r, m in PAIRS})
+    pilots["mismatch"] = pilot("coupling-decay", MISMATCH_GRID, r=1, intervals=[(-2.0, 2.0)])
 
     results: dict = {f"discrete_n{n}": {} for n in DISCRETE_GRID}
-    for name, rows in bank_rows(ks_pilot).items():
+    for name, rows in bank_rows(pilots).items():
         for row in rows:
+            if name == "mismatch":
+                results[f"mismatch_n{row['n']}"] = row["value"]
             # the KS distance of each n; erdos-renyi adds a mean-identity row
-            if row["statistic_name"].startswith("ks"):
+            elif row["statistic_name"].startswith("ks"):
                 results[f"discrete_n{row['n']}"][name] = row["value"]
-    for row in bank_rows({"mismatch": mismatch})["mismatch"]:
-        results[f"mismatch_n{row['n']}"] = row["value"]
     print(json.dumps(results, indent=2))
 
 
