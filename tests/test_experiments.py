@@ -154,13 +154,15 @@ def test_bank_worker_count_does_not_change_payloads():
     assert serial == parallel
 
 
-@pytest.mark.parametrize("case", range(len(MIXED)),
-                         ids=["seed", "grid", "replications", "limit-consistency"])
-def test_bank_serves_configs_that_do_not_share_their_streams(mixed_bank, case):
+@pytest.mark.parametrize("other", MIXED)
+def test_bank_rejects_configs_that_do_not_share_its_streams(mixed_bank, other):
+    """A config of another seed, grid, replication count or a traceless kind
+    used to be rejected by a bank of bank_configs; it is now served beside
+    them on one bank, with the traces of its own (seed, n, j)."""
     configs, (per_config, _, traces) = mixed_bank
     # (5, n, j < 31) and (6, n, j < 30) at n = 15, 30; (5, 21, j < 30); (5, 0, j < 30)
     assert traces == 2 * 31 + 2 * 30 + 30 + 30
-    k = len(configs) - len(MIXED) + case
+    k = len(configs) - len(MIXED) + MIXED.index(other)
     assert list(per_config[k]) == configs[k].grid
     assert all(len(payloads) == configs[k].replications
                for payloads in per_config[k].values())
