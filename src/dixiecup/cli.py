@@ -102,6 +102,10 @@ def build_parser() -> argparse.ArgumentParser:
 # simulate
 
 def _cmd_simulate(args) -> int:
+    for flag, value, least in (("--n", args.n, 2), ("--rmax", args.rmax, 1),
+                               ("--reps", args.reps, 1)):
+        if value < least:
+            raise ValueError(f"{flag} must be at least {least}, got {value}")
     if args.n < 3:
         print(f"warning: n={args.n} is below the recommended minimum of 3; "
               "the centering uses ln ln n", file=sys.stderr)

@@ -70,9 +70,14 @@ def _embed(rng: Generator, n: int, r_max: int) -> tuple[np.ndarray, np.ndarray]:
     arrivals = np.empty(n * r_max, dtype=np.int64)
     arrivals[order] = index
     arrivals = arrivals.reshape(n, r_max)
-    # an exact float tie inside a row can reverse two of its ranks; tied
-    # arrivals of one type are exchangeable, so restoring row order is exact
-    arrivals.sort(axis=1)
+    if r_max > 1:
+        # an exact float tie inside a row can reverse two of its ranks; tied
+        # arrivals of one type are exchangeable, so restoring row order is
+        # exact.  The descent check costs about a third of sorting every row.
+        descents = arrivals[:, 1:] < arrivals[:, :-1]
+        if descents.any():
+            rows = descents.any(axis=1)
+            arrivals[rows] = np.sort(arrivals[rows], axis=1)
     return arrivals, times
 
 

@@ -3,12 +3,16 @@ import copy
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dixiecup
 from dixiecup.cli import (
     EXIT_PASS,
     EXIT_STAT_FAIL,
@@ -68,6 +72,20 @@ def test_simulate_small_n_warns(tmp_path, capsys):
 def test_simulate_unwritable_path_is_usage_error():
     code = run_cli("simulate", "--n", "5", "--out", "/nonexistent/dir/x.csv")
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [
+    ("--reps", "-2"),
+    ("--reps", "0"),
+    ("--rmax", "0"),
+    ("--n", "1"),
+], ids=["reps-negative", "reps-0", "rmax-0", "n-1"])
+def test_simulate_bad_arguments_write_no_file(argv, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code = run_cli("simulate", "--n", "5", *argv, "--out", str(out))
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -349,3 +367,31 @@ def test_report_of_mutated_values_exits_cleanly(small_report, tmp_path_factory, 
     csv_out = tmp_path_factory.getbasetemp() / "mutated.csv"
     for fmt in (["--format", "text"], ["--format", "csv", "--out", str(csv_out)]):
         assert run_cli("report", str(path), *fmt) in (EXIT_PASS, EXIT_STAT_FAIL, EXIT_USAGE)
+
+
+# ---------------------------------------------------------------------------
+# import graph
+
+IMPORT_PROBE = """
+import sys
+from dixiecup.cli import main
+out = sys.argv[1]
+main(["verify", "--kind", "theorem1-counts", "--n", "100", "--reps", "200",
+      "--seed", "1", "--out", out])
+main(["verify", "--kind", "poissonized-marginal", "--n", "100", "--reps", "20",
+      "--seed", "0"])
+main(["report", out])
+print("scipy.stats" in sys.modules)
+"""
+
+
+def test_cli_runs_never_import_scipy_stats(tmp_path):
+    # a fresh interpreter, since this test session imports scipy.stats itself;
+    # the calls cover the chi-square path, the KS path and report rendering
+    src = os.path.dirname(os.path.dirname(dixiecup.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(tmp_path / "rep.json")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "poisson_counts[0.0,inf]" in done.stdout
+    assert done.stdout.splitlines()[-1] == "False"

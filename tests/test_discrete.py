@@ -1,4 +1,5 @@
 """Discrete scheme: construction invariants and exact-oracle comparisons."""
+import functools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from scipy import stats
 
 from dixiecup.discrete import (
     CollectorTrace,
+    _embed,
     collection_time,
     partial_collection_time,
     run_discrete,
@@ -78,6 +80,40 @@ def test_trace_invariants():
         assert len(np.unique(arr)) == 200
         assert arr.min() >= 1
         assert trace.total_draws == arr.max()
+
+
+class TiedExponentials:
+    """Generator stand-in whose exponential draws hold exact zeros, so two
+    consecutive arrivals of one type share a float time; ``poisson`` is the
+    wrapped generator's."""
+
+    def __init__(self, seed):
+        self._rng = SeedSpec(seed, 0).generator()
+
+    def standard_exponential(self, size):
+        draws = self._rng.standard_exponential(size)
+        draws[0::2, 1] = 0.0  # tie between the first and second arrival
+        draws[1::2, -1] = 0.0  # tie at the last tracked arrival
+        return draws
+
+    def poisson(self, lam):
+        return self._rng.poisson(lam)
+
+
+def test_embed_restores_row_order_after_float_ties():
+    n, r_max = 40, 3
+    arrivals, times = _embed(TiedExponentials(5), n, r_max)
+    # the default argsort reverses some tied pair, so the row repair runs
+    stable_argsort = functools.partial(np.argsort, kind="stable")
+    assert not np.array_equal(np.argsort(times, axis=None),
+                              stable_argsort(times, axis=None))
+    # a stable argsort keeps tied arrivals in row order, so its rows need no
+    # repair: each repaired row must strictly increase and hold those draws
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np, "argsort", stable_argsort)
+        reference, _ = _embed(TiedExponentials(5), n, r_max)
+    assert np.all(np.diff(arrivals, axis=1) > 0)
+    assert np.array_equal(arrivals, reference)
 
 
 def test_collection_time_is_max_of_column():

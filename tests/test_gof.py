@@ -3,16 +3,19 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
+from dixiecup.experiments import KINDS
 from dixiecup.gof import (
     GofResult,
+    _poisson_cells,
+    _poisson_probs,
     increment_test,
     ks_statistic,
     ks_test,
     poisson_count_test,
 )
-from dixiecup.limitlaws import PoissonizedMarginal
+from dixiecup.limitlaws import PoissonizedMarginal, intensity_mass
 from dixiecup.pointprocess import sample_limit_process
 from dixiecup.samplers import SeedSpec
 
@@ -86,8 +89,6 @@ def test_poisson_count_power():
 
 
 def test_poisson_cell_merge_properties():
-    from dixiecup.gof import _poisson_cells
-
     for mean in (0.3, 1.0, 7.5):
         counts = SeedSpec(93, 0).generator().poisson(mean, 400)
         observed, expected = _poisson_cells(counts, mean)
@@ -95,6 +96,43 @@ def test_poisson_cell_merge_properties():
             assert expected.min() >= 5.0
         assert observed.sum() == len(counts)
         assert expected.sum() == pytest.approx(len(counts), abs=1e-9)
+
+
+def battery_count_means():
+    """Every Poisson mean the battery's count tests are run against."""
+    means = []
+    for fields in KINDS["theorem1-counts"].battery:
+        means += [intensity_mass(fields["r"], a, b) for a, b in fields["intervals"]]
+    for fields in KINDS["rare-path"].battery:
+        xs = fields["thresholds"]
+        means += [intensity_mass(fields["r"], x, math.inf) for x in xs]
+        means += [intensity_mass(fields["r"], a, b) for a, b in zip(xs, xs[1:])]
+    return means
+
+
+def test_poisson_probs_match_scipy_stats_bit_for_bit():
+    # the product evaluates the Poisson law through scipy.special; the values
+    # must be exactly those of scipy.stats, so no p-value moves
+    support = np.arange(81)
+    for mean in [*battery_count_means(), *np.geomspace(1e-9, 60.0, 61)]:
+        pmf = _poisson_probs(80, mean)[:-1]
+        assert np.array_equal(pmf, stats.poisson.pmf(support, mean)), mean
+        for k_max in support:
+            assert _poisson_probs(k_max, mean)[-1] == stats.poisson.sf(k_max, mean), mean
+
+
+def test_chi2_tail_matches_scipy_stats_bit_for_bit():
+    x = np.append(0.0, np.geomspace(1e-4, 400.0, 200))
+    for dof in range(1, 41):
+        assert np.array_equal(special.chdtrc(dof, x), stats.chi2.sf(x, dof))
+
+
+def test_poisson_count_p_value_is_the_chi2_tail():
+    for mean in (0.3, 1.0, 7.5, 40.0):
+        counts = SeedSpec(96, 0).generator().poisson(mean, 5000)
+        res = poisson_count_test(counts, mean)
+        dof = len(_poisson_cells(counts, mean)[1]) - 1
+        assert res.p_value == float(stats.chi2.sf(res.statistic, dof))
 
 
 def test_poisson_count_validation():
