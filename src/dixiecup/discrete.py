@@ -55,25 +55,48 @@ def _embed(rng: Generator, n: int, r_max: int) -> tuple[np.ndarray, np.ndarray]:
     independent of them, so the untracked draws between two consecutive tracked
     events are Poisson with mean (#types past r_max) * gap / n.  An event's draw
     number is its rank plus the untracked draws before it.
+
+    Every pass works in place where it can; the generator calls and their
+    arguments are fixed, so a stream always gives the same trace.  A type's
+    times strictly increase unless two of them are an exact float tie, which
+    shows as a zero gap between sorted times.  Only then can a tie break the
+    wrong way in ``argsort`` and reverse two ranks of a row, so only then are
+    the rows checked.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
     if r_max < 1:
         raise ValueError(f"need r_max >= 1, got r_max={r_max}")
-    times = n * np.cumsum(rng.standard_exponential((n, r_max)), axis=1)
+    times = rng.standard_exponential((n, r_max))
+    # the row sums np.cumsum(axis=1) forms, a column at a time: it loops per row
+    for k in range(1, r_max):
+        times[:, k] += times[:, k - 1]
+    times *= n
     order = np.argsort(times, axis=None)
-    sorted_times = times.ravel()[order]
-    completed = np.cumsum(order % r_max == r_max - 1)
-    untracked = rng.poisson(completed[:-1] * np.diff(sorted_times) / n)
-    index = np.arange(1, n * r_max + 1, dtype=np.int64)
-    index[1:] += np.cumsum(untracked)
-    arrivals = np.empty(n * r_max, dtype=np.int64)
+    gaps = np.diff(times.take(order))
+    tied = r_max > 1 and not gaps.all()
+    # types past r_max before each gap: the number of last-column events so far
+    if r_max == 1:
+        gaps *= np.arange(1, n)
+    else:
+        last = np.zeros((n, r_max), dtype=np.int8)
+        last[:, -1] = 1
+        completed = last.take(order[:-1]).astype(np.float64)
+        gaps *= np.cumsum(completed, out=completed)
+    gaps /= n
+    untracked = rng.poisson(gaps)
+    # draw numbers: the first event is draw 1, and each later one comes its
+    # untracked draws plus one after the event before it
+    index = np.empty(n * r_max, dtype=np.int64)
+    index[0] = 1
+    np.add(untracked, 1, out=index[1:])
+    np.cumsum(index, out=index)
+    arrivals = np.empty_like(index)
     arrivals[order] = index
     arrivals = arrivals.reshape(n, r_max)
-    if r_max > 1:
-        # an exact float tie inside a row can reverse two of its ranks; tied
-        # arrivals of one type are exchangeable, so restoring row order is
-        # exact.  The descent check costs about a third of sorting every row.
+    if tied:
+        # tied arrivals of one type are exchangeable, so restoring row order
+        # is exact
         descents = arrivals[:, 1:] < arrivals[:, :-1]
         if descents.any():
             rows = descents.any(axis=1)

@@ -159,6 +159,8 @@ class ExperimentConfig:
         for a, b in self.intervals:
             if not a <= b:
                 raise ConfigError(f"interval [{a}, {b}] is empty")
+        if not all(math.isfinite(x) for x in self.thresholds):
+            raise ConfigError(f"thresholds must be finite, got {self.thresholds}")
         if any(np.diff(self.thresholds) < 0):
             raise ConfigError("thresholds must be sorted ascending")
 

@@ -124,6 +124,17 @@ def test_verify_bad_parameters_are_usage_errors():
                    "--thresholds", "") == EXIT_USAGE
 
 
+@pytest.mark.parametrize("thresholds", ["--thresholds=0,inf", "--thresholds=nan",
+                                        "--thresholds=-inf,0"])
+def test_verify_non_finite_thresholds_fail_before_sampling(thresholds, capsys):
+    code = run_cli("verify", "--kind", "rare-path", "--n", "1000", "--reps", "200",
+                   thresholds)
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: thresholds")
+    assert not TIMING.search(err)  # printed only after the traces are drawn
+
+
 def test_verify_statistical_failure_exits_one(capsys):
     # a KS p-value verdict must reach --sig, which 0.999 all but rules out
     code = run_cli("verify", "--kind", "poissonized-marginal", "--n", "100",

@@ -116,6 +116,49 @@ def test_embed_restores_row_order_after_float_ties():
     assert np.array_equal(arrivals, reference)
 
 
+def reference_embed(rng, n, r_max):
+    """The sampler's earlier body, kept verbatim: every change to ``_embed``
+    must give the same bytes from the same generator."""
+    times = n * np.cumsum(rng.standard_exponential((n, r_max)), axis=1)
+    order = np.argsort(times, axis=None)
+    sorted_times = times.ravel()[order]
+    completed = np.cumsum(order % r_max == r_max - 1)
+    untracked = rng.poisson(completed[:-1] * np.diff(sorted_times) / n)
+    index = np.arange(1, n * r_max + 1, dtype=np.int64)
+    index[1:] += np.cumsum(untracked)
+    arrivals = np.empty(n * r_max, dtype=np.int64)
+    arrivals[order] = index
+    arrivals = arrivals.reshape(n, r_max)
+    if r_max > 1:
+        descents = arrivals[:, 1:] < arrivals[:, :-1]
+        if descents.any():
+            rows = descents.any(axis=1)
+            arrivals[rows] = np.sort(arrivals[rows], axis=1)
+    return arrivals, times
+
+
+def assert_same_bytes(got, want):
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 100, 1000, 10_000])
+@pytest.mark.parametrize("r_max", [1, 2, 3, 4])
+def test_embed_matches_reference_bytes(n, r_max):
+    for j in range(3 if n == 10_000 else 8):
+        stream = SeedSpec(2024, (n << 8) | j)
+        assert_same_bytes(_embed(stream.generator(), n, r_max),
+                          reference_embed(stream.generator(), n, r_max))
+
+
+@pytest.mark.parametrize("n,r_max", [(40, 3), (2, 2), (10, 4), (1000, 2)])
+def test_embed_matches_reference_bytes_after_float_ties(n, r_max):
+    for seed in range(4):
+        assert_same_bytes(_embed(TiedExponentials(seed), n, r_max),
+                          reference_embed(TiedExponentials(seed), n, r_max))
+
+
 def test_collection_time_is_max_of_column():
     trace = run_discrete(50, 3, SeedSpec(7, 0))
     for c in (1, 2, 3):

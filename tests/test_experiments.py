@@ -55,6 +55,10 @@ def test_config_validation_rejects_bad_values():
         ExperimentConfig(kind="theorem1-counts", intervals=[(1.0, 0.0)]).validate()
     with pytest.raises(ConfigError):
         ExperimentConfig(kind="rare-path", thresholds=[1.0, 0.0]).validate()
+    # a threshold at +-inf or nan gives a zero, infinite or nan Poisson mean
+    for thresholds in ([0.0, math.inf], [math.nan], [-math.inf, 0.0]):
+        with pytest.raises(ConfigError, match="thresholds"):
+            ExperimentConfig(kind="rare-path", thresholds=thresholds).validate()
     # an experiment with nothing to test would pass with no verdicts
     with pytest.raises(ConfigError):
         ExperimentConfig(kind="theorem1-counts", intervals=[]).validate()
