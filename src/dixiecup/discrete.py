@@ -46,6 +46,27 @@ class CollectorTrace:
         return self.arrivals[:, r - 1]
 
 
+def _poissonized_times(rng: Generator, n: int, r_max: int) -> np.ndarray:
+    """The first ``r_max`` arrival times of every type in the poissonized scheme.
+
+    Each type arrives as an independent rate-1/n Poisson process, so its times
+    are n times the partial sums of ``r_max`` standard exponentials.  These are
+    the stream's first draws, so they are the ``times`` that :func:`_embed`
+    returns for the same generator, whether or not the jump chain is sampled
+    after them.
+    """
+    if n < 2:
+        raise ValueError(f"need n >= 2, got n={n}")
+    if r_max < 1:
+        raise ValueError(f"need r_max >= 1, got r_max={r_max}")
+    times = rng.standard_exponential((n, r_max))
+    # the row sums np.cumsum(axis=1) forms, a column at a time: it loops per row
+    for k in range(1, r_max):
+        times[:, k] += times[:, k - 1]
+    times *= n
+    return times
+
+
 def _embed(rng: Generator, n: int, r_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Sample the first ``r_max`` arrivals of every type: ``(arrivals, times)``.
 
@@ -63,15 +84,7 @@ def _embed(rng: Generator, n: int, r_max: int) -> tuple[np.ndarray, np.ndarray]:
     wrong way in ``argsort`` and reverse two ranks of a row, so only then are
     the rows checked.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got n={n}")
-    if r_max < 1:
-        raise ValueError(f"need r_max >= 1, got r_max={r_max}")
-    times = rng.standard_exponential((n, r_max))
-    # the row sums np.cumsum(axis=1) forms, a column at a time: it loops per row
-    for k in range(1, r_max):
-        times[:, k] += times[:, k - 1]
-    times *= n
+    times = _poissonized_times(rng, n, r_max)
     order = np.argsort(times, axis=None)
     gaps = np.diff(times.take(order))
     tied = r_max > 1 and not gaps.all()

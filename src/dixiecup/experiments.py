@@ -28,7 +28,7 @@ from operator import attrgetter
 import numpy as np
 
 from . import calibration
-from .discrete import collection_time, partial_collection_time
+from .discrete import _poissonized_times, collection_time, partial_collection_time
 from .gof import increment_test, ks_statistic, ks_test, poisson_count_test
 from .limitlaws import (
     ChiSqLog,
@@ -163,6 +163,25 @@ class ExperimentConfig:
             raise ConfigError(f"thresholds must be finite, got {self.thresholds}")
         if any(np.diff(self.thresholds) < 0):
             raise ConfigError("thresholds must be sorted ascending")
+        for what, a, b in self._count_windows():
+            try:
+                mass = intensity_mass(self.r, a, b)
+            except OverflowError:  # exp(-a) is beyond the float range
+                mass = math.inf
+            # the Poisson mean its counts are tested against, checked before sampling
+            if not 0.0 < mass < math.inf:
+                raise ConfigError(f"{what} [{a}, {b}] has limit mass {mass}, "
+                                  "which must be finite and positive")
+
+    def _count_windows(self) -> list[tuple[str, float, float]]:
+        """The windows whose limit mass a counting kind tests its counts against."""
+        if self.kind == "theorem1-counts":
+            return [("interval", a, b) for a, b in self.intervals]
+        if self.kind == "rare-path":
+            xs = self.thresholds
+            return ([("threshold window", x, math.inf) for x in xs]
+                    + [("increment window", a, b) for a, b in zip(xs, xs[1:])])
+        return []
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -239,8 +258,8 @@ def _warn_uncalibrated(label: str) -> None:
           "its KS verdicts fail as uncalibrated", file=sys.stderr)
 
 
-def _extract_marginal(trace, cfg, n):
-    return Normalization(n, cfg.r).apply(trace.time_column(cfg.r))
+def _extract_marginal(times, cfg, n):
+    return Normalization(n, cfg.r).apply(times[:, cfg.r - 1])
 
 
 def _aggregate_marginal(cfg, per_n):
@@ -446,11 +465,15 @@ class Kind:
     """One experiment kind.
 
     ``r_max(cfg)`` is the number of arrivals per type its traces must track, 0
-    for a kind that samples no trace.  ``extract(trace, cfg, n)`` reads one
-    replication's payload from its trace (from its :class:`SeedSpec` when
-    r_max is 0), and ``aggregate(cfg, per_n)`` turns the payloads at each n
-    into ``(rows, summaries, verdicts)``.  ``battery`` holds the config fields
-    of the kind's experiments in the standard suite, replications at scale 1.
+    for a kind that samples no trace.  ``reads_chain`` says whether the kind
+    reads the jump chain, the draw numbers of the discrete scheme.
+    ``extract(source, cfg, n)`` reads one replication's payload from its
+    source: the :class:`~dixiecup.poissonized.CoupledTrace` when the kind
+    reads the jump chain, else the ``(n, r_max)`` array of poissonized arrival
+    times, or the :class:`SeedSpec` when r_max is 0.  ``aggregate(cfg, per_n)``
+    turns the payloads at each n into ``(rows, summaries, verdicts)``.
+    ``battery`` holds the config fields of the kind's experiments in the
+    standard suite, replications at scale 1.
     """
 
     description: str
@@ -458,6 +481,7 @@ class Kind:
     extract: Callable
     aggregate: Callable
     battery: tuple[dict, ...]
+    reads_chain: bool = True
 
 
 _r, _c = attrgetter("r"), attrgetter("c")
@@ -466,7 +490,8 @@ KINDS = {
     "poissonized-marginal": Kind(
         "exact finite-n law of the normalized poissonized arrival times",
         _r, _extract_marginal, _aggregate_marginal,
-        tuple(dict(n_grid=[100], r=r, replications=100) for r in (1, 2, 3))),
+        tuple(dict(n_grid=[100], r=r, replications=100) for r in (1, 2, 3)),
+        reads_chain=False),
     "theorem1-counts": Kind(
         "Poisson limit of interval counts of the normalized arrival pattern",
         _r, _extract_counts, _aggregate_counts,
@@ -499,7 +524,7 @@ KINDS = {
     "limit-consistency": Kind(
         "null calibration of the battery against its own limit laws",
         lambda cfg: 0, _extract_null_p_value, _aggregate_null,
-        (dict(r=1, m=0, replications=200),)),
+        (dict(r=1, m=0, replications=200),), reads_chain=False),
 }
 
 
@@ -507,12 +532,30 @@ KINDS = {
 # the trace bank
 
 def _bank_row(configs, task):
-    """One trace: its total draws and the payload of each config reading it."""
-    seed, n, j, r_max, readers = task
+    """One trace: the draws of its jump chain and the payload of each config reading it.
+
+    The jump chain is sampled only when a reader at the trace's ``(seed, n)``
+    needs it; otherwise the trace is its poissonized times alone (or the bare
+    stream when r_max is 0), and it counts no draws.  The times are the
+    stream's first draws, so they are the same either way.
+    """
+    seed, n, j, r_max, chain, readers = task
     stream = SeedSpec(seed, (n << 32) | j)
-    source = run_coupled(n, r_max, stream) if r_max else stream
-    payloads = [KINDS[configs[k].kind].extract(source, configs[k], n) for k in readers]
-    return (source.total_draws if r_max else 0), payloads
+    kinds = [(KINDS[configs[k].kind], configs[k]) for k in readers]
+    if chain:
+        trace = run_coupled(n, r_max, stream)
+        return trace.total_draws, [
+            kind.extract(trace if kind.reads_chain else trace.times, cfg, n) for kind, cfg in kinds]
+    source = _poissonized_times(stream.generator(), n, r_max) if r_max else stream
+    return 0, [kind.extract(source, cfg, n) for kind, cfg in kinds]
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
 
 
 def run_bank(configs: list[ExperimentConfig],
@@ -523,14 +566,18 @@ def run_bank(configs: list[ExperimentConfig],
     ``run_coupled(n, r_max, SeedSpec(master_seed, (n << 32) | j))``, where
     r_max is the largest that any config reading that ``(master_seed, n)``
     needs, and r_max 0 (limit-consistency, n = 0) hands the bare stream to
-    the extraction.  A config reads the traces with its seed, an n in its grid
-    and a j below its replication count; discrete kinds read the arrival half.
-    So a config whose r_max is the bank's at each of its ``(seed, n)`` sees
-    the payloads it would alone.  Sampling runs serially, or on one pool of
-    ``workers`` processes; the payloads do not depend on which.
+    the extraction.  Where no config reading a ``(master_seed, n)`` reads the
+    jump chain, only the poissonized times are sampled, which are the same
+    bytes.  A config reads the traces with its seed, an n in its grid and a j
+    below its replication count; discrete kinds read the arrival half.  So a
+    config whose r_max is the bank's at each of its ``(seed, n)`` sees the
+    payloads it would alone.  Sampling runs serially, or on one pool of at
+    most ``workers`` processes, no more than the tasks or the usable CPUs;
+    the payloads do not depend on which.
 
-    Returns one ``{n: [payload of each replication]}`` per config, the total
-    draws of the traces each config read, and the number of traces simulated.
+    Returns one ``{n: [payload of each replication]}`` per config, the draws
+    of the jump chains sampled for the traces each config read, and the number
+    of traces simulated.
     """
     if not configs:
         raise ConfigError("a bank needs at least one config")
@@ -545,19 +592,22 @@ def run_bank(configs: list[ExperimentConfig],
     tasks = []
     for (seed, n), ks in readers.items():
         r_max = max(KINDS[configs[k].kind].r_max(configs[k]) for k in ks)
+        chain = any(KINDS[configs[k].kind].reads_chain for k in ks)
         for j in range(max(configs[k].replications for k in ks)):
-            tasks.append((seed, n, j, r_max, [k for k in ks if j < configs[k].replications]))
+            tasks.append((seed, n, j, r_max, chain,
+                          [k for k in ks if j < configs[k].replications]))
     work = partial(_bank_row, configs)
-    if workers > 1:
-        chunk = max(1, len(tasks) // (4 * workers))
-        with Pool(workers) as pool:
+    processes = min(workers, len(tasks), _usable_cpus())
+    if processes > 1:
+        chunk = max(1, len(tasks) // (4 * processes))
+        with Pool(processes) as pool:
             outcomes = pool.map(work, tasks, chunksize=chunk)
     else:
         outcomes = [work(t) for t in tasks]
 
     per_config = [{n: [] for n in cfg.grid} for cfg in configs]
     draws = [0] * len(configs)
-    for (_, n, _, _, ks), (trace_draws, payloads) in zip(tasks, outcomes):
+    for (_, n, _, _, _, ks), (trace_draws, payloads) in zip(tasks, outcomes):
         for k, payload in zip(ks, payloads):
             per_config[k][n].append(payload)
             draws[k] += trace_draws

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -132,6 +133,24 @@ def test_verify_non_finite_thresholds_fail_before_sampling(thresholds, capsys):
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: thresholds")
+    assert not TIMING.search(err)  # printed only after the traces are drawn
+
+
+@pytest.mark.parametrize("kind,window,endpoint", [
+    ("theorem1-counts", "--interval=-1000,0", "-1000.0"),
+    ("theorem1-counts", "--interval=-inf,0", "-inf"),
+    ("rare-path", "--thresholds=-1000,0", "-1000.0"),
+])
+def test_verify_extreme_limit_masses_fail_before_sampling(kind, window, endpoint, capsys):
+    """A limit mass that overflows or is infinite used to raise OverflowError
+    (exit 1, a traceback) or fail only after sampling; it is a usage error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli("verify", "--kind", kind, window, "--n", "100", "--reps", "20")
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and endpoint in err
+    assert "Traceback" not in err
     assert not TIMING.search(err)  # printed only after the traces are drawn
 
 

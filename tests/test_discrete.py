@@ -9,11 +9,13 @@ from scipy import stats
 from dixiecup.discrete import (
     CollectorTrace,
     _embed,
+    _poissonized_times,
     collection_time,
     partial_collection_time,
     run_discrete,
     trace_from_sequence,
 )
+from dixiecup.poissonized import run_coupled
 from dixiecup.samplers import SeedSpec
 
 
@@ -157,6 +159,20 @@ def test_embed_matches_reference_bytes_after_float_ties(n, r_max):
     for seed in range(4):
         assert_same_bytes(_embed(TiedExponentials(seed), n, r_max),
                           reference_embed(TiedExponentials(seed), n, r_max))
+
+
+@pytest.mark.parametrize("n", [2, 100, 10_000])
+@pytest.mark.parametrize("r_max", [1, 2, 3, 4])
+def test_poissonized_times_are_the_coupled_times(n, r_max):
+    """The times alone are the stream's first draws, so sampling the jump chain
+    after them or not gives the same bytes."""
+    for j in range(3):
+        stream = SeedSpec(2024, (n << 8) | j)
+        assert_same_bytes([_poissonized_times(stream.generator(), n, r_max)],
+                          [run_coupled(n, r_max, stream).times])
+        if r_max > 1:  # TiedExponentials ties the second and the last column
+            assert_same_bytes([_poissonized_times(TiedExponentials(j), n, r_max)],
+                              [_embed(TiedExponentials(j), n, r_max)[1]])
 
 
 def test_collection_time_is_max_of_column():

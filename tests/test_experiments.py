@@ -3,11 +3,13 @@ import csv
 import importlib.util
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dixiecup import experiments
 from dixiecup.experiments import (
     CSV_COLUMNS,
     ConfigError,
@@ -66,6 +68,28 @@ def test_config_validation_rejects_bad_values():
         ExperimentConfig(kind="rare-path", thresholds=[]).validate()
 
 
+@pytest.mark.parametrize("kind,field,value,window", [
+    ("theorem1-counts", "intervals", [(-1000.0, 0.0)], "[-1000.0, 0.0]"),
+    ("theorem1-counts", "intervals", [(0.0, 1.0), (-math.inf, 0.0)], "[-inf, 0.0]"),
+    ("theorem1-counts", "intervals", [(-math.inf, -math.inf)], "[-inf, -inf]"),
+    ("theorem1-counts", "intervals", [(1.0, 1.0)], "[1.0, 1.0]"),
+    ("theorem1-counts", "intervals", [(800.0, math.inf)], "[800.0, inf]"),
+    ("rare-path", "thresholds", [-1000.0, 0.0], "[-1000.0, inf]"),
+    ("rare-path", "thresholds", [0.0, 0.0], "[0.0, 0.0]"),
+])
+def test_counting_kinds_need_a_finite_positive_limit_mass(kind, field, value, window):
+    """The limit mass of a window is the Poisson mean its counts are tested
+    against, so one that overflows, is infinite or is zero fails validation."""
+    cfg = ExperimentConfig(kind=kind, r=2, **{field: value})
+    with pytest.raises(ConfigError, match=re.escape(window)):
+        cfg.validate()
+
+
+def test_coupling_decay_takes_infinite_endpoints():
+    for interval in ((-math.inf, 0.0), (-math.inf, math.inf), (-1000.0, 0.0)):
+        ExperimentConfig(kind="coupling-decay", intervals=[interval]).validate()
+
+
 def test_every_kind_has_a_description():
     assert set(KINDS) == {
         "poissonized-marginal", "theorem1-counts", "erdos-renyi",
@@ -86,9 +110,11 @@ def test_same_seed_gives_identical_report():
 
 
 def test_worker_count_does_not_change_the_report():
-    serial = run_one(small_config("chi2-law", r=1, m=1)).to_dict()
-    parallel = run_one(small_config("chi2-law", r=1, m=1), workers=2).to_dict()
-    assert serial == parallel
+    # chi2-law samples whole traces, poissonized-marginal alone only their times
+    for fields in (dict(kind="chi2-law", r=1, m=1), dict(kind="poissonized-marginal", r=2)):
+        serial = run_one(small_config(**fields)).to_dict()
+        parallel = run_one(small_config(**fields), workers=2).to_dict()
+        assert serial == parallel
 
 
 def test_worker_count_below_one_is_rejected():
@@ -158,6 +184,51 @@ def test_bank_worker_count_does_not_change_payloads():
     assert serial == parallel
 
 
+def test_marginal_reads_the_same_times_without_the_jump_chain(monkeypatch):
+    marginal = small_config("poissonized-marginal", r=2, n_grid=[15, 30])
+    shared_per_config, shared_draws, traces = run_bank(
+        [marginal, small_config("chi2-law", r=2, m=0, n_grid=[15, 30])])
+    # alone, no reader needs the jump chain, so no coupled trace is sampled
+    monkeypatch.setattr(experiments, "run_coupled", None)
+    (alone,), draws, alone_traces = run_bank([marginal])
+    assert draws == [0] < shared_draws[:1] and alone_traces == traces
+    for n, payloads in alone.items():
+        assert [p.tobytes() for p in payloads] == [p.tobytes() for p in shared_per_config[0][n]]
+
+
+class RecordingPool:
+    """Stands in for ``multiprocessing.Pool``: records its size, starts no process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, func, iterable, chunksize=1):
+        return [func(item) for item in iterable]
+
+
+def test_bank_starts_no_more_processes_than_tasks_or_cpus(monkeypatch):
+    monkeypatch.setattr(experiments, "Pool", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 3)
+    configs = bank_configs()
+    assert run_bank(configs, workers=5000) == run_bank(configs)
+    # one config of one replication is one task, which runs serially
+    run_bank([small_config("erdos-renyi", replications=1)], workers=5000)
+    run_bank(configs, workers=2)
+    assert RecordingPool.sizes == [3, 2]
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
+    run_bank(configs, workers=5000)
+    assert RecordingPool.sizes == [3, 2]
+
+
 @pytest.mark.parametrize("other", MIXED)
 def test_bank_rejects_configs_that_do_not_share_its_streams(mixed_bank, other):
     """A config of another seed, grid, replication count or a traceless kind
@@ -206,6 +277,11 @@ def test_reports_of_one_bank_count_what_each_config_read(mixed_bank):
                                     "replications": cfg.replications * len(cfg.grid)}
     # limit-consistency reads bare streams, no trace
     assert draws[-1] == 0 < min(draws[:-1])
+
+
+def test_telemetry_counts_no_draws_where_no_jump_chain_is_sampled():
+    report = run_one(small_config("poissonized-marginal", r=3))
+    assert report.telemetry == {"total_draws": 0, "replications": 30}
 
 
 def test_telemetry_counts_every_draw():
