@@ -2,7 +2,7 @@
 
 from .samplers import SeedSpec
 from .discrete import CollectorTrace, collection_time, partial_collection_time, run_discrete, trace_from_sequence
-from .poissonized import CoupledTrace, count_mismatch, run_coupled
+from .poissonized import count_mismatch, run_coupled
 from .pointprocess import (
     Normalization,
     PointPattern,

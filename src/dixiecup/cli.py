@@ -27,7 +27,6 @@ from .experiments import (
     run_experiments,
     write_rows_csv,
 )
-from .poissonized import run_coupled
 from .samplers import SeedSpec
 
 EXIT_PASS = 0
@@ -115,9 +114,8 @@ def _cmd_simulate(args) -> int:
         if args.scheme == "coupled":
             header.append("arrival_time")
         writer.writerow(header)
-        sampler = run_coupled if args.scheme == "coupled" else run_discrete
         for j in range(args.reps):
-            trace = sampler(args.n, args.rmax, SeedSpec(args.seed, j))
+            trace = run_discrete(args.n, args.rmax, SeedSpec(args.seed, j))
             for i in range(args.n):
                 for k in range(args.rmax):
                     row = [j, i + 1, k + 1, int(trace.arrivals[i, k])]

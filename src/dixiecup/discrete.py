@@ -1,7 +1,7 @@
-"""Discrete coupon scheme: arrival-time matrices and collection times."""
+"""The one trace of both coupon schemes, its sampler, and collection times."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.random import Generator
@@ -17,43 +17,65 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class CollectorTrace:
-    """Arrival-time record of one discrete collection run.
+    """One collection run: the poissonized scheme and its jump chain, the discrete one.
 
-    ``arrivals[i, k]`` is the 1-based draw number at which type ``i`` (0-based
-    here) appeared for the (k+1)-th time.  Rows are strictly increasing, all
-    entries are pairwise distinct (one coupon per time slot), and the matrix
-    maximum equals the number of draws the collection needed.
+    Built from ``(n, r_max, stream)``, a trace samples only what is read, so
+    one of r_max 0 is only its stream.  ``times[i, k]``, the stream's first
+    draws, is the time of the (k+1)-th arrival of type ``i`` (0-based) when
+    each type arrives as a rate-1/n Poisson process.  ``arrivals[i, k]``, the
+    jump chain, is the 1-based draw number of that arrival, derived from the
+    same generator on first read; so ``times`` are the same bytes whether it
+    was read or not.  Rows of ``arrivals`` strictly increase, all entries are
+    distinct (one coupon per draw), and the maximum is the number of draws the
+    collection needed.  Given ``arrivals[i, k] = a``, ``times[i, k]`` is
+    Gamma(a, 1), since draws arrive at unit rate.
     """
 
-    n: int
-    r_max: int
-    arrivals: np.ndarray
+    def __init__(self, n: int, r_max: int, stream: SeedSpec | None) -> None:
+        self.n, self.r_max, self.stream = n, r_max, stream
 
-    def __post_init__(self) -> None:
-        if self.arrivals.shape != (self.n, self.r_max):
-            raise ValueError("arrival matrix shape does not match (n, r_max)")
+    @cached_property
+    def _rng(self) -> Generator:
+        return self.stream.generator()
+
+    @cached_property
+    def times(self) -> np.ndarray:
+        return _poissonized_times(self._rng, self.n, self.r_max)
+
+    @cached_property
+    def arrivals(self) -> np.ndarray:
+        return _jump_chain(self._rng, self.times)
 
     @property
     def total_draws(self) -> int:
         return int(self.arrivals[:, -1].max())
 
-    def arrival_column(self, r: int) -> np.ndarray:
-        """Arrival times of the r-th coupon of every type."""
+    @property
+    def derived_draws(self) -> int:
+        """The draws of the jump chain if it has been read, else 0."""
+        # a cached property is in the instance dict once it has been read
+        return self.total_draws if "arrivals" in vars(self) else 0
+
+    def _column(self, r: int) -> int:
         if not 1 <= r <= self.r_max:
             raise ValueError(f"multiplicity r={r} outside 1..{self.r_max}")
-        return self.arrivals[:, r - 1]
+        return r - 1
+
+    def arrival_column(self, r: int) -> np.ndarray:
+        """Arrival draws of the r-th coupon of every type."""
+        return self.arrivals[:, self._column(r)]
+
+    def time_column(self, r: int) -> np.ndarray:
+        """Poissonized arrival times of the r-th coupon of every type."""
+        return self.times[:, self._column(r)]
 
 
 def _poissonized_times(rng: Generator, n: int, r_max: int) -> np.ndarray:
     """The first ``r_max`` arrival times of every type in the poissonized scheme.
 
     Each type arrives as an independent rate-1/n Poisson process, so its times
-    are n times the partial sums of ``r_max`` standard exponentials.  These are
-    the stream's first draws, so they are the ``times`` that :func:`_embed`
-    returns for the same generator, whether or not the jump chain is sampled
-    after them.
+    are n times the partial sums of ``r_max`` standard exponentials.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
@@ -67,15 +89,14 @@ def _poissonized_times(rng: Generator, n: int, r_max: int) -> np.ndarray:
     return times
 
 
-def _embed(rng: Generator, n: int, r_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sample the first ``r_max`` arrivals of every type: ``(arrivals, times)``.
+def _jump_chain(rng: Generator, times: np.ndarray) -> np.ndarray:
+    """The draw number of every tracked arrival, given the poissonized ``times``.
 
-    The discrete scheme is the jump chain of the poissonized one, in which each
-    type arrives as an independent rate-1/n Poisson process.  Only the n * r_max
-    tracked times are sampled.  A type's arrivals past its r_max-th are
-    independent of them, so the untracked draws between two consecutive tracked
-    events are Poisson with mean (#types past r_max) * gap / n.  An event's draw
-    number is its rank plus the untracked draws before it.
+    The discrete scheme is the jump chain of the poissonized one.  Only the
+    n * r_max tracked times are sampled.  A type's arrivals past its r_max-th
+    are independent of them, so the untracked draws between two consecutive
+    tracked events are Poisson with mean (#types past r_max) * gap / n.  An
+    event's draw number is its rank plus the untracked draws before it.
 
     Every pass works in place where it can; the generator calls and their
     arguments are fixed, so a stream always gives the same trace.  A type's
@@ -84,7 +105,7 @@ def _embed(rng: Generator, n: int, r_max: int) -> tuple[np.ndarray, np.ndarray]:
     wrong way in ``argsort`` and reverse two ranks of a row, so only then are
     the rows checked.
     """
-    times = _poissonized_times(rng, n, r_max)
+    n, r_max = times.shape
     order = np.argsort(times, axis=None)
     gaps = np.diff(times.take(order))
     tied = r_max > 1 and not gaps.all()
@@ -114,13 +135,14 @@ def _embed(rng: Generator, n: int, r_max: int) -> tuple[np.ndarray, np.ndarray]:
         if descents.any():
             rows = descents.any(axis=1)
             arrivals[rows] = np.sort(arrivals[rows], axis=1)
-    return arrivals, times
+    return arrivals
 
 
 def run_discrete(n: int, r_max: int, stream: SeedSpec) -> CollectorTrace:
-    """Simulate the discrete scheme until every type has ``r_max`` arrivals."""
-    arrivals, _ = _embed(stream.generator(), n, r_max)
-    return CollectorTrace(n, r_max, arrivals)
+    """Simulate both schemes until every type has ``r_max`` arrivals: a whole trace."""
+    trace = CollectorTrace(n, r_max, stream)
+    trace.arrivals  # derive the jump chain now
+    return trace
 
 
 def trace_from_sequence(types, n: int, r_max: int) -> CollectorTrace:
@@ -141,7 +163,10 @@ def trace_from_sequence(types, n: int, r_max: int) -> CollectorTrace:
         counts[i] += 1
     if np.any(counts < r_max):
         raise ValueError("sequence ended before every type arrived r_max times")
-    return CollectorTrace(n, r_max, arrivals)
+    # the chain is given, so it is set rather than derived; the trace has no times
+    trace = CollectorTrace(n, r_max, None)
+    trace.arrivals = arrivals
+    return trace
 
 
 def collection_time(trace: CollectorTrace, c: int) -> int:

@@ -28,7 +28,7 @@ from operator import attrgetter
 import numpy as np
 
 from . import calibration
-from .discrete import _poissonized_times, collection_time, partial_collection_time
+from .discrete import CollectorTrace, collection_time, partial_collection_time
 from .gof import increment_test, ks_statistic, ks_test, poisson_count_test
 from .limitlaws import (
     ChiSqLog,
@@ -38,7 +38,7 @@ from .limitlaws import (
     intensity_mass,
 )
 from .pointprocess import Normalization, normalize
-from .poissonized import count_mismatch, run_coupled
+from .poissonized import count_mismatch
 from .samplers import SeedSpec
 
 __all__ = [
@@ -258,8 +258,8 @@ def _warn_uncalibrated(label: str) -> None:
           "its KS verdicts fail as uncalibrated", file=sys.stderr)
 
 
-def _extract_marginal(times, cfg, n):
-    return Normalization(n, cfg.r).apply(times[:, cfg.r - 1])
+def _extract_marginal(trace, cfg):
+    return Normalization(trace.n, cfg.r).apply(trace.time_column(cfg.r))
 
 
 def _aggregate_marginal(cfg, per_n):
@@ -273,8 +273,8 @@ def _aggregate_marginal(cfg, per_n):
     return rows, {}, verdicts
 
 
-def _extract_counts(trace, cfg, n):
-    pattern = normalize(trace.arrival_column(cfg.r), Normalization(n, cfg.r))
+def _extract_counts(trace, cfg):
+    pattern = normalize(trace.arrival_column(cfg.r), Normalization(trace.n, cfg.r))
     return [pattern.count(a, b) for a, b in cfg.intervals], float(pattern.points[-1])
 
 
@@ -302,8 +302,8 @@ def _aggregate_counts(cfg, per_n):
     return rows, summaries, verdicts
 
 
-def _extract_collection(trace, cfg, n):
-    value = float(Normalization(n, cfg.c).apply(collection_time(trace, cfg.c)))
+def _extract_collection(trace, cfg):
+    value = float(Normalization(trace.n, cfg.c).apply(collection_time(trace, cfg.c)))
     return value, collection_time(trace, 1)
 
 
@@ -335,8 +335,8 @@ def _aggregate_collection(cfg, per_n):
     return rows, summaries, verdicts
 
 
-def _extract_lastbut(trace, cfg, n):
-    norm = Normalization(n, cfg.r)
+def _extract_lastbut(trace, cfg):
+    norm = Normalization(trace.n, cfg.r)
     return [float(norm.apply(partial_collection_time(trace, cfg.r, j)))
             for j in range(cfg.m + 1)]
 
@@ -359,8 +359,8 @@ def _aggregate_lastbut(cfg, per_n):
     return rows, {}, verdicts
 
 
-def _extract_partial(trace, cfg, n):
-    t_rm = partial_collection_time(trace, cfg.r, cfg.m)
+def _extract_partial(trace, cfg):
+    t_rm, n = partial_collection_time(trace, cfg.r, cfg.m), trace.n
     if cfg.r == 1:
         return math.log(2 * n) - t_rm / n
     return float(Normalization(n, cfg.r).apply(t_rm))
@@ -381,8 +381,8 @@ def _aggregate_partial(cfg, per_n):
     return rows, {}, verdicts
 
 
-def _extract_rare(trace, cfg, n):
-    pattern = normalize(trace.arrival_column(cfg.r), Normalization(n, cfg.r))
+def _extract_rare(trace, cfg):
+    pattern = normalize(trace.arrival_column(cfg.r), Normalization(trace.n, cfg.r))
     return [pattern.count_from(x) for x in cfg.thresholds]
 
 
@@ -414,7 +414,7 @@ def _aggregate_rare(cfg, per_n):
     return rows, summaries, verdicts
 
 
-def _extract_mismatch(trace, cfg, n):
+def _extract_mismatch(trace, cfg):
     a, b = cfg.intervals[0]
     return int(count_mismatch(trace, cfg.r, a, b))
 
@@ -442,8 +442,8 @@ def _aggregate_mismatch(cfg, per_n):
     return rows, summaries, verdicts
 
 
-def _extract_null_p_value(stream, cfg, n):
-    sums = stream.generator().exponential(1.0, (1000, cfg.m + 1)).sum(axis=1)
+def _extract_null_p_value(trace, cfg):
+    sums = trace.stream.generator().exponential(1.0, (1000, cfg.m + 1)).sum(axis=1)
     return ks_test(-math.lgamma(cfg.r) - np.log(sums), LogGamma(cfg.r, cfg.m).cdf).p_value
 
 
@@ -465,15 +465,13 @@ class Kind:
     """One experiment kind.
 
     ``r_max(cfg)`` is the number of arrivals per type its traces must track, 0
-    for a kind that samples no trace.  ``reads_chain`` says whether the kind
-    reads the jump chain, the draw numbers of the discrete scheme.
-    ``extract(source, cfg, n)`` reads one replication's payload from its
-    source: the :class:`~dixiecup.poissonized.CoupledTrace` when the kind
-    reads the jump chain, else the ``(n, r_max)`` array of poissonized arrival
-    times, or the :class:`SeedSpec` when r_max is 0.  ``aggregate(cfg, per_n)``
-    turns the payloads at each n into ``(rows, summaries, verdicts)``.
-    ``battery`` holds the config fields of the kind's experiments in the
-    standard suite, replications at scale 1.
+    for a kind that samples no trace.  ``extract(trace, cfg)`` reads one
+    replication's payload from its :class:`~dixiecup.discrete.CollectorTrace`,
+    which samples only what is read: a kind that reads only ``times`` costs no
+    jump chain, and one of r_max 0 reads only ``trace.stream``.
+    ``aggregate(cfg, per_n)`` turns the payloads at each n into ``(rows,
+    summaries, verdicts)``.  ``battery`` holds the config fields of the kind's
+    experiments in the standard suite, replications at scale 1.
     """
 
     description: str
@@ -481,7 +479,6 @@ class Kind:
     extract: Callable
     aggregate: Callable
     battery: tuple[dict, ...]
-    reads_chain: bool = True
 
 
 _r, _c = attrgetter("r"), attrgetter("c")
@@ -490,8 +487,7 @@ KINDS = {
     "poissonized-marginal": Kind(
         "exact finite-n law of the normalized poissonized arrival times",
         _r, _extract_marginal, _aggregate_marginal,
-        tuple(dict(n_grid=[100], r=r, replications=100) for r in (1, 2, 3)),
-        reads_chain=False),
+        tuple(dict(n_grid=[100], r=r, replications=100) for r in (1, 2, 3))),
     "theorem1-counts": Kind(
         "Poisson limit of interval counts of the normalized arrival pattern",
         _r, _extract_counts, _aggregate_counts,
@@ -524,7 +520,7 @@ KINDS = {
     "limit-consistency": Kind(
         "null calibration of the battery against its own limit laws",
         lambda cfg: 0, _extract_null_p_value, _aggregate_null,
-        (dict(r=1, m=0, replications=200),), reads_chain=False),
+        (dict(r=1, m=0, replications=200),)),
 }
 
 
@@ -532,22 +528,12 @@ KINDS = {
 # the trace bank
 
 def _bank_row(configs, task):
-    """One trace: the draws of its jump chain and the payload of each config reading it.
-
-    The jump chain is sampled only when a reader at the trace's ``(seed, n)``
-    needs it; otherwise the trace is its poissonized times alone (or the bare
-    stream when r_max is 0), and it counts no draws.  The times are the
-    stream's first draws, so they are the same either way.
-    """
-    seed, n, j, r_max, chain, readers = task
-    stream = SeedSpec(seed, (n << 32) | j)
-    kinds = [(KINDS[configs[k].kind], configs[k]) for k in readers]
-    if chain:
-        trace = run_coupled(n, r_max, stream)
-        return trace.total_draws, [
-            kind.extract(trace if kind.reads_chain else trace.times, cfg, n) for kind, cfg in kinds]
-    source = _poissonized_times(stream.generator(), n, r_max) if r_max else stream
-    return 0, [kind.extract(source, cfg, n) for kind, cfg in kinds]
+    """One trace: the payload of each config reading it, and the draws of its
+    jump chain, 0 unless a reader derived the chain."""
+    seed, n, j, r_max, readers = task
+    trace = CollectorTrace(n, r_max, SeedSpec(seed, (n << 32) | j))
+    payloads = [KINDS[configs[k].kind].extract(trace, configs[k]) for k in readers]
+    return trace.derived_draws, payloads
 
 
 def _usable_cpus() -> int:
@@ -558,26 +544,30 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _processes(workers: int, tasks: int) -> int:
+    """The processes a bank of ``tasks`` traces samples on: at most ``workers``,
+    no more than the tasks or the usable CPUs; 1 means serially, with no pool."""
+    return min(workers, tasks, _usable_cpus())
+
+
 def run_bank(configs: list[ExperimentConfig],
              workers: int = 1) -> tuple[list[dict], list[int], int]:
     """Simulate each trace once and apply the extraction of every config that reads it.
 
     A trace is identified by ``(master_seed, n, j)`` alone: it is
-    ``run_coupled(n, r_max, SeedSpec(master_seed, (n << 32) | j))``, where
+    ``CollectorTrace(n, r_max, SeedSpec(master_seed, (n << 32) | j))``, where
     r_max is the largest that any config reading that ``(master_seed, n)``
-    needs, and r_max 0 (limit-consistency, n = 0) hands the bare stream to
-    the extraction.  Where no config reading a ``(master_seed, n)`` reads the
-    jump chain, only the poissonized times are sampled, which are the same
-    bytes.  A config reads the traces with its seed, an n in its grid and a j
-    below its replication count; discrete kinds read the arrival half.  So a
-    config whose r_max is the bank's at each of its ``(seed, n)`` sees the
-    payloads it would alone.  Sampling runs serially, or on one pool of at
-    most ``workers`` processes, no more than the tasks or the usable CPUs;
+    needs (0 for limit-consistency, at n = 0).  Each config reading a trace
+    gets the one trace, which samples only what they read, in the same bytes
+    in any order.  A config reads the traces with its seed, an n in its grid
+    and a j below its replication count, so a config whose r_max is the
+    bank's at each of its ``(seed, n)`` sees the payloads it would alone.
+    Sampling runs serially, or on one pool of :func:`_processes` processes;
     the payloads do not depend on which.
 
     Returns one ``{n: [payload of each replication]}`` per config, the draws
-    of the jump chains sampled for the traces each config read, and the number
-    of traces simulated.
+    of the jump chains derived for the traces each config read, and the
+    number of traces simulated.
     """
     if not configs:
         raise ConfigError("a bank needs at least one config")
@@ -592,12 +582,11 @@ def run_bank(configs: list[ExperimentConfig],
     tasks = []
     for (seed, n), ks in readers.items():
         r_max = max(KINDS[configs[k].kind].r_max(configs[k]) for k in ks)
-        chain = any(KINDS[configs[k].kind].reads_chain for k in ks)
         for j in range(max(configs[k].replications for k in ks)):
-            tasks.append((seed, n, j, r_max, chain,
+            tasks.append((seed, n, j, r_max,
                           [k for k in ks if j < configs[k].replications]))
     work = partial(_bank_row, configs)
-    processes = min(workers, len(tasks), _usable_cpus())
+    processes = _processes(workers, len(tasks))
     if processes > 1:
         chunk = max(1, len(tasks) // (4 * processes))
         with Pool(processes) as pool:
@@ -607,7 +596,7 @@ def run_bank(configs: list[ExperimentConfig],
 
     per_config = [{n: [] for n in cfg.grid} for cfg in configs]
     draws = [0] * len(configs)
-    for (_, n, _, _, _, ks), (trace_draws, payloads) in zip(tasks, outcomes):
+    for (_, n, _, _, ks), (trace_draws, payloads) in zip(tasks, outcomes):
         for k, payload in zip(ks, payloads):
             per_config[k][n].append(payload)
             draws[k] += trace_draws
@@ -638,7 +627,8 @@ def run_experiments(configs: list[ExperimentConfig], workers: int = 1) -> list[E
     # wall-clock goes to stderr, not the reports, so reruns are byte-identical
     replications = sum(cfg.replications * len(cfg.grid) for cfg in configs)
     print(f"{replications} replications from {traces} traces in "
-          f"{time.perf_counter() - start:.2f}s (workers={workers})", file=sys.stderr, flush=True)
+          f"{time.perf_counter() - start:.2f}s (workers={_processes(workers, traces)})",
+          file=sys.stderr, flush=True)
     return reports
 
 

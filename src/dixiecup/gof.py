@@ -4,7 +4,8 @@ Every reference law is evaluated with a ``scipy.special`` function:
 
 * Kolmogorov p-value: ``special.kolmogorov``;
 * Poisson pmf at k: ``exp(xlogy(k, mean) - gammaln(k + 1) - mean)``;
-* Poisson upper tail P(X > k): ``special.pdtrc(k, mean)``;
+* Poisson tails P(X <= k) and P(X > k): ``special.pdtr(k, mean)`` and
+  ``special.pdtrc(k, mean)``;
 * chi-square upper tail: ``special.chdtrc(dof, statistic)``.
 
 These are the expressions that scipy's own ``poisson.pmf``, ``poisson.sf`` and
@@ -161,7 +162,13 @@ def _poisson_cells(counts: np.ndarray, mean: float):
 
 
 def poisson_count_test(counts, mean: float) -> GofResult:
-    """Chi-square goodness of fit of integer counts against a Poisson mean."""
+    """Chi-square goodness of fit of integer counts against a Poisson mean.
+
+    When merging leaves one cell, which has no degree of freedom, the total S
+    is tested exactly against Poisson(size * mean) instead, two-sided: p is
+    min(1, 2 min(P(S <= s), P(S >= s))), and the statistic is the one-cell
+    chi-square distance.
+    """
     counts = np.asarray(counts, dtype=np.int64)
     if len(counts) == 0:
         raise ValueError("count test needs a nonempty sample")
@@ -172,7 +179,11 @@ def poisson_count_test(counts, mean: float) -> GofResult:
     observed, expected = _poisson_cells(counts, mean)
     dof = len(expected) - 1
     if dof == 0:
-        return GofResult(0.0, 1.0, len(counts))
+        total, lam = int(counts.sum()), len(counts) * mean
+        # P(S >= 0) is 1, and pdtrc(-1, lam) is nan
+        above = special.pdtrc(total - 1, lam) if total else 1.0
+        p_value = min(1.0, 2.0 * float(min(special.pdtr(total, lam), above)))
+        return GofResult((total - lam) ** 2 / lam, p_value, len(counts))
     statistic = float(np.sum((observed - expected) ** 2 / expected))
     p_value = float(special.chdtrc(dof, statistic))
     return GofResult(statistic, p_value, len(counts))

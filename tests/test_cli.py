@@ -1,4 +1,5 @@
 """Command-line interface: subcommands, exit codes, config files, rendering."""
+import ast
 import copy
 import csv
 import json
@@ -8,12 +9,14 @@ import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dixiecup
+from dixiecup import experiments
 from dixiecup.cli import (
     EXIT_PASS,
     EXIT_STAT_FAIL,
@@ -152,6 +155,26 @@ def test_verify_extreme_limit_masses_fail_before_sampling(kind, window, endpoint
     assert err.startswith("error: ") and endpoint in err
     assert "Traceback" not in err
     assert not TIMING.search(err)  # printed only after the traces are drawn
+
+
+@pytest.mark.parametrize("argv", [
+    ("--kind", "rare-path", "--thresholds=-10,-5", "--n", "20", "--reps", "50"),
+    ("--kind", "theorem1-counts", "--interval=-8,inf", "--n", "1000"),
+], ids=["rare-path", "theorem1-counts"])
+def test_verify_single_cell_count_test_fails_a_far_off_mean(argv, capsys):
+    """Limit means of 22026 and 2981, where each count is at most n, merge
+    into one chi-square cell; that test used to pass with p = 1."""
+    assert run_cli("verify", *argv) == EXIT_STAT_FAIL
+    assert "FAIL" in capsys.readouterr().out
+
+
+def test_verify_prints_the_processes_it_started(monkeypatch, capsys):
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    argv = ("verify", "--kind", "chi2-law", "--r", "1", "--m", "1", "--n", "20", "--reps", "30")
+    run_cli(*argv, "--workers", "5000")
+    assert "(workers=2)" in capsys.readouterr().err
+    run_cli(*argv, "--reps", "1", "--workers", "5000")
+    assert "(workers=1)" in capsys.readouterr().err
 
 
 def test_verify_statistical_failure_exits_one(capsys):
@@ -425,3 +448,18 @@ def test_cli_runs_never_import_scipy_stats(tmp_path):
     assert done.returncode == 0, done.stderr
     assert "poisson_counts[0.0,inf]" in done.stdout
     assert done.stdout.splitlines()[-1] == "False"
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    """A name starting with an underscore is private to its module: the
+    package's modules import only each other's public names."""
+    package = Path(dixiecup.__file__).parent
+    private = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            sibling = isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "dixiecup")
+            if sibling:
+                private += [f"{path.name}: {alias.name}" for alias in node.names
+                            if alias.name.startswith("_")]
+    assert private == []

@@ -8,7 +8,6 @@ from scipy import stats
 
 from dixiecup.discrete import (
     CollectorTrace,
-    _embed,
     _poissonized_times,
     collection_time,
     partial_collection_time,
@@ -102,9 +101,25 @@ class TiedExponentials:
         return self._rng.poisson(lam)
 
 
+class TiedStream:
+    """Stream stand-in whose generator is a :class:`TiedExponentials`."""
+
+    def __init__(self, seed):
+        self.seed = seed
+
+    def generator(self):
+        return TiedExponentials(self.seed)
+
+
+def embed(stream, n, r_max):
+    """A trace's ``(arrivals, times)``, the pair the reference returns."""
+    trace = CollectorTrace(n, r_max, stream)
+    return trace.arrivals, trace.times
+
+
 def test_embed_restores_row_order_after_float_ties():
     n, r_max = 40, 3
-    arrivals, times = _embed(TiedExponentials(5), n, r_max)
+    arrivals, times = embed(TiedStream(5), n, r_max)
     # the default argsort reverses some tied pair, so the row repair runs
     stable_argsort = functools.partial(np.argsort, kind="stable")
     assert not np.array_equal(np.argsort(times, axis=None),
@@ -113,14 +128,14 @@ def test_embed_restores_row_order_after_float_ties():
     # repair: each repaired row must strictly increase and hold those draws
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(np, "argsort", stable_argsort)
-        reference, _ = _embed(TiedExponentials(5), n, r_max)
+        reference, _ = embed(TiedStream(5), n, r_max)
     assert np.all(np.diff(arrivals, axis=1) > 0)
     assert np.array_equal(arrivals, reference)
 
 
 def reference_embed(rng, n, r_max):
-    """The sampler's earlier body, kept verbatim: every change to ``_embed``
-    must give the same bytes from the same generator."""
+    """The sampler's earlier body, kept verbatim: every change to the trace's
+    sampling must give the same bytes from the same generator."""
     times = n * np.cumsum(rng.standard_exponential((n, r_max)), axis=1)
     order = np.argsort(times, axis=None)
     sorted_times = times.ravel()[order]
@@ -150,14 +165,14 @@ def assert_same_bytes(got, want):
 def test_embed_matches_reference_bytes(n, r_max):
     for j in range(3 if n == 10_000 else 8):
         stream = SeedSpec(2024, (n << 8) | j)
-        assert_same_bytes(_embed(stream.generator(), n, r_max),
+        assert_same_bytes(embed(stream, n, r_max),
                           reference_embed(stream.generator(), n, r_max))
 
 
 @pytest.mark.parametrize("n,r_max", [(40, 3), (2, 2), (10, 4), (1000, 2)])
 def test_embed_matches_reference_bytes_after_float_ties(n, r_max):
     for seed in range(4):
-        assert_same_bytes(_embed(TiedExponentials(seed), n, r_max),
+        assert_same_bytes(embed(TiedStream(seed), n, r_max),
                           reference_embed(TiedExponentials(seed), n, r_max))
 
 
@@ -168,11 +183,13 @@ def test_poissonized_times_are_the_coupled_times(n, r_max):
     after them or not gives the same bytes."""
     for j in range(3):
         stream = SeedSpec(2024, (n << 8) | j)
-        assert_same_bytes([_poissonized_times(stream.generator(), n, r_max)],
-                          [run_coupled(n, r_max, stream).times])
+        coupled = run_coupled(n, r_max, stream).times
+        assert_same_bytes([_poissonized_times(stream.generator(), n, r_max)], [coupled])
+        # a trace whose arrivals are never read has the same times
+        assert_same_bytes([CollectorTrace(n, r_max, stream).times], [coupled])
         if r_max > 1:  # TiedExponentials ties the second and the last column
             assert_same_bytes([_poissonized_times(TiedExponentials(j), n, r_max)],
-                              [_embed(TiedExponentials(j), n, r_max)[1]])
+                              [embed(TiedStream(j), n, r_max)[1]])
 
 
 def test_collection_time_is_max_of_column():

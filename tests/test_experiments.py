@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dixiecup import experiments
+from dixiecup import discrete, experiments
 from dixiecup.experiments import (
     CSV_COLUMNS,
     ConfigError,
@@ -188,8 +188,11 @@ def test_marginal_reads_the_same_times_without_the_jump_chain(monkeypatch):
     marginal = small_config("poissonized-marginal", r=2, n_grid=[15, 30])
     shared_per_config, shared_draws, traces = run_bank(
         [marginal, small_config("chi2-law", r=2, m=0, n_grid=[15, 30])])
-    # alone, no reader needs the jump chain, so no coupled trace is sampled
-    monkeypatch.setattr(experiments, "run_coupled", None)
+    # alone, no reader reads the jump chain, so none is derived
+    def no_chain(rng, times):
+        raise AssertionError("the jump chain was derived")
+
+    monkeypatch.setattr(discrete, "_jump_chain", no_chain)
     (alone,), draws, alone_traces = run_bank([marginal])
     assert draws == [0] < shared_draws[:1] and alone_traces == traces
     for n, payloads in alone.items():

@@ -259,6 +259,17 @@ def test_poisson_count_degenerate_mean():
     assert res.p_value == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("total", [0, 30, 50, 75])
+def test_poisson_count_single_cell_tests_the_total_exactly(total):
+    # one count against mean 50 leaves one merged cell, so the total is tested
+    # against Poisson(50) two-sided; a far-off mean used to pass with p = 1
+    res = poisson_count_test([total], 50.0)
+    tails = stats.poisson.cdf(total, 50.0), stats.poisson.sf(total - 1, 50.0)
+    assert res.p_value == pytest.approx(min(1.0, 2 * min(tails)), rel=1e-12)
+    assert res.statistic == pytest.approx((total - 50.0) ** 2 / 50.0)
+    assert poisson_count_test([20] * 50, 22026.0).p_value < 1e-300
+
+
 def test_poisson_count_null_calibration():
     fails = 0
     for t in range(50):

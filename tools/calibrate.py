@@ -15,10 +15,8 @@ Usage, from the root of a source checkout::
 from __future__ import annotations
 
 import json
-import sys
-import time
 
-from dixiecup.experiments import KINDS, ExperimentConfig, run_bank
+from dixiecup.experiments import ExperimentConfig, run_experiments
 
 PILOT_SEED = 20240817
 REPS = 2000
@@ -33,15 +31,6 @@ def pilot(kind: str, grid, **fields) -> ExperimentConfig:
                             master_seed=PILOT_SEED, **fields)
 
 
-def bank_rows(configs: dict) -> dict:
-    """Run the named configs on one bank; name -> the result rows of its report."""
-    start = time.time()
-    per_config, _, traces = run_bank(list(configs.values()))
-    print(f"bank of {traces} traces: {time.time() - start:.0f}s", file=sys.stderr)
-    return {name: KINDS[cfg.kind].aggregate(cfg, per_n)[0]
-            for (name, cfg), per_n in zip(configs.items(), per_config)}
-
-
 def main() -> None:
     pilots = {f"erdos_renyi_ks_c{c}": pilot("erdos-renyi", DISCRETE_GRID, c=c)
               for c in (1, 2)}
@@ -50,8 +39,8 @@ def main() -> None:
     pilots["mismatch"] = pilot("coupling-decay", MISMATCH_GRID, r=1, intervals=[(-2.0, 2.0)])
 
     results: dict = {f"discrete_n{n}": {} for n in DISCRETE_GRID}
-    for name, rows in bank_rows(pilots).items():
-        for row in rows:
+    for name, report in zip(pilots, run_experiments(list(pilots.values()))):
+        for row in report.results:
             if name == "mismatch":
                 results[f"mismatch_n{row['n']}"] = row["value"]
             # the KS distance of each n; erdos-renyi adds a mean-identity row
