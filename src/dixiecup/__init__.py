@@ -1,14 +1,9 @@
 """Coupon-collector / Dixie-cup simulation and limit-law verification toolkit."""
 
 from .samplers import SeedSpec
-from .discrete import CollectorTrace, collection_time, partial_collection_time, run_discrete, trace_from_sequence
+from .discrete import CollectorTrace, collection_time, partial_collection_time, run_discrete
 from .poissonized import count_mismatch, run_coupled
-from .pointprocess import (
-    Normalization,
-    PointPattern,
-    normalize,
-    sample_limit_process,
-)
+from .pointprocess import Normalization, PointPattern, normalize
 from .limitlaws import (
     ChiSqLog,
     GumbelType,

@@ -1,4 +1,4 @@
-"""Frozen regression constants for the asymptotic acceptance gates.
+"""Frozen pass thresholds for the asymptotic acceptance gates.
 
 The limit statements verified by this package come with no convergence rates,
 so the pass thresholds for fixed-n KS distances and mismatch frequencies were
@@ -34,17 +34,11 @@ PARTIAL_COLLECTION_KS_TOL: dict[tuple[int, int], float] = {
     (3, 2): 0.52,
 }
 
-# Mismatch frequency between the discrete and poissonized normalized patterns
-# on [-2, 2], r=1, 2000 replications.  First-calibration regression values per
-# n, and the frozen upper bound for the n=1e4 gate.  The bound below is a
-# design target, not a calibrated value: the pilot frequency at n=1e4 is
+# Upper bound for the n=1e4 gate on the mismatch frequency between the discrete
+# and poissonized normalized patterns on [-2, 2], r=1, 2000 replications.  It
+# is a design target, not a calibrated value: the pilot frequency at n=1e4 is
 # 0.131.  The poissonized time of draw k is Gamma(k, 1), about sqrt(k) from k,
 # so each normalized point moves by about sqrt(ln n / n).  The exact expected
 # number of types counted by one scheme only, an upper bound on the mismatch
 # probability, is 0.162 at n=1e4 and falls below 0.05 at about n = 1.4e5.
-COUPLING_MISMATCH_REGRESSION: dict[int, float] = {
-    100: 0.5635,
-    1000: 0.315,
-    10000: 0.131,
-}
 COUPLING_MISMATCH_BOUND_N1E4: float = 0.05

@@ -11,6 +11,7 @@ import argparse
 import configparser
 import copy
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -67,17 +68,19 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run one experiment kind")
     ver.add_argument("--config", help="INI file with key = value experiment sections")
     ver.add_argument("--section", help="section of the config file to run")
+    # the dest of each experiment flag is its ExperimentConfig field
     ver.add_argument("--kind", choices=sorted(KINDS))
-    ver.add_argument("--n", type=_parse_ints, help="comma-separated n grid")
+    ver.add_argument("--n", dest="n_grid", metavar="N", type=_parse_ints,
+                     help="comma-separated n grid")
     ver.add_argument("--r", type=int)
     ver.add_argument("--c", type=int)
     ver.add_argument("--m", type=int)
-    ver.add_argument("--interval", type=_parse_interval, action="append",
-                     help="interval 'a,b' (repeatable)")
+    ver.add_argument("--interval", dest="intervals", metavar="INTERVAL",
+                     type=_parse_interval, action="append", help="interval 'a,b' (repeatable)")
     ver.add_argument("--thresholds", type=_parse_floats)
-    ver.add_argument("--reps", type=int)
-    ver.add_argument("--seed", type=int)
-    ver.add_argument("--sig", type=float)
+    ver.add_argument("--reps", dest="replications", metavar="REPS", type=int)
+    ver.add_argument("--seed", dest="master_seed", metavar="SEED", type=int)
+    ver.add_argument("--sig", dest="significance", metavar="SIG", type=float)
     ver.add_argument("--workers", type=int, default=1)
     ver.add_argument("--out")
     ver.add_argument("--format", choices=["csv", "json"], default="json")
@@ -115,7 +118,8 @@ def _cmd_simulate(args) -> int:
             header.append("arrival_time")
         writer.writerow(header)
         for j in range(args.reps):
-            trace = run_discrete(args.n, args.rmax, SeedSpec(args.seed, j))
+            # the stream of the bank's trace (seed, n, j), which verify --seed reads
+            trace = run_discrete(args.n, args.rmax, SeedSpec(args.seed, (args.n << 32) | j))
             for i in range(args.n):
                 for k in range(args.rmax):
                     row = [j, i + 1, k + 1, int(trace.arrivals[i, k])]
@@ -176,21 +180,8 @@ def _verify_config(args) -> ExperimentConfig:
             fields = _config_from_ini(args.config, args.section)
         except (configparser.Error, argparse.ArgumentTypeError) as exc:
             raise ConfigError(f"config file {args.config!r}: {exc}") from exc
-    overrides = {
-        "kind": args.kind,
-        "n_grid": args.n,
-        "r": args.r,
-        "c": args.c,
-        "m": args.m,
-        "intervals": args.interval,
-        "thresholds": args.thresholds,
-        "replications": args.reps,
-        "master_seed": args.seed,
-        "significance": args.sig,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            fields[key] = value
+    names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    fields.update((k, v) for k, v in vars(args).items() if k in names and v is not None)
     if "kind" not in fields:
         raise ConfigError("an experiment kind is required (--kind or config file)")
     config = ExperimentConfig(**fields)

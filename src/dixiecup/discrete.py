@@ -11,7 +11,6 @@ from .samplers import SeedSpec
 __all__ = [
     "CollectorTrace",
     "run_discrete",
-    "trace_from_sequence",
     "collection_time",
     "partial_collection_time",
 ]
@@ -142,30 +141,6 @@ def run_discrete(n: int, r_max: int, stream: SeedSpec) -> CollectorTrace:
     """Simulate both schemes until every type has ``r_max`` arrivals: a whole trace."""
     trace = CollectorTrace(n, r_max, stream)
     trace.arrivals  # derive the jump chain now
-    return trace
-
-
-def trace_from_sequence(types, n: int, r_max: int) -> CollectorTrace:
-    """Build a trace by scanning an explicit 1-based coupon type sequence.
-
-    The sequence must contain at least ``r_max`` occurrences of every type.
-    """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got n={n}")
-    counts = np.zeros(n, dtype=np.int64)
-    arrivals = np.zeros((n, r_max), dtype=np.int64)
-    for t, label in enumerate(types, start=1):
-        i = int(label) - 1
-        if not 0 <= i < n:
-            raise ValueError(f"type {label} outside 1..{n}")
-        if counts[i] < r_max:
-            arrivals[i, counts[i]] = t
-        counts[i] += 1
-    if np.any(counts < r_max):
-        raise ValueError("sequence ended before every type arrived r_max times")
-    # the chain is given, so it is set rather than derived; the trace has no times
-    trace = CollectorTrace(n, r_max, None)
-    trace.arrivals = arrivals
     return trace
 
 

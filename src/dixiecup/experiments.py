@@ -37,7 +37,7 @@ from .limitlaws import (
     PoissonizedMarginal,
     intensity_mass,
 )
-from .pointprocess import Normalization, normalize
+from .pointprocess import Normalization, h_transform, normalize
 from .poissonized import count_mismatch
 from .samplers import SeedSpec
 
@@ -142,10 +142,13 @@ class ExperimentConfig:
             for n in self.n_grid:
                 if n < 2:
                     raise ConfigError(f"n_grid entries must be >= 2, got {n}")
-        if self.r < 1:
-            raise ConfigError(f"need r >= 1, got {self.r}")
-        if self.c < 1:
-            raise ConfigError(f"need c >= 1, got {self.c}")
+                # a trace of n types has no last-but-m point for m >= n
+                if self.m >= n:
+                    raise ConfigError(f"need m < n, got m={self.m} at n={n}")
+        # the limit laws divide by (r-1)! or (c-1)!, a float only up to 170!
+        for name in ("r", "c"):
+            if not 1 <= getattr(self, name) <= 171:
+                raise ConfigError(f"need 1 <= {name} <= 171, got {getattr(self, name)}")
         if self.m < 0:
             raise ConfigError(f"need m >= 0, got {self.m}")
         if self.replications < 1:
@@ -163,7 +166,7 @@ class ExperimentConfig:
             raise ConfigError(f"thresholds must be finite, got {self.thresholds}")
         if any(np.diff(self.thresholds) < 0):
             raise ConfigError("thresholds must be sorted ascending")
-        for what, a, b in self._count_windows():
+        for what, a, b, *_ in KINDS[self.kind].windows(self):
             try:
                 mass = intensity_mass(self.r, a, b)
             except OverflowError:  # exp(-a) is beyond the float range
@@ -172,16 +175,6 @@ class ExperimentConfig:
             if not 0.0 < mass < math.inf:
                 raise ConfigError(f"{what} [{a}, {b}] has limit mass {mass}, "
                                   "which must be finite and positive")
-
-    def _count_windows(self) -> list[tuple[str, float, float]]:
-        """The windows whose limit mass a counting kind tests its counts against."""
-        if self.kind == "theorem1-counts":
-            return [("interval", a, b) for a, b in self.intervals]
-        if self.kind == "rare-path":
-            xs = self.thresholds
-            return ([("threshold window", x, math.inf) for x in xs]
-                    + [("increment window", a, b) for a, b in zip(xs, xs[1:])])
-        return []
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -252,10 +245,24 @@ def _harmonic(n: int) -> float:
     return float(sum(1.0 / k for k in range(1, n + 1)))
 
 
-def _warn_uncalibrated(label: str) -> None:
-    # a KS verdict without a frozen tolerance has no bound to meet, so it fails
-    print(f"warning: no calibrated KS tolerance for {label}; "
-          "its KS verdicts fail as uncalibrated", file=sys.stderr)
+def _ks_tolerance(table: dict, key, label: str) -> float | None:
+    """The frozen KS tolerance at ``key`` in ``table``, or None with a warning:
+    a KS verdict without one has no bound to meet, so it fails."""
+    tol = table.get(key)
+    if tol is None:
+        print(f"warning: no calibrated KS tolerance for {label}; "
+              "its KS verdicts fail as uncalibrated", file=sys.stderr)
+    return tol
+
+
+def _count_tests(cfg, n, counts, rows, verdicts) -> None:
+    """Poisson-test column k of ``counts`` against the limit mass of the kind's
+    k-th window, adding a row and a verdict per window."""
+    for (_, a, b, name, key), column in zip(KINDS[cfg.kind].windows(cfg), counts.T, strict=True):
+        res = poisson_count_test(column, intensity_mass(cfg.r, a, b))
+        ok = res.p_value >= cfg.significance
+        rows.append(_row(cfg, n, name, res.statistic, res.p_value, res.sample_size, ok))
+        verdicts[key.format(n=n)] = ok
 
 
 def _extract_marginal(trace, cfg):
@@ -273,6 +280,11 @@ def _aggregate_marginal(cfg, per_n):
     return rows, {}, verdicts
 
 
+def _interval_windows(cfg):
+    return [("interval", a, b, f"poisson_counts[{a},{b}]", f"counts_pass_n{{n}}_interval{k}")
+            for k, (a, b) in enumerate(cfg.intervals)]
+
+
 def _extract_counts(trace, cfg):
     pattern = normalize(trace.arrival_column(cfg.r), Normalization(trace.n, cfg.r))
     return [pattern.count(a, b) for a, b in cfg.intervals], float(pattern.points[-1])
@@ -282,15 +294,7 @@ def _aggregate_counts(cfg, per_n):
     rows, verdicts = [], {}
     first_point_ks = {}
     for n, payloads in per_n.items():
-        counts = np.array([p[0] for p in payloads], dtype=np.int64)
-        for k, (a, b) in enumerate(cfg.intervals):
-            mean = intensity_mass(cfg.r, a, b)
-            res = poisson_count_test(counts[:, k], mean)
-            ok = res.p_value >= cfg.significance
-            name = f"poisson_counts[{a},{b}]"
-            rows.append(_row(cfg, n, name, res.statistic, res.p_value,
-                             res.sample_size, ok))
-            verdicts[f"counts_pass_n{n}_interval{k}"] = ok
+        _count_tests(cfg, n, np.array([p[0] for p in payloads], dtype=np.int64), rows, verdicts)
         first = np.array([p[1] for p in payloads])
         dist = ks_statistic(first, GumbelType(cfg.r).cdf)
         first_point_ks[n] = dist
@@ -310,9 +314,7 @@ def _extract_collection(trace, cfg):
 def _aggregate_collection(cfg, per_n):
     rows, verdicts = [], {}
     distances = {}
-    tol = calibration.ERDOS_RENYI_KS_TOL.get(cfg.c)
-    if tol is None:
-        _warn_uncalibrated(f"erdos-renyi c={cfg.c}")
+    tol = _ks_tolerance(calibration.ERDOS_RENYI_KS_TOL, cfg.c, f"erdos-renyi c={cfg.c}")
     for n, payloads in per_n.items():
         values = np.array([p[0] for p in payloads])
         t1 = np.array([p[1] for p in payloads], dtype=np.float64)
@@ -368,9 +370,8 @@ def _extract_partial(trace, cfg):
 
 def _aggregate_partial(cfg, per_n):
     rows, verdicts = [], {}
-    tol = calibration.PARTIAL_COLLECTION_KS_TOL.get((cfg.r, cfg.m))
-    if tol is None:
-        _warn_uncalibrated(f"chi2-law r={cfg.r}, m={cfg.m}")
+    tol = _ks_tolerance(calibration.PARTIAL_COLLECTION_KS_TOL, (cfg.r, cfg.m),
+                        f"chi2-law r={cfg.r}, m={cfg.m}")
     law = ChiSqLog(cfg.m) if cfg.r == 1 else LogGamma(cfg.r, cfg.m)
     for n, payloads in per_n.items():
         values = np.array(payloads)
@@ -381,37 +382,30 @@ def _aggregate_partial(cfg, per_n):
     return rows, {}, verdicts
 
 
+def _rare_windows(cfg):
+    xs = cfg.thresholds
+    tails = [("threshold window", x, math.inf, f"rare_counts[x={x}]", f"rare_pass_n{{n}}_x{k}")
+             for k, x in enumerate(xs)]
+    return tails + [("increment window", a, b, f"rare_increment[{a},{b})",
+                     f"rare_increment_pass_n{{n}}_pair{k}")
+                    for k, (a, b) in enumerate(zip(xs, xs[1:]))]
+
+
 def _extract_rare(trace, cfg):
     pattern = normalize(trace.arrival_column(cfg.r), Normalization(trace.n, cfg.r))
-    return [pattern.count_from(x) for x in cfg.thresholds]
+    tails = [pattern.count_from(x) for x in cfg.thresholds]
+    # the points in [x, y): those of the tail from x less those of the tail from y
+    return tails + [lo - hi for lo, hi in zip(tails, tails[1:])]
 
 
 def _aggregate_rare(cfg, per_n):
-    rows, verdicts = [], {}
-    mean_series = []
+    rows, verdicts, series = [], {}, []
     for n, payloads in per_n.items():
         counts = np.array(payloads, dtype=np.int64)
-        for k, x in enumerate(cfg.thresholds):
-            mean = intensity_mass(cfg.r, x, math.inf)
-            res = poisson_count_test(counts[:, k], mean)
-            ok = res.p_value >= cfg.significance
-            rows.append(_row(cfg, n, f"rare_counts[x={x}]", res.statistic,
-                             res.p_value, res.sample_size, ok))
-            verdicts[f"rare_pass_n{n}_x{k}"] = ok
-            mean_series.append((n, float(x), float(counts[:, k].mean())))
-        for k in range(len(cfg.thresholds) - 1):
-            x1, x2 = cfg.thresholds[k], cfg.thresholds[k + 1]
-            incr = counts[:, k] - counts[:, k + 1]
-            mean = intensity_mass(cfg.r, x1, x2)
-            res = poisson_count_test(incr, mean)
-            ok = res.p_value >= cfg.significance
-            rows.append(_row(cfg, n, f"rare_increment[{x1},{x2})", res.statistic,
-                             res.p_value, res.sample_size, ok))
-            verdicts[f"rare_increment_pass_n{n}_pair{k}"] = ok
-    summaries = {"mean_count_series": [
-        {"n": n, "x": x, "mean_count": mc} for n, x, mc in mean_series
-    ]}
-    return rows, summaries, verdicts
+        _count_tests(cfg, n, counts, rows, verdicts)
+        series += [{"n": n, "x": float(x), "mean_count": float(counts[:, k].mean())}
+                   for k, x in enumerate(cfg.thresholds)]
+    return rows, {"mean_count_series": series}, verdicts
 
 
 def _extract_mismatch(trace, cfg):
@@ -444,7 +438,7 @@ def _aggregate_mismatch(cfg, per_n):
 
 def _extract_null_p_value(trace, cfg):
     sums = trace.stream.generator().exponential(1.0, (1000, cfg.m + 1)).sum(axis=1)
-    return ks_test(-math.lgamma(cfg.r) - np.log(sums), LogGamma(cfg.r, cfg.m).cdf).p_value
+    return ks_test(h_transform(sums, cfg.r), LogGamma(cfg.r, cfg.m).cdf).p_value
 
 
 def _aggregate_null(cfg, per_n):
@@ -471,7 +465,11 @@ class Kind:
     jump chain, and one of r_max 0 reads only ``trace.stream``.
     ``aggregate(cfg, per_n)`` turns the payloads at each n into ``(rows,
     summaries, verdicts)``.  ``battery`` holds the config fields of the kind's
-    experiments in the standard suite, replications at scale 1.
+    experiments in the standard suite, replications at scale 1.  ``windows(cfg)``
+    lists the windows whose counts a counting kind Poisson-tests against their
+    limit mass, as ``(what, a, b, row name, verdict key)``: ``what`` names the
+    window in errors and the key is a format string of ``n``.  Column k of its
+    count payload is the count in window k.
     """
 
     description: str
@@ -479,6 +477,7 @@ class Kind:
     extract: Callable
     aggregate: Callable
     battery: tuple[dict, ...]
+    windows: Callable[[ExperimentConfig], list[tuple]] = lambda cfg: []
 
 
 _r, _c = attrgetter("r"), attrgetter("c")
@@ -493,7 +492,8 @@ KINDS = {
         _r, _extract_counts, _aggregate_counts,
         tuple(dict(n_grid=[100, 10000], r=r,
                    intervals=[(0.0, math.inf), (-1.0, 0.0), (0.0, 1.0)],
-                   replications=2000) for r in (1, 2))),
+                   replications=2000) for r in (1, 2)),
+        _interval_windows),
     "erdos-renyi": Kind(
         "Gumbel-type limit and exact mean identity for full-collection times",
         _c, _extract_collection, _aggregate_collection,
@@ -511,7 +511,8 @@ KINDS = {
         "Poisson process limit of the rare-type counting path",
         _r, _extract_rare, _aggregate_rare,
         tuple(dict(n_grid=[10000], r=r, thresholds=[-1.0, 0.0, 1.0, 2.0],
-                   replications=2000) for r in (1, 2))),
+                   replications=2000) for r in (1, 2)),
+        _rare_windows),
     "coupling-decay": Kind(
         "vanishing mismatch between discrete and poissonized patterns",
         _r, _extract_mismatch, _aggregate_mismatch,

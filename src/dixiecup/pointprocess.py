@@ -1,9 +1,8 @@
 """Finite point patterns and the transformations applied to them.
 
 Houses the affine centering/scaling of arrival times, interval and tail
-(rare-type) counting, last-but-j order statistics, the log map between the
-exponential-intensity process and the homogeneous one, and direct simulation
-of the limiting Poisson pattern.
+(rare-type) counting, and the log map between the exponential-intensity
+process and the homogeneous one.
 """
 from __future__ import annotations
 
@@ -11,14 +10,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.random import Generator
 
 __all__ = [
     "Normalization",
     "PointPattern",
     "normalize",
     "h_transform",
-    "sample_limit_process",
 ]
 
 
@@ -70,14 +67,6 @@ class PointPattern:
         """Number of points in [x, +inf)."""
         return self.mass - int(np.searchsorted(self.points, x, side="left"))
 
-    def last_but(self, m: int) -> np.ndarray:
-        """The m+1 largest points, largest first."""
-        if m < 0:
-            raise ValueError(f"need m >= 0, got m={m}")
-        if self.mass < m + 1:
-            raise ValueError(f"pattern of mass {self.mass} has no last-but-{m} point")
-        return self.points[-1 : -(m + 2) : -1].copy()
-
 
 def normalize(raw_times, norm: Normalization) -> PointPattern:
     """Center and scale raw arrival times into a point pattern."""
@@ -90,23 +79,3 @@ def h_transform(x, r: int):
     if np.any(x <= 0):
         raise ValueError("h is defined for strictly positive points only")
     return -math.lgamma(r) - np.log(x)
-
-
-def sample_limit_process(r: int, a: float, rng: Generator) -> PointPattern:
-    """One realization of the limiting Poisson pattern restricted to [a, +inf).
-
-    Simulates a homogeneous unit-rate pattern on (0, exp(-a)/(r-1)!] and pushes
-    it through the log map, so the point count is Poisson with that mean and
-    the intensity on [a, inf) is exp(-x)/(r-1)! dx.
-    """
-    if r < 1:
-        raise ValueError(f"need r >= 1, got r={r}")
-    if not math.isfinite(a):
-        raise ValueError("left endpoint must be finite")
-    upper = math.exp(-a) / math.factorial(r - 1)
-    total = rng.poisson(upper)
-    if total == 0:
-        return PointPattern()
-    # (0, upper] so the log map is always defined
-    uniform_pts = upper * (1.0 - rng.random(total))
-    return PointPattern.from_values(h_transform(uniform_pts, r))

@@ -60,6 +60,9 @@ SIG = 1e-3
 LIMIT_GRID = (10**4, 10**6, 10**8, 10**12)
 # n along which the exact mismatch bound of gate 8 must decrease
 COUPLING_GRID = (100, 1000, 10000, 100000, 200000)
+# mismatch frequency on [-2, 2], r=1, 2000 replications, at each n of GRID in
+# the first calibration pilot (tools/calibrate.py, master seed 20240817)
+COUPLING_MISMATCH_REGRESSION = {100: 0.5635, 1000: 0.315, 10000: 0.131}
 
 
 def verdict_line(number, ok, description):
@@ -385,7 +388,7 @@ def test_criterion_08_attainable_subset(bank):
     # regression agreement with the frozen calibration values (different
     # seed, so allow a few binomial standard errors)
     for n in GRID:
-        ref = calibration.COUPLING_MISMATCH_REGRESSION[n]
+        ref = COUPLING_MISMATCH_REGRESSION[n]
         assert abs(freqs[n] - ref) <= 0.05
 
 

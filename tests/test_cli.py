@@ -2,6 +2,7 @@
 import ast
 import copy
 import csv
+import importlib.util
 import json
 import math
 import os
@@ -49,8 +50,8 @@ def test_simulate_discrete_csv(tmp_path):
     rows = list(csv.DictReader(out.open()))
     assert len(rows) == 3 * 6 * 2
     assert set(rows[0]) == {"replication", "type", "multiplicity", "arrival_draw"}
-    # the CSV must reproduce the library trace for the same seed spec
-    trace = run_discrete(6, 2, SeedSpec(11, 0))
+    # the CSV must reproduce the bank's trace (seed 11, n 6, replication 0)
+    trace = run_discrete(6, 2, SeedSpec(11, 6 << 32))
     first = [r for r in rows if r["replication"] == "0"]
     for row in first:
         i, k = int(row["type"]) - 1, int(row["multiplicity"]) - 1
@@ -202,6 +203,29 @@ def test_verify_uncalibrated_tolerance_fails(argv, capsys):
     assert code == EXIT_STAT_FAIL
     assert "FAIL" in captured.out
     assert captured.err.count("uncalibrated") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("--kind", "erdos-renyi", "--c", "172"),
+    ("--kind", "chi2-law", "--r", "172"),
+    ("--kind", "partial-collection", "--r", "172"),
+    ("--kind", "limit-consistency", "--r", "172"),
+], ids=["erdos-renyi", "chi2-law", "partial-collection", "limit-consistency"])
+def test_verify_factorial_beyond_float_range_fails_before_sampling(argv, capsys):
+    """(171)! is beyond the float range; the limit laws and the increment test
+    used to raise OverflowError (exit 1, a traceback) after every trace was drawn."""
+    code = run_cli("verify", *argv, "--n", "20", "--reps", "20")
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "172" in err
+    assert not TIMING.search(err)  # printed only after the traces are drawn
+
+
+def test_verify_largest_float_factorial_still_runs(capsys):
+    # (170)! is a float, so c = 171 samples and fails only as uncalibrated
+    code = run_cli("verify", "--kind", "erdos-renyi", "--c", "171", "--n", "20", "--reps", "20")
+    assert code == EXIT_STAT_FAIL
+    assert TIMING.search(capsys.readouterr().err)
 
 
 def test_verify_ini_config_with_overrides(tmp_path, capsys):
@@ -448,6 +472,26 @@ def test_cli_runs_never_import_scipy_stats(tmp_path):
     assert done.returncode == 0, done.stderr
     assert "poisson_counts[0.0,inf]" in done.stdout
     assert done.stdout.splitlines()[-1] == "False"
+
+
+def test_benchmark_harness_imports_resolve():
+    """Every ``from dixiecup... import name`` in the benchmark harness names a
+    module or attribute the package has, checked without running the harness."""
+    harness = Path(__file__).resolve().parents[1] / "perfbench"
+    imported, missing = [], []
+    for path in sorted(harness.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("dixiecup"):
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    imported.append(alias.name)
+                    # a name is an attribute, or a submodule of a package
+                    submodule = hasattr(module, "__path__") and importlib.util.find_spec(
+                        f"{node.module}.{alias.name}")
+                    if not (hasattr(module, alias.name) or submodule):
+                        missing.append(f"{path.name}: {node.module}.{alias.name}")
+    assert {"cli", "PointPattern", "run_discrete", "SeedSpec"} <= set(imported)
+    assert missing == []
 
 
 def test_no_module_imports_a_private_name_from_a_sibling():

@@ -12,10 +12,11 @@ from dixiecup.discrete import (
     collection_time,
     partial_collection_time,
     run_discrete,
-    trace_from_sequence,
 )
 from dixiecup.poissonized import run_coupled
 from dixiecup.samplers import SeedSpec
+
+from oracles import trace_from_sequence
 
 
 def harmonic(n):

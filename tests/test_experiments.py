@@ -49,6 +49,13 @@ def test_config_validation_rejects_bad_values():
         ExperimentConfig(kind="chi2-law", r=0).validate()
     with pytest.raises(ConfigError):
         ExperimentConfig(kind="chi2-law", m=-1).validate()
+    # a trace of n types has no last-but-m point for m >= n
+    for kind in ("partial-collection", "chi2-law"):
+        with pytest.raises(ConfigError, match="m < n"):
+            ExperimentConfig(kind=kind, n_grid=[5], m=6).validate()
+        with pytest.raises(ConfigError, match="m < n"):
+            ExperimentConfig(kind=kind, n_grid=[100, 5], m=5).validate()
+        ExperimentConfig(kind=kind, n_grid=[5], m=4).validate()
     with pytest.raises(ConfigError):
         ExperimentConfig(kind="chi2-law", replications=0).validate()
     with pytest.raises(ConfigError):

@@ -24,8 +24,9 @@ from dixiecup.limitlaws import (
     PoissonizedMarginal,
     intensity_mass,
 )
-from dixiecup.pointprocess import sample_limit_process
 from dixiecup.samplers import SeedSpec
+
+from oracles import last_but, sample_limit_process
 
 
 def uniform_cdf(x):
@@ -356,7 +357,7 @@ def test_increment_test_under_true_limit():
     while len(vectors) < 5000:
         pattern = sample_limit_process(1, -3.0, rng)
         if pattern.mass >= m + 1:
-            vectors.append(pattern.last_but(m))
+            vectors.append(last_but(pattern, m))
     res = increment_test(np.array(vectors), 1, m)
     assert res.p_value > 1e-3
     assert res.details["max_abs_increment_correlation"] < 3.0 / math.sqrt(len(vectors))
@@ -365,7 +366,7 @@ def test_increment_test_under_true_limit():
 def test_increment_test_transformed_marginal_is_exponential():
     # single-coordinate version: exp(-L_0) for r=1 is Exp(1)
     rng = SeedSpec(95, 0).generator()
-    vectors = [sample_limit_process(1, -3.0, rng).last_but(0) for _ in range(10_000)]
+    vectors = [last_but(sample_limit_process(1, -3.0, rng), 0) for _ in range(10_000)]
     res = increment_test(np.array(vectors), 1, 0)
     assert res.p_value > 1e-3
 
