@@ -1,15 +1,18 @@
 """The one trace of both coupon schemes, its sampler, and collection times."""
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import cached_property
 
 import numpy as np
-from numpy.random import Generator
+from numpy.random import Generator, Philox
 
-from .samplers import SeedSpec
+from .samplers import SeedSpec, philox_keys
 
 __all__ = [
     "CollectorTrace",
+    "TraceBlock",
+    "block_size",
     "run_discrete",
     "collection_time",
     "partial_collection_time",
@@ -29,32 +32,29 @@ class CollectorTrace:
     distinct (one coupon per draw), and the maximum is the number of draws the
     collection needed.  Given ``arrivals[i, k] = a``, ``times[i, k]`` is
     Gamma(a, 1), since draws arrive at unit rate.
+
+    A trace is row ``row`` of a :class:`TraceBlock`, which samples its traces
+    together; by default a block of this one trace.  Its arrays are views of
+    the block's, and are the same bytes in a block of any size.
     """
 
-    def __init__(self, n: int, r_max: int, stream: SeedSpec | None) -> None:
+    def __init__(self, n: int, r_max: int, stream: SeedSpec | None,
+                 block: TraceBlock | None = None, row: int = 0) -> None:
         self.n, self.r_max, self.stream = n, r_max, stream
-
-    @cached_property
-    def _rng(self) -> Generator:
-        return self.stream.generator()
+        self._block = TraceBlock(n, r_max, [stream]) if block is None else block
+        self._row = row
 
     @cached_property
     def times(self) -> np.ndarray:
-        return _poissonized_times(self._rng, self.n, self.r_max)
+        return self._block.times[self._row]
 
     @cached_property
     def arrivals(self) -> np.ndarray:
-        return _jump_chain(self._rng, self.times)
+        return self._block.arrivals[self._row]
 
     @property
     def total_draws(self) -> int:
         return int(self.arrivals[:, -1].max())
-
-    @property
-    def derived_draws(self) -> int:
-        """The draws of the jump chain if it has been read, else 0."""
-        # a cached property is in the instance dict once it has been read
-        return self.total_draws if "arrivals" in vars(self) else 0
 
     def _column(self, r: int) -> int:
         if not 1 <= r <= self.r_max:
@@ -70,26 +70,116 @@ class CollectorTrace:
         return self.times[:, self._column(r)]
 
 
-def _poissonized_times(rng: Generator, n: int, r_max: int) -> np.ndarray:
-    """The first ``r_max`` arrival times of every type in the poissonized scheme.
+# A block holds at most _BLOCK_TRACES traces and, unless it is one trace, at
+# most _BLOCK_ARRIVALS tracked arrivals (traces times n * r_max).  Measured on
+# 2 vCPUs: blocks save each trace's calls, up to 3x per trace at n * r_max of
+# 100, while blocks of more arrivals than this outgrow the cache and were
+# slower per trace; so from n * r_max above 8192 a block is one trace.
+_BLOCK_TRACES = 256
+_BLOCK_ARRIVALS = 16384
 
-    Each type arrives as an independent rate-1/n Poisson process, so its times
-    are n times the partial sums of ``r_max`` standard exponentials.
+
+def block_size(n: int, r_max: int) -> int:
+    """The traces of one block at ``(n, r_max)``."""
+    return max(1, min(_BLOCK_TRACES, _BLOCK_ARRIVALS // max(n * r_max, 1)))
+
+
+# The generator of every SeedSpec stream of a block: each stream sets its key
+# and counter on it before it draws, so it carries nothing from one to the
+# next.  It is one per process, so two threads must not sample at once.
+_SCRATCH = Generator(Philox(0))
+
+
+def _started(streams: list) -> Iterator[Generator]:
+    """Each stream's generator at its start, in stream order: the scratch
+    generator at the stream's Philox key for SeedSpec streams, all keyed in
+    one hash; any other stream's own ``generator()``."""
+    if not all(isinstance(stream, SeedSpec) for stream in streams):
+        yield from (stream.generator() for stream in streams)
+        return
+    philox = _SCRATCH.bit_generator
+    zeros = np.zeros(4, dtype=np.uint64)
+    # the state setter copies what it reads, so one dict serves every key
+    start = {"bit_generator": "Philox", "state": {"counter": zeros, "key": None},
+             "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for key in philox_keys(streams):
+        start["state"]["key"] = key
+        philox.state = start
+        yield _SCRATCH
+
+
+def _paused(rng: Generator):
+    """What resumes ``rng`` where it is now: the state of the scratch
+    generator, which the next stream overwrites, or any other generator itself."""
+    return rng.bit_generator.state if rng is _SCRATCH else rng
+
+
+def _resumed(paused) -> Generator:
+    if isinstance(paused, dict):
+        _SCRATCH.bit_generator.state = paused
+        return _SCRATCH
+    return paused
+
+
+class TraceBlock:
+    """Traces of one ``(n, r_max)`` on their own streams, sampled as one array.
+
+    ``times`` and ``arrivals`` have one row of shape ``(n, r_max)`` per
+    stream, and row i is what a trace of ``streams[i]`` alone samples, to the
+    byte: every generator call and its arguments are the ones the trace makes,
+    and each array pass runs row by row.  Each stream's exponentials are drawn
+    into its row of ``times``; its generator is then set aside until the
+    first read of ``arrivals`` derives the jump chain of the whole block.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got n={n}")
-    if r_max < 1:
-        raise ValueError(f"need r_max >= 1, got r_max={r_max}")
-    times = rng.standard_exponential((n, r_max))
-    # the row sums np.cumsum(axis=1) forms, a column at a time: it loops per row
-    for k in range(1, r_max):
-        times[:, k] += times[:, k - 1]
-    times *= n
-    return times
+
+    def __init__(self, n: int, r_max: int, streams: list) -> None:
+        self.n, self.r_max, self.streams = n, r_max, streams
+
+    @property
+    def traces(self) -> list[CollectorTrace]:
+        """One trace per stream, each a row of this block."""
+        return [CollectorTrace(self.n, self.r_max, stream, self, row)
+                for row, stream in enumerate(self.streams)]
+
+    @cached_property
+    def times(self) -> np.ndarray:
+        """The first ``r_max`` arrival times of every type in the poissonized scheme.
+
+        Each type arrives as an independent rate-1/n Poisson process, so its
+        times are n times the partial sums of ``r_max`` standard exponentials.
+        """
+        n, r_max = self.n, self.r_max
+        if n < 2:
+            raise ValueError(f"need n >= 2, got n={n}")
+        if r_max < 1:
+            raise ValueError(f"need r_max >= 1, got r_max={r_max}")
+        times = np.empty((len(self.streams), n, r_max))
+        self._paused = []
+        for row, rng in zip(times, _started(self.streams)):
+            rng.standard_exponential(out=row)
+            self._paused.append(_paused(rng))
+        # the row sums np.cumsum(axis=-1) forms, a column at a time: it loops per row
+        for k in range(1, r_max):
+            times[:, :, k] += times[:, :, k - 1]
+        times *= n
+        return times
+
+    @cached_property
+    def arrivals(self) -> np.ndarray:
+        times = self.times
+        return _jump_chain(self._paused, times)
+
+    def derived_draws(self) -> np.ndarray:
+        """Per trace, the draws of its jump chain if the block derived it, else 0."""
+        # a cached property is in the instance dict once it has been read
+        if "arrivals" not in vars(self):
+            return np.zeros(len(self.streams), dtype=np.int64)
+        return self.arrivals[:, :, -1].max(axis=1)
 
 
-def _jump_chain(rng: Generator, times: np.ndarray) -> np.ndarray:
-    """The draw number of every tracked arrival, given the poissonized ``times``.
+def _jump_chain(paused: list, times: np.ndarray) -> np.ndarray:
+    """The draw number of every tracked arrival, given the poissonized ``times``
+    of a block and each row's generator as :func:`_paused` left it.
 
     The discrete scheme is the jump chain of the poissonized one.  Only the
     n * r_max tracked times are sampled.  A type's arrivals past its r_max-th
@@ -97,42 +187,47 @@ def _jump_chain(rng: Generator, times: np.ndarray) -> np.ndarray:
     tracked events are Poisson with mean (#types past r_max) * gap / n.  An
     event's draw number is its rank plus the untracked draws before it.
 
-    Every pass works in place where it can; the generator calls and their
-    arguments are fixed, so a stream always gives the same trace.  A type's
-    times strictly increase unless two of them are an exact float tie, which
-    shows as a zero gap between sorted times.  Only then can a tie break the
-    wrong way in ``argsort`` and reverse two ranks of a row, so only then are
-    the rows checked.
+    Each pass runs on the whole block, row by row, and in place where it can;
+    the generator calls and their arguments are fixed, so a stream always
+    gives the same trace.  A type's times strictly increase unless two of them
+    are an exact float tie, which shows as a zero gap between sorted times.
+    Only then can a tie break the wrong way in ``argsort`` and reverse two
+    ranks of a row, so only then are the rows checked.
     """
-    n, r_max = times.shape
-    order = np.argsort(times, axis=None)
-    gaps = np.diff(times.take(order))
-    tied = r_max > 1 and not gaps.all()
-    # types past r_max before each gap: the number of last-column events so far
+    traces, n, r_max = times.shape
+    size = n * r_max
+    order = np.argsort(times.reshape(traces, size), axis=1)
     if r_max == 1:
-        gaps *= np.arange(1, n)
+        completed = np.arange(1, n)
     else:
+        # types past r_max before each gap: the number of last-column events so far
         last = np.zeros((n, r_max), dtype=np.int8)
         last[:, -1] = 1
-        completed = last.take(order[:-1]).astype(np.float64)
-        gaps *= np.cumsum(completed, out=completed)
+        completed = last.take(order[:, :-1]).astype(np.float64)
+        np.cumsum(completed, axis=1, out=completed)
+    # flat positions in the block, so that one gather and one scatter serve all rows
+    order += np.arange(0, traces * size, size)[:, None]
+    gaps = np.diff(times.take(order), axis=1)
+    tied = r_max > 1 and not gaps.all()
+    gaps *= completed
     gaps /= n
-    untracked = rng.poisson(gaps)
     # draw numbers: the first event is draw 1, and each later one comes its
     # untracked draws plus one after the event before it
-    index = np.empty(n * r_max, dtype=np.int64)
-    index[0] = 1
-    np.add(untracked, 1, out=index[1:])
-    np.cumsum(index, out=index)
-    arrivals = np.empty_like(index)
+    index = np.empty((traces, size), dtype=np.int64)
+    index[:, 0] = 1
+    for row, (rng, lam) in enumerate(zip(paused, gaps)):
+        index[row, 1:] = _resumed(rng).poisson(lam)
+    index[:, 1:] += 1
+    np.cumsum(index, axis=1, out=index)
+    arrivals = np.empty(traces * size, dtype=np.int64)
     arrivals[order] = index
-    arrivals = arrivals.reshape(n, r_max)
+    arrivals = arrivals.reshape(traces, n, r_max)
     if tied:
         # tied arrivals of one type are exchangeable, so restoring row order
         # is exact
-        descents = arrivals[:, 1:] < arrivals[:, :-1]
+        descents = arrivals[:, :, 1:] < arrivals[:, :, :-1]
         if descents.any():
-            rows = descents.any(axis=1)
+            rows = descents.any(axis=2)
             arrivals[rows] = np.sort(arrivals[rows], axis=1)
     return arrivals
 

@@ -4,7 +4,8 @@ Each experiment kind exercises one limit statement and is one entry of
 :data:`KINDS`: what it verifies, how many arrivals per type its traces track,
 what it extracts from one trace, and how it aggregates those payloads into
 rows, summaries and verdicts.  :func:`run_bank` simulates each trace once and
-hands it to the extraction of every config that reads it.  A trace is keyed by
+hands it to the extraction of every config that reads it, sampling
+consecutive replications in blocks.  A trace is keyed by
 ``(master_seed, n, j)`` alone: replication ``j`` at ``n`` reads stream
 ``(n << 32) | j`` of its seed, with the largest r_max any config reading that
 ``(master_seed, n)`` needs, so configs sharing a seed share their traces and
@@ -28,7 +29,7 @@ from operator import attrgetter
 import numpy as np
 
 from . import calibration
-from .discrete import CollectorTrace, collection_time, partial_collection_time
+from .discrete import TraceBlock, block_size, collection_time, partial_collection_time
 from .gof import increment_test, ks_statistic, ks_test, poisson_count_test
 from .limitlaws import (
     ChiSqLog,
@@ -461,8 +462,11 @@ class Kind:
     ``r_max(cfg)`` is the number of arrivals per type its traces must track, 0
     for a kind that samples no trace.  ``extract(trace, cfg)`` reads one
     replication's payload from its :class:`~dixiecup.discrete.CollectorTrace`,
-    which samples only what is read: a kind that reads only ``times`` costs no
-    jump chain, and one of r_max 0 reads only ``trace.stream``.
+    a row of the block of traces the bank samples together, which samples
+    only what is read: a kind that reads only ``times`` costs no jump chain,
+    and one of r_max 0 reads only ``trace.stream``.  The trace's arrays are
+    views of the block's, the same bytes as a trace sampled alone, so an
+    extractor sees one replication and never its block.
     ``aggregate(cfg, per_n)`` turns the payloads at each n into ``(rows,
     summaries, verdicts)``.  ``battery`` holds the config fields of the kind's
     experiments in the standard suite, replications at scale 1.  ``windows(cfg)``
@@ -528,13 +532,15 @@ KINDS = {
 # ---------------------------------------------------------------------------
 # the trace bank
 
-def _bank_row(configs, task):
-    """One trace: the payload of each config reading it, and the draws of its
-    jump chain, 0 unless a reader derived the chain."""
-    seed, n, j, r_max, readers = task
-    trace = CollectorTrace(n, r_max, SeedSpec(seed, (n << 32) | j))
-    payloads = [KINDS[configs[k].kind].extract(trace, configs[k]) for k in readers]
-    return trace.derived_draws, payloads
+def _bank_block(configs, task):
+    """One block of traces: per trace, the payload of each config reading it,
+    then the draws of its jump chain (0 unless a reader derived the chain)."""
+    seed, n, start, count, r_max, readers = task
+    block = TraceBlock(n, r_max, [SeedSpec(seed, (n << 32) | j)
+                                  for j in range(start, start + count)])
+    extractors = [(KINDS[configs[k].kind].extract, configs[k]) for k in readers]
+    payloads = [[extract(trace, cfg) for extract, cfg in extractors] for trace in block.traces]
+    return payloads, block.derived_draws().tolist()
 
 
 def _usable_cpus() -> int:
@@ -545,14 +551,42 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _processes(workers: int, tasks: int) -> int:
-    """The processes a bank of ``tasks`` traces samples on: at most ``workers``,
-    no more than the tasks or the usable CPUs; 1 means serially, with no pool."""
-    return min(workers, tasks, _usable_cpus())
+# The cost model of a bank: a trace of n * r_max tracked arrivals costs
+# about what sampling n * r_max + _TRACE_COST arrivals would, and a bank of
+# total cost at most _POOL_MIN_COST runs faster serially than on a pool, whose
+# start-up it does not earn back.  Measured with `verify` on 2 vCPUs: a trace
+# costs about 50 us plus 0.17 us per tracked arrival, a 2-process pool about
+# 25 ms to start, and the pool broke even near 100 ms of serial work.
+_TRACE_COST = 300
+_POOL_MIN_COST = 600_000
 
 
-def run_bank(configs: list[ExperimentConfig],
-             workers: int = 1) -> tuple[list[dict], list[int], int]:
+def _processes(workers: int, traces: int, cost: int) -> int:
+    """The processes a bank of ``traces`` traces and ``cost`` samples on: 1,
+    which means serially with no pool, if its cost is at most
+    ``_POOL_MIN_COST``; else at most ``workers``, and no more than the traces
+    or the usable CPUs."""
+    if cost <= _POOL_MIN_COST:
+        return 1
+    return min(workers, traces, _usable_cpus())
+
+
+class Bank(tuple):
+    """What :func:`run_bank` returns: the triple ``(per_config, draws,
+    traces)``, as which it unpacks and compares, and ``processes``, the
+    processes it sampled on (1 when serially), which is not part of its value:
+    the payloads do not depend on it."""
+
+    processes: int
+
+    def __new__(cls, per_config: list[dict], draws: list[int], traces: int,
+                processes: int) -> "Bank":
+        bank = super().__new__(cls, (per_config, draws, traces))
+        bank.processes = processes
+        return bank
+
+
+def run_bank(configs: list[ExperimentConfig], workers: int = 1) -> Bank:
     """Simulate each trace once and apply the extraction of every config that reads it.
 
     A trace is identified by ``(master_seed, n, j)`` alone: it is
@@ -563,12 +597,17 @@ def run_bank(configs: list[ExperimentConfig],
     in any order.  A config reads the traces with its seed, an n in its grid
     and a j below its replication count, so a config whose r_max is the
     bank's at each of its ``(seed, n)`` sees the payloads it would alone.
-    Sampling runs serially, or on one pool of :func:`_processes` processes;
-    the payloads do not depend on which.
 
-    Returns one ``{n: [payload of each replication]}`` per config, the draws
-    of the jump chains derived for the traces each config read, and the
-    number of traces simulated.
+    The unit of work is a block: consecutive j of one ``(seed, n)`` that the
+    same configs read, at most :func:`~dixiecup.discrete.block_size` of them,
+    sampled as one :class:`~dixiecup.discrete.TraceBlock` whose rows are the
+    traces, to the byte.  Blocks run serially, or on one pool of
+    :func:`_processes` processes when the bank's cost earns the pool's
+    start-up; the payloads do not depend on which.
+
+    Returns a :class:`Bank`: one ``{n: [payload of each replication]}`` per
+    config, the draws of the jump chains derived for the traces each config
+    read, and the number of traces simulated; and the processes used.
     """
     if not configs:
         raise ConfigError("a bank needs at least one config")
@@ -580,14 +619,21 @@ def run_bank(configs: list[ExperimentConfig],
     for k, cfg in enumerate(configs):
         for n in cfg.grid:
             readers.setdefault((cfg.master_seed, n), []).append(k)
-    tasks = []
+    tasks, traces, cost = [], 0, 0
     for (seed, n), ks in readers.items():
         r_max = max(KINDS[configs[k].kind].r_max(configs[k]) for k in ks)
-        for j in range(max(configs[k].replications for k in ks)):
-            tasks.append((seed, n, j, r_max,
-                          [k for k in ks if j < configs[k].replications]))
-    work = partial(_bank_row, configs)
-    processes = _processes(workers, len(tasks))
+        size = block_size(n, r_max)
+        start = 0
+        # j in [start, stop) is read by the configs of at least stop replications
+        for stop in sorted({configs[k].replications for k in ks}):
+            reading = [k for k in ks if configs[k].replications >= stop]
+            tasks += [(seed, n, j, min(size, stop - j), r_max, reading)
+                      for j in range(start, stop, size)]
+            start = stop
+        traces += start
+        cost += start * (n * max(r_max, 1) + _TRACE_COST)
+    work = partial(_bank_block, configs)
+    processes = _processes(workers, traces, cost)
     if processes > 1:
         chunk = max(1, len(tasks) // (4 * processes))
         with Pool(processes) as pool:
@@ -597,11 +643,12 @@ def run_bank(configs: list[ExperimentConfig],
 
     per_config = [{n: [] for n in cfg.grid} for cfg in configs]
     draws = [0] * len(configs)
-    for (_, n, _, _, ks), (trace_draws, payloads) in zip(tasks, outcomes):
-        for k, payload in zip(ks, payloads):
-            per_config[k][n].append(payload)
-            draws[k] += trace_draws
-    return per_config, draws, len(tasks)
+    for (_, n, _, _, _, ks), (block_payloads, block_draws) in zip(tasks, outcomes):
+        for payloads, trace_draws in zip(block_payloads, block_draws):
+            for k, payload in zip(ks, payloads):
+                per_config[k][n].append(payload)
+                draws[k] += trace_draws
+    return Bank(per_config, draws, traces, processes)
 
 
 def run_experiments(configs: list[ExperimentConfig], workers: int = 1) -> list[ExperimentReport]:
@@ -610,7 +657,8 @@ def run_experiments(configs: list[ExperimentConfig], workers: int = 1) -> list[E
     The report numbers depend only on the configs, not on the worker count.
     """
     start = time.perf_counter()
-    per_config, draws, traces = run_bank(configs, workers)
+    bank = run_bank(configs, workers)
+    per_config, draws, traces = bank
     reports = []
     for cfg, per_n, total_draws in zip(configs, per_config, draws):
         kind = KINDS[cfg.kind]
@@ -628,7 +676,7 @@ def run_experiments(configs: list[ExperimentConfig], workers: int = 1) -> list[E
     # wall-clock goes to stderr, not the reports, so reruns are byte-identical
     replications = sum(cfg.replications * len(cfg.grid) for cfg in configs)
     print(f"{replications} replications from {traces} traces in "
-          f"{time.perf_counter() - start:.2f}s (workers={_processes(workers, traces)})",
+          f"{time.perf_counter() - start:.2f}s (workers={bank.processes})",
           file=sys.stderr, flush=True)
     return reports
 

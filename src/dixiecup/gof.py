@@ -197,23 +197,39 @@ def increment_test(lastbut_vectors, r: int, m: int) -> GofResult:
     unit exponentials, whose first differences (and the j=0 term itself) are
     pooled and KS-tested against Exp(1).  The largest absolute pairwise
     increment correlation is reported in ``details``.
+
+    Where a partial sum overflows, its increment is formed in log space, as
+    exp(log (r-1)! - L_j + log(1 - exp(L_j - L_(j-1)))), which subtracts no
+    infinities.  An increment that still overflows lies beyond the float
+    range, where the Exp(1) tail is 0 in floating point, so the p-value is 0
+    and no correlation is reported.
     """
     vectors = np.asarray(lastbut_vectors, dtype=np.float64)
     if vectors.ndim != 2 or vectors.shape[1] != m + 1:
         raise ValueError(f"expected rows of length m+1={m + 1}, got shape {vectors.shape}")
     if np.any(np.diff(vectors, axis=1) > 0):
         raise ValueError("rows must be nonincreasing (largest point first)")
-    partial_sums = math.factorial(r - 1) * np.exp(-vectors)
-    increments = np.diff(partial_sums, axis=1, prepend=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        partial_sums = math.factorial(r - 1) * np.exp(-vectors)
+        increments = np.diff(partial_sums, axis=1, prepend=0.0)
+    overflowed = ~np.isfinite(increments)
+    if overflowed.any():
+        # L_j - L_(j-1) <= 0, and -inf before the first point
+        with np.errstate(over="ignore", divide="ignore"):
+            log_gaps = np.log(-np.expm1(np.diff(vectors, axis=1, prepend=np.inf)))
+            logs = math.lgamma(r) - vectors + log_gaps
+            increments[overflowed] = np.exp(logs[overflowed])
     pooled = increments.ravel()
 
     def exp1_cdf(x):
         return -np.expm1(-np.asarray(x, dtype=np.float64))
 
     res = ks_test(pooled, exp1_cdf)
+    finite = bool(np.isfinite(pooled).all())
     details: dict = {}
-    if m >= 1 and len(vectors) >= 2:
+    if m >= 1 and len(vectors) >= 2 and finite:
         corr = np.corrcoef(increments, rowvar=False)
         off_diag = corr[~np.eye(m + 1, dtype=bool)]
         details["max_abs_increment_correlation"] = float(np.max(np.abs(off_diag)))
-    return GofResult(res.statistic, res.p_value, len(vectors), details=details)
+    return GofResult(res.statistic, res.p_value if finite else 0.0, len(vectors),
+                     details=details)

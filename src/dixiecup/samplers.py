@@ -5,15 +5,22 @@ All randomness in the package flows through :class:`SeedSpec`.  A spec is a
 through a ``SeedSequence`` over that pair gives bit-reproducible, mutually
 independent streams without sequential skipping, so replications can run on
 any number of workers in any order.
+
+A Philox stream is its 128-bit key at counter 0 (Salmon et al. 2011,
+"Parallel random numbers: as easy as 1, 2, 3"), and ``SeedSequence`` derives
+that key by a fixed uint32 hash (O'Neill's ``seed_seq`` design, as numpy
+implements it).  :func:`philox_keys` runs that hash on many specs at once as
+array arithmetic, so a block of streams is keyed for about the cost of one.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
-__all__ = ["SeedSpec"]
+__all__ = ["SeedSpec", "philox_keys"]
 
 _UINT64_MAX = 2**64 - 1
 
@@ -37,3 +44,68 @@ class SeedSpec:
         """Return a fresh Philox generator for this stream."""
         entropy = (int(self.master_seed), int(self.stream_index))
         return Generator(Philox(SeedSequence(entropy)))
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """``init * mult**k`` mod 2**32 for k = 0..count: the running hash constant."""
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    return np.array(out, dtype=np.uint32)
+
+
+# SeedSequence's constants: the entropy hash runs 16 steps on a pool of 4
+# words (4 to fill it, 12 to mix it), the output hash 4 steps; step k xors
+# with constant k and multiplies by constant k + 1
+_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 16)[:, None]
+_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 4)[:, None]
+_FILL = _HASH_A[:4], _HASH_A[1:5]
+_OUTPUT = _HASH_B[:4], _HASH_B[1:5]
+# 0-d arrays, which numpy combines with arrays faster than its scalars
+_MIX_L, _MIX_R, _SHIFT = (np.array(c, dtype=np.uint32) for c in (0xCA01F9DD, 0x4973F715, 16))
+
+
+def _mixing_constants(src: int) -> tuple[np.ndarray, np.ndarray]:
+    """The xor and multiplier constants of the hash steps at which word
+    ``src`` mixes into each other word (the row of ``src`` is unused)."""
+    steps = np.zeros(4, dtype=np.intp)
+    steps[[d for d in range(4) if d != src]] = 4 + 3 * src + np.arange(3)
+    return _HASH_A[steps], _HASH_A[steps + 1]
+
+
+_MIXING = [_mixing_constants(src) for src in range(4)]
+
+
+def _hash(words: np.ndarray, constants: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    xor, mult = constants
+    words = words ^ xor
+    words *= mult
+    words ^= words >> _SHIFT
+    return words
+
+
+def philox_keys(specs: Sequence[SeedSpec]) -> np.ndarray:
+    """The Philox key of each spec's stream, one row of two uint64 words each.
+
+    Row i is ``SeedSequence((master_seed, stream_index)).generate_state(2,
+    np.uint64)`` of ``specs[i]``, bit for bit.  The entropy is the seed's
+    uint32 words, low first (one word below 2**32, else two), then the
+    index's; it fits the pool of 4 words, where missing words hash as 0.
+    """
+    values = np.array([(s.master_seed, s.stream_index) for s in specs], dtype="<u8")
+    # one row per pool word, one column per spec: seed low, seed high, index
+    # low, index high, or with a one-word seed its high word, 0, comes last
+    halves = values.view("<u4").T
+    pool = _hash(np.where(halves[1] != 0, halves, halves[[0, 2, 3, 1]]), _FILL)
+    for src, constants in enumerate(_MIXING):
+        # word src, hashed by the next three steps, mixes into the other three
+        hashed = _hash(pool[src], constants)
+        hashed *= _MIX_R
+        mixed = pool * _MIX_L
+        mixed -= hashed
+        mixed ^= mixed >> _SHIFT
+        mixed[src] = pool[src]
+        pool = mixed
+    # the output words, low first, pair up into uint64s
+    state = _hash(pool, _OUTPUT)
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)

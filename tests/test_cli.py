@@ -170,6 +170,8 @@ def test_verify_single_cell_count_test_fails_a_far_off_mean(argv, capsys):
 
 
 def test_verify_prints_the_processes_it_started(monkeypatch, capsys):
+    # pool even a bank this small, so the first run starts a real pool
+    monkeypatch.setattr(experiments, "_POOL_MIN_COST", 0)
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
     argv = ("verify", "--kind", "chi2-law", "--r", "1", "--m", "1", "--n", "20", "--reps", "30")
     run_cli(*argv, "--workers", "5000")
@@ -226,6 +228,21 @@ def test_verify_largest_float_factorial_still_runs(capsys):
     code = run_cli("verify", "--kind", "erdos-renyi", "--c", "171", "--n", "20", "--reps", "20")
     assert code == EXIT_STAT_FAIL
     assert TIMING.search(capsys.readouterr().err)
+
+
+def test_verify_increments_beyond_float_range_fail_cleanly(tmp_path, capsys):
+    """At r = 171 the partial sums (r-1)! exp(-L) overflow, and their
+    differences used to be inf - inf: a NaN p-value, two warnings and exit 2."""
+    out = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli("verify", "--kind", "partial-collection", "--r", "171", "--m", "1",
+                       "--n", "20", "--reps", "20", "--out", str(out))
+    assert code == EXIT_STAT_FAIL
+    assert "FAIL  partial-collection: increments_pass_n20" in capsys.readouterr().out
+    (row,) = json.loads(out.read_text())["results"]
+    assert row["p_value"] == 0.0 and math.isfinite(row["value"])
+    assert "NaN" not in out.read_text()
 
 
 def test_verify_ini_config_with_overrides(tmp_path, capsys):

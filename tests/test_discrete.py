@@ -8,7 +8,8 @@ from scipy import stats
 
 from dixiecup.discrete import (
     CollectorTrace,
-    _poissonized_times,
+    TraceBlock,
+    block_size,
     collection_time,
     partial_collection_time,
     run_discrete,
@@ -92,8 +93,8 @@ class TiedExponentials:
     def __init__(self, seed):
         self._rng = SeedSpec(seed, 0).generator()
 
-    def standard_exponential(self, size):
-        draws = self._rng.standard_exponential(size)
+    def standard_exponential(self, size=None, out=None):
+        draws = self._rng.standard_exponential(size, out=out)
         draws[0::2, 1] = 0.0  # tie between the first and second arrival
         draws[1::2, -1] = 0.0  # tie at the last tracked arrival
         return draws
@@ -177,6 +178,49 @@ def test_embed_matches_reference_bytes_after_float_ties(n, r_max):
                           reference_embed(TiedExponentials(seed), n, r_max))
 
 
+def test_block_size_depends_only_on_the_tracked_arrivals():
+    assert block_size(3, 1) == block_size(2, 1) == 256
+    assert block_size(100, 1) == block_size(50, 2) == 163
+    assert block_size(1000, 2) == block_size(2000, 1) == 8
+    # from n * r_max above 8192 a block is one trace
+    assert block_size(8193, 1) == block_size(10_000, 1) == block_size(10_000, 3) == 1
+
+
+@pytest.mark.parametrize("n,r_max", [(2, 1), (3, 4), (40, 3), (100, 1), (1000, 2), (8192, 1)])
+def test_block_rows_are_the_traces_alone(n, r_max):
+    """Row j of the largest block is the trace of stream (n << 32) | j alone,
+    to the byte, whichever of times and arrivals is read first."""
+    size = block_size(n, r_max)
+    streams = [SeedSpec(2024, (n << 32) | j) for j in range(size)]
+    block = TraceBlock(n, r_max, streams)
+    for trace, stream in zip(block.traces, streams):
+        assert_same_bytes((trace.arrivals, trace.times), embed(stream, n, r_max))
+    times_first = TraceBlock(n, r_max, streams)
+    times = times_first.times.copy()
+    # another block samples on the shared generator between its times and its chain
+    TraceBlock(n, r_max, streams[::-1]).arrivals
+    assert_same_bytes([times_first.arrivals, times], [block.arrivals, block.times])
+
+
+@pytest.mark.parametrize("n,r_max", [(40, 3), (2, 2), (10, 4)])
+def test_block_rows_restore_row_order_after_float_ties(n, r_max):
+    """Rows that hold an exact float tie are repaired as in a trace alone."""
+    size = block_size(n, r_max)
+    block = TraceBlock(n, r_max, [TiedStream(seed) for seed in range(size)])
+    stable_argsort = functools.partial(np.argsort, kind="stable")
+    # some row's argsort reverses a tied pair, so its repair runs
+    assert any(not np.array_equal(np.argsort(times, axis=None), stable_argsort(times, axis=None))
+               for times in block.times)
+    for seed, trace in enumerate(block.traces):
+        assert_same_bytes((trace.arrivals, trace.times), embed(TiedStream(seed), n, r_max))
+        assert np.all(np.diff(trace.arrivals, axis=1) > 0)
+
+
+def first_draw_times(rng, n, r_max):
+    """The poissonized times from the generator's first draws, as the reference forms them."""
+    return n * np.cumsum(rng.standard_exponential((n, r_max)), axis=1)
+
+
 @pytest.mark.parametrize("n", [2, 100, 10_000])
 @pytest.mark.parametrize("r_max", [1, 2, 3, 4])
 def test_poissonized_times_are_the_coupled_times(n, r_max):
@@ -185,11 +229,11 @@ def test_poissonized_times_are_the_coupled_times(n, r_max):
     for j in range(3):
         stream = SeedSpec(2024, (n << 8) | j)
         coupled = run_coupled(n, r_max, stream).times
-        assert_same_bytes([_poissonized_times(stream.generator(), n, r_max)], [coupled])
+        assert_same_bytes([first_draw_times(stream.generator(), n, r_max)], [coupled])
         # a trace whose arrivals are never read has the same times
         assert_same_bytes([CollectorTrace(n, r_max, stream).times], [coupled])
         if r_max > 1:  # TiedExponentials ties the second and the last column
-            assert_same_bytes([_poissonized_times(TiedExponentials(j), n, r_max)],
+            assert_same_bytes([first_draw_times(TiedExponentials(j), n, r_max)],
                               [embed(TiedStream(j), n, r_max)[1]])
 
 

@@ -116,7 +116,9 @@ def test_same_seed_gives_identical_report():
     assert a == b
 
 
-def test_worker_count_does_not_change_the_report():
+def test_worker_count_does_not_change_the_report(monkeypatch):
+    # pool even a bank this small, so the parallel run starts a real pool
+    monkeypatch.setattr(experiments, "_POOL_MIN_COST", 0)
     # chi2-law samples whole traces, poissonized-marginal alone only their times
     for fields in (dict(kind="chi2-law", r=1, m=1), dict(kind="poissonized-marginal", r=2)):
         serial = run_one(small_config(**fields)).to_dict()
@@ -185,7 +187,8 @@ def test_bank_config_at_the_bank_r_max_sees_its_own_payloads(mixed_bank):
     assert len(set(draws[:4])) == 1
 
 
-def test_bank_worker_count_does_not_change_payloads():
+def test_bank_worker_count_does_not_change_payloads(monkeypatch):
+    monkeypatch.setattr(experiments, "_POOL_MIN_COST", 0)
     serial = run_bank(bank_configs())
     parallel = run_bank(bank_configs(), workers=2)
     assert serial == parallel
@@ -225,6 +228,7 @@ class RecordingPool:
 
 
 def test_bank_starts_no_more_processes_than_tasks_or_cpus(monkeypatch):
+    monkeypatch.setattr(experiments, "_POOL_MIN_COST", 0)
     monkeypatch.setattr(experiments, "Pool", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 3)
@@ -237,6 +241,19 @@ def test_bank_starts_no_more_processes_than_tasks_or_cpus(monkeypatch):
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
     run_bank(configs, workers=5000)
     assert RecordingPool.sizes == [3, 2]
+
+
+def test_small_bank_starts_no_pool(monkeypatch):
+    monkeypatch.setattr(experiments, "Pool", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    # 4 configs reading 30 traces at n = 20: a bank far below the pool's cost
+    bank = run_bank(bank_configs(), workers=2)
+    assert RecordingPool.sizes == [] and bank.processes == 1
+    # 300 traces of n * r_max = 2000 cost more than the pool's start-up
+    bank = run_bank([small_config("erdos-renyi", c=2, n_grid=[1000], replications=300)],
+                    workers=2)
+    assert RecordingPool.sizes == [2] and bank.processes == 2
 
 
 @pytest.mark.parametrize("other", MIXED)

@@ -7,7 +7,7 @@ from scipy import stats
 
 from dixiecup.discrete import run_discrete
 from dixiecup.poissonized import run_coupled
-from dixiecup.samplers import SeedSpec
+from dixiecup.samplers import SeedSpec, philox_keys
 
 SIG = 1e-3
 
@@ -55,6 +55,23 @@ def test_bit_exact_reproducibility():
     draws_a = SeedSpec(123, 7).generator().random(1000)
     draws_b = SeedSpec(123, 7).generator().random(1000)
     assert np.array_equal(draws_a, draws_b)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**32 - 1, 2**32, 2**64 - 1])
+def test_philox_keys_are_the_seed_sequence_keys(seed):
+    """The vectorized hash is SeedSequence's, bit for bit, for one- and
+    two-word seeds and streams, and for the bank's streams (n << 32) | j."""
+    ns = [2, 3, 100, 2**16, 2**31 - 1, 2**31]
+    indices = [0, 1, 2**31, 2**32 - 1, 2**32, 2**64 - 1]
+    indices += [(n << 32) | j for n in ns for j in (0, 1, 2**32 - 1)]
+    specs = [SeedSpec(seed, index) for index in indices]
+    keys = philox_keys(specs)
+    assert keys.dtype == np.uint64 and keys.shape == (len(specs), 2)
+    for spec, key in zip(specs, keys):
+        entropy = (spec.master_seed, spec.stream_index)
+        assert np.array_equal(key, np.random.SeedSequence(entropy).generate_state(2, np.uint64))
+    # one spec alone is keyed as within the block
+    assert np.array_equal(philox_keys(specs[-1:]), keys[-1:])
 
 
 def test_distinct_streams_differ_and_are_uncorrelated():
