@@ -17,7 +17,7 @@ import math
 import os
 import sys
 
-from .discrete import run_discrete
+from .discrete import block_size
 from .experiments import (
     KINDS,
     ConfigError,
@@ -25,10 +25,10 @@ from .experiments import (
     ExperimentReport,
     battery_from_dict,
     emit_report,
+    replication_block,
     run_experiments,
     write_rows_csv,
 )
-from .samplers import SeedSpec
 
 EXIT_PASS = 0
 EXIT_STAT_FAIL = 1
@@ -117,15 +117,18 @@ def _cmd_simulate(args) -> int:
         if args.scheme == "coupled":
             header.append("arrival_time")
         writer.writerow(header)
-        for j in range(args.reps):
-            # the stream of the bank's trace (seed, n, j), which verify --seed reads
-            trace = run_discrete(args.n, args.rmax, SeedSpec(args.seed, (args.n << 32) | j))
-            for i in range(args.n):
-                for k in range(args.rmax):
-                    row = [j, i + 1, k + 1, int(trace.arrivals[i, k])]
-                    if args.scheme == "coupled":
-                        row.append(repr(float(trace.times[i, k])))
-                    writer.writerow(row)
+        size = block_size(args.n, args.rmax)
+        for start in range(0, args.reps, size):
+            # the bank's traces (seed, n, j), which verify --seed reads
+            block = replication_block(args.seed, args.n, args.rmax,
+                                      start, min(start + size, args.reps))
+            for j, trace in enumerate(block.traces, start):
+                for i in range(args.n):
+                    for k in range(args.rmax):
+                        row = [j, i + 1, k + 1, int(trace.arrivals[i, k])]
+                        if args.scheme == "coupled":
+                            row.append(repr(float(trace.times[i, k])))
+                        writer.writerow(row)
     return EXIT_PASS
 
 

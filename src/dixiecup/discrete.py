@@ -1,7 +1,6 @@
 """The one trace of both coupon schemes, its sampler, and collection times."""
 from __future__ import annotations
 
-from collections.abc import Iterator
 from functools import cached_property
 
 import numpy as np
@@ -84,41 +83,10 @@ def block_size(n: int, r_max: int) -> int:
     return max(1, min(_BLOCK_TRACES, _BLOCK_ARRIVALS // max(n * r_max, 1)))
 
 
-# The generator of every SeedSpec stream of a block: each stream sets its key
-# and counter on it before it draws, so it carries nothing from one to the
-# next.  It is one per process, so two threads must not sample at once.
+# The generator of every stream: each stream sets its key and counter on it
+# before it draws, so it carries nothing from one to the next.  It is one per
+# process, so two threads must not sample at once.
 _SCRATCH = Generator(Philox(0))
-
-
-def _started(streams: list) -> Iterator[Generator]:
-    """Each stream's generator at its start, in stream order: the scratch
-    generator at the stream's Philox key for SeedSpec streams, all keyed in
-    one hash; any other stream's own ``generator()``."""
-    if not all(isinstance(stream, SeedSpec) for stream in streams):
-        yield from (stream.generator() for stream in streams)
-        return
-    philox = _SCRATCH.bit_generator
-    zeros = np.zeros(4, dtype=np.uint64)
-    # the state setter copies what it reads, so one dict serves every key
-    start = {"bit_generator": "Philox", "state": {"counter": zeros, "key": None},
-             "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for key in philox_keys(streams):
-        start["state"]["key"] = key
-        philox.state = start
-        yield _SCRATCH
-
-
-def _paused(rng: Generator):
-    """What resumes ``rng`` where it is now: the state of the scratch
-    generator, which the next stream overwrites, or any other generator itself."""
-    return rng.bit_generator.state if rng is _SCRATCH else rng
-
-
-def _resumed(paused) -> Generator:
-    if isinstance(paused, dict):
-        _SCRATCH.bit_generator.state = paused
-        return _SCRATCH
-    return paused
 
 
 class TraceBlock:
@@ -127,12 +95,14 @@ class TraceBlock:
     ``times`` and ``arrivals`` have one row of shape ``(n, r_max)`` per
     stream, and row i is what a trace of ``streams[i]`` alone samples, to the
     byte: every generator call and its arguments are the ones the trace makes,
-    and each array pass runs row by row.  Each stream's exponentials are drawn
-    into its row of ``times``; its generator is then set aside until the
-    first read of ``arrivals`` derives the jump chain of the whole block.
+    and each array pass runs row by row.  Each stream is a :class:`SeedSpec`,
+    keyed in one hash with the others: on the one scratch generator, set to
+    its key at counter 0, it draws its exponentials into its row of ``times``,
+    and its state is saved until the first read of ``arrivals`` derives the
+    jump chain of the whole block.
     """
 
-    def __init__(self, n: int, r_max: int, streams: list) -> None:
+    def __init__(self, n: int, r_max: int, streams: list[SeedSpec]) -> None:
         self.n, self.r_max, self.streams = n, r_max, streams
 
     @property
@@ -154,10 +124,17 @@ class TraceBlock:
         if r_max < 1:
             raise ValueError(f"need r_max >= 1, got r_max={r_max}")
         times = np.empty((len(self.streams), n, r_max))
-        self._paused = []
-        for row, rng in zip(times, _started(self.streams)):
-            rng.standard_exponential(out=row)
-            self._paused.append(_paused(rng))
+        philox = _SCRATCH.bit_generator
+        zeros = np.zeros(4, dtype=np.uint64)
+        # the state setter copies what it reads, so one dict serves every key
+        start = {"bit_generator": "Philox", "state": {"counter": zeros, "key": None},
+                 "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        self._states = []
+        for row, key in zip(times, philox_keys(self.streams)):
+            start["state"]["key"] = key
+            philox.state = start
+            _SCRATCH.standard_exponential(out=row)
+            self._states.append(philox.state)
         # the row sums np.cumsum(axis=-1) forms, a column at a time: it loops per row
         for k in range(1, r_max):
             times[:, :, k] += times[:, :, k - 1]
@@ -167,7 +144,7 @@ class TraceBlock:
     @cached_property
     def arrivals(self) -> np.ndarray:
         times = self.times
-        return _jump_chain(self._paused, times)
+        return _jump_chain(self._states, times)
 
     def derived_draws(self) -> np.ndarray:
         """Per trace, the draws of its jump chain if the block derived it, else 0."""
@@ -177,9 +154,9 @@ class TraceBlock:
         return self.arrivals[:, :, -1].max(axis=1)
 
 
-def _jump_chain(paused: list, times: np.ndarray) -> np.ndarray:
+def _jump_chain(states: list[dict], times: np.ndarray) -> np.ndarray:
     """The draw number of every tracked arrival, given the poissonized ``times``
-    of a block and each row's generator as :func:`_paused` left it.
+    of a block and the scratch generator's state after each row's times.
 
     The discrete scheme is the jump chain of the poissonized one.  Only the
     n * r_max tracked times are sampled.  A type's arrivals past its r_max-th
@@ -215,8 +192,9 @@ def _jump_chain(paused: list, times: np.ndarray) -> np.ndarray:
     # untracked draws plus one after the event before it
     index = np.empty((traces, size), dtype=np.int64)
     index[:, 0] = 1
-    for row, (rng, lam) in enumerate(zip(paused, gaps)):
-        index[row, 1:] = _resumed(rng).poisson(lam)
+    for row, (state, lam) in enumerate(zip(states, gaps)):
+        _SCRATCH.bit_generator.state = state
+        index[row, 1:] = _SCRATCH.poisson(lam)
     index[:, 1:] += 1
     np.cumsum(index, axis=1, out=index)
     arrivals = np.empty(traces * size, dtype=np.int64)

@@ -6,10 +6,10 @@ what it extracts from one trace, and how it aggregates those payloads into
 rows, summaries and verdicts.  :func:`run_bank` simulates each trace once and
 hands it to the extraction of every config that reads it, sampling
 consecutive replications in blocks.  A trace is keyed by
-``(master_seed, n, j)`` alone: replication ``j`` at ``n`` reads stream
-``(n << 32) | j`` of its seed, with the largest r_max any config reading that
-``(master_seed, n)`` needs, so configs sharing a seed share their traces and
-the numbers are independent of the worker count.  :func:`run_experiments` runs
+``(master_seed, n, j)`` alone: replication ``j`` at ``n`` reads the stream
+:func:`replication_block` gives it, with the largest r_max any config reading
+that ``(master_seed, n)`` needs, so configs sharing a seed share their traces
+and the numbers are independent of the worker count.  :func:`run_experiments` runs
 any list of configs on one bank, and ``verify`` and ``battery`` both use it.
 """
 from __future__ import annotations
@@ -47,6 +47,7 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentReport",
     "KINDS",
+    "replication_block",
     "run_bank",
     "run_experiments",
     "emit_report",
@@ -532,12 +533,18 @@ KINDS = {
 # ---------------------------------------------------------------------------
 # the trace bank
 
+def replication_block(seed: int, n: int, r_max: int, start: int, stop: int) -> TraceBlock:
+    """The traces of replications ``start..stop-1`` of ``(seed, n)``, tracking
+    ``r_max`` arrivals per type: replication j reads the stream of ``seed``
+    whose index holds n in its high 32 bits and j in its low 32."""
+    return TraceBlock(n, r_max, [SeedSpec(seed, (n << 32) | j) for j in range(start, stop)])
+
+
 def _bank_block(configs, task):
     """One block of traces: per trace, the payload of each config reading it,
     then the draws of its jump chain (0 unless a reader derived the chain)."""
     seed, n, start, count, r_max, readers = task
-    block = TraceBlock(n, r_max, [SeedSpec(seed, (n << 32) | j)
-                                  for j in range(start, start + count)])
+    block = replication_block(seed, n, r_max, start, start + count)
     extractors = [(KINDS[configs[k].kind].extract, configs[k]) for k in readers]
     payloads = [[extract(trace, cfg) for extract, cfg in extractors] for trace in block.traces]
     return payloads, block.derived_draws().tolist()
@@ -571,26 +578,11 @@ def _processes(workers: int, traces: int, cost: int) -> int:
     return min(workers, traces, _usable_cpus())
 
 
-class Bank(tuple):
-    """What :func:`run_bank` returns: the triple ``(per_config, draws,
-    traces)``, as which it unpacks and compares, and ``processes``, the
-    processes it sampled on (1 when serially), which is not part of its value:
-    the payloads do not depend on it."""
-
-    processes: int
-
-    def __new__(cls, per_config: list[dict], draws: list[int], traces: int,
-                processes: int) -> "Bank":
-        bank = super().__new__(cls, (per_config, draws, traces))
-        bank.processes = processes
-        return bank
-
-
-def run_bank(configs: list[ExperimentConfig], workers: int = 1) -> Bank:
+def run_bank(configs: list[ExperimentConfig], workers: int = 1) -> tuple:
     """Simulate each trace once and apply the extraction of every config that reads it.
 
-    A trace is identified by ``(master_seed, n, j)`` alone: it is
-    ``CollectorTrace(n, r_max, SeedSpec(master_seed, (n << 32) | j))``, where
+    A trace is identified by ``(master_seed, n, j)`` alone: it is replication
+    j of :func:`replication_block` at ``(master_seed, n, r_max)``, where
     r_max is the largest that any config reading that ``(master_seed, n)``
     needs (0 for limit-consistency, at n = 0).  Each config reading a trace
     gets the one trace, which samples only what they read, in the same bytes
@@ -605,9 +597,10 @@ def run_bank(configs: list[ExperimentConfig], workers: int = 1) -> Bank:
     :func:`_processes` processes when the bank's cost earns the pool's
     start-up; the payloads do not depend on which.
 
-    Returns a :class:`Bank`: one ``{n: [payload of each replication]}`` per
-    config, the draws of the jump chains derived for the traces each config
-    read, and the number of traces simulated; and the processes used.
+    Returns ``(per_config, draws, traces, processes)``: one ``{n: [payload
+    of each replication]}`` per config, the draws of the jump chains derived
+    for the traces each config read, the number of traces simulated, and the
+    processes sampled on (1 when serially), on which the rest do not depend.
     """
     if not configs:
         raise ConfigError("a bank needs at least one config")
@@ -648,7 +641,7 @@ def run_bank(configs: list[ExperimentConfig], workers: int = 1) -> Bank:
             for k, payload in zip(ks, payloads):
                 per_config[k][n].append(payload)
                 draws[k] += trace_draws
-    return Bank(per_config, draws, traces, processes)
+    return per_config, draws, traces, processes
 
 
 def run_experiments(configs: list[ExperimentConfig], workers: int = 1) -> list[ExperimentReport]:
@@ -657,8 +650,7 @@ def run_experiments(configs: list[ExperimentConfig], workers: int = 1) -> list[E
     The report numbers depend only on the configs, not on the worker count.
     """
     start = time.perf_counter()
-    bank = run_bank(configs, workers)
-    per_config, draws, traces = bank
+    per_config, draws, traces, processes = run_bank(configs, workers)
     reports = []
     for cfg, per_n, total_draws in zip(configs, per_config, draws):
         kind = KINDS[cfg.kind]
@@ -676,7 +668,7 @@ def run_experiments(configs: list[ExperimentConfig], workers: int = 1) -> list[E
     # wall-clock goes to stderr, not the reports, so reruns are byte-identical
     replications = sum(cfg.replications * len(cfg.grid) for cfg in configs)
     print(f"{replications} replications from {traces} traces in "
-          f"{time.perf_counter() - start:.2f}s (workers={bank.processes})",
+          f"{time.perf_counter() - start:.2f}s (workers={processes})",
           file=sys.stderr, flush=True)
     return reports
 

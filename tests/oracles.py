@@ -3,16 +3,20 @@
 ``trace_from_sequence`` builds the trace of an explicit draw-by-draw coupon
 sequence, ``sample_limit_process`` samples the limiting Poisson pattern
 directly, and ``last_but`` reads the largest points of a pattern by sorting.
+``seeded_traces`` is no oracle but the tests' fast way to loop over the lone
+traces of consecutive streams.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 import numpy as np
 from numpy.random import Generator
 
-from dixiecup.discrete import CollectorTrace
+from dixiecup.discrete import CollectorTrace, TraceBlock, block_size
 from dixiecup.pointprocess import PointPattern, h_transform
+from dixiecup.samplers import SeedSpec
 
 
 def trace_from_sequence(types, n: int, r_max: int) -> CollectorTrace:
@@ -37,6 +41,16 @@ def trace_from_sequence(types, n: int, r_max: int) -> CollectorTrace:
     trace = CollectorTrace(n, r_max, None)
     trace.arrivals = arrivals
     return trace
+
+
+def seeded_traces(n: int, r_max: int, reps: int, seed: int) -> Iterator[CollectorTrace]:
+    """The traces of streams ``SeedSpec(seed, j)`` for j < ``reps``, in order:
+    the bytes of ``run_discrete(n, r_max, SeedSpec(seed, j))``, sampled in
+    blocks, which cost a fraction of a lone trace each at small n."""
+    size = block_size(n, r_max)
+    for start in range(0, reps, size):
+        streams = [SeedSpec(seed, j) for j in range(start, min(start + size, reps))]
+        yield from TraceBlock(n, r_max, streams).traces
 
 
 def sample_limit_process(r: int, a: float, rng: Generator) -> PointPattern:

@@ -148,7 +148,7 @@ def as_arrays(payloads):
 @pytest.fixture(scope="session")
 def bank():
     """statistic -> {n: its payloads over the replications, as arrays}."""
-    per_config, _, _ = run_bank(list(BANK.values()))
+    per_config, _, _, _ = run_bank(list(BANK.values()))
     return {key: {n: as_arrays(payloads) for n, payloads in per_n.items()}
             for key, per_n in zip(BANK, per_config)}
 

@@ -27,7 +27,7 @@ from dixiecup.cli import (
     build_parser,
     main,
 )
-from dixiecup.discrete import run_discrete
+from dixiecup.discrete import block_size, run_discrete
 from dixiecup.samplers import SeedSpec
 
 
@@ -56,6 +56,21 @@ def test_simulate_discrete_csv(tmp_path):
     for row in first:
         i, k = int(row["type"]) - 1, int(row["multiplicity"]) - 1
         assert int(row["arrival_draw"]) == trace.arrivals[i, k]
+
+
+def test_simulate_rows_are_the_bank_traces_across_blocks(tmp_path):
+    out = tmp_path / "coupled.csv"
+    reps = block_size(3, 2) + 5  # a full block and part of the next
+    code = run_cli("simulate", "--scheme", "coupled", "--n", "3", "--rmax", "2",
+                   "--reps", str(reps), "--seed", "11", "--out", str(out))
+    assert code == EXIT_PASS
+    rows = list(csv.reader(out.open()))[1:]
+    want = []
+    for j in range(reps):
+        trace = run_discrete(3, 2, SeedSpec(11, (3 << 32) | j))
+        want += [[str(j), str(i + 1), str(k + 1), str(trace.arrivals[i, k]),
+                  repr(float(trace.times[i, k]))] for i in range(3) for k in range(2)]
+    assert rows == want
 
 
 def test_simulate_coupled_adds_time_column(tmp_path):

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 from scipy import stats
 
+from dixiecup import discrete
 from dixiecup.discrete import (
     CollectorTrace,
     TraceBlock,
@@ -17,7 +19,7 @@ from dixiecup.discrete import (
 from dixiecup.poissonized import run_coupled
 from dixiecup.samplers import SeedSpec
 
-from oracles import trace_from_sequence
+from oracles import seeded_traces, trace_from_sequence
 
 
 def harmonic(n):
@@ -103,14 +105,19 @@ class TiedExponentials:
         return self._rng.poisson(lam)
 
 
-class TiedStream:
-    """Stream stand-in whose generator is a :class:`TiedExponentials`."""
+class TiedScratch(TiedExponentials):
+    """Scratch generator stand-in: set to the key of stream ``SeedSpec(seed,
+    0)``, it draws what ``TiedExponentials(seed)`` draws."""
 
-    def __init__(self, seed):
-        self.seed = seed
+    def __init__(self):
+        self._rng = Generator(Philox(0))
+        self.bit_generator = self._rng.bit_generator
 
-    def generator(self):
-        return TiedExponentials(self.seed)
+
+@pytest.fixture
+def tied_scratch(monkeypatch):
+    """Sample every stream on a :class:`TiedScratch`."""
+    monkeypatch.setattr(discrete, "_SCRATCH", TiedScratch())
 
 
 def embed(stream, n, r_max):
@@ -119,9 +126,9 @@ def embed(stream, n, r_max):
     return trace.arrivals, trace.times
 
 
-def test_embed_restores_row_order_after_float_ties():
+def test_embed_restores_row_order_after_float_ties(tied_scratch):
     n, r_max = 40, 3
-    arrivals, times = embed(TiedStream(5), n, r_max)
+    arrivals, times = embed(SeedSpec(5, 0), n, r_max)
     # the default argsort reverses some tied pair, so the row repair runs
     stable_argsort = functools.partial(np.argsort, kind="stable")
     assert not np.array_equal(np.argsort(times, axis=None),
@@ -130,7 +137,7 @@ def test_embed_restores_row_order_after_float_ties():
     # repair: each repaired row must strictly increase and hold those draws
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(np, "argsort", stable_argsort)
-        reference, _ = embed(TiedStream(5), n, r_max)
+        reference, _ = embed(SeedSpec(5, 0), n, r_max)
     assert np.all(np.diff(arrivals, axis=1) > 0)
     assert np.array_equal(arrivals, reference)
 
@@ -172,9 +179,9 @@ def test_embed_matches_reference_bytes(n, r_max):
 
 
 @pytest.mark.parametrize("n,r_max", [(40, 3), (2, 2), (10, 4), (1000, 2)])
-def test_embed_matches_reference_bytes_after_float_ties(n, r_max):
+def test_embed_matches_reference_bytes_after_float_ties(n, r_max, tied_scratch):
     for seed in range(4):
-        assert_same_bytes(embed(TiedStream(seed), n, r_max),
+        assert_same_bytes(embed(SeedSpec(seed, 0), n, r_max),
                           reference_embed(TiedExponentials(seed), n, r_max))
 
 
@@ -203,16 +210,16 @@ def test_block_rows_are_the_traces_alone(n, r_max):
 
 
 @pytest.mark.parametrize("n,r_max", [(40, 3), (2, 2), (10, 4)])
-def test_block_rows_restore_row_order_after_float_ties(n, r_max):
+def test_block_rows_restore_row_order_after_float_ties(n, r_max, tied_scratch):
     """Rows that hold an exact float tie are repaired as in a trace alone."""
     size = block_size(n, r_max)
-    block = TraceBlock(n, r_max, [TiedStream(seed) for seed in range(size)])
+    block = TraceBlock(n, r_max, [SeedSpec(seed, 0) for seed in range(size)])
     stable_argsort = functools.partial(np.argsort, kind="stable")
     # some row's argsort reverses a tied pair, so its repair runs
     assert any(not np.array_equal(np.argsort(times, axis=None), stable_argsort(times, axis=None))
                for times in block.times)
     for seed, trace in enumerate(block.traces):
-        assert_same_bytes((trace.arrivals, trace.times), embed(TiedStream(seed), n, r_max))
+        assert_same_bytes((trace.arrivals, trace.times), embed(SeedSpec(seed, 0), n, r_max))
         assert np.all(np.diff(trace.arrivals, axis=1) > 0)
 
 
@@ -223,7 +230,7 @@ def first_draw_times(rng, n, r_max):
 
 @pytest.mark.parametrize("n", [2, 100, 10_000])
 @pytest.mark.parametrize("r_max", [1, 2, 3, 4])
-def test_poissonized_times_are_the_coupled_times(n, r_max):
+def test_poissonized_times_are_the_coupled_times(n, r_max, request):
     """The times alone are the stream's first draws, so sampling the jump chain
     after them or not gives the same bytes."""
     for j in range(3):
@@ -232,9 +239,24 @@ def test_poissonized_times_are_the_coupled_times(n, r_max):
         assert_same_bytes([first_draw_times(stream.generator(), n, r_max)], [coupled])
         # a trace whose arrivals are never read has the same times
         assert_same_bytes([CollectorTrace(n, r_max, stream).times], [coupled])
-        if r_max > 1:  # TiedExponentials ties the second and the last column
+    if r_max > 1:  # TiedExponentials ties the second and the last column
+        request.getfixturevalue("tied_scratch")
+        for j in range(3):
             assert_same_bytes([first_draw_times(TiedExponentials(j), n, r_max)],
-                              [embed(TiedStream(j), n, r_max)[1]])
+                              [embed(SeedSpec(j, 0), n, r_max)[1]])
+
+
+def test_blocks_key_streams_without_their_own_generators(monkeypatch):
+    """Every trace, a lone one too, keys the one scratch generator: building a
+    generator per stream would cost about twice the keying."""
+    def no_generator(self):
+        raise AssertionError("a stream built its own generator")
+
+    monkeypatch.setattr(SeedSpec, "generator", no_generator)
+    streams = [SeedSpec(2024, j) for j in range(block_size(100, 3))]
+    TraceBlock(100, 3, streams).arrivals
+    TraceBlock(100, 3, streams).times
+    run_discrete(100, 3, streams[0])
 
 
 def test_collection_time_is_max_of_column():
@@ -254,10 +276,8 @@ def test_collection_time_out_of_range():
 def test_mean_full_collection_time_matches_harmonic_oracle():
     # E T_1 = n * H_n by the absorbing-chain / harmonic-sum argument
     for n, reps, seed in ((3, 20_000, 1), (10, 5_000, 2)):
-        times = np.array([
-            collection_time(run_discrete(n, 1, SeedSpec(seed, j)), 1)
-            for j in range(reps)
-        ], dtype=float)
+        times = np.array([collection_time(trace, 1)
+                          for trace in seeded_traces(n, 1, reps, seed)], dtype=float)
         target = n * harmonic(n)
         se = times.std(ddof=1) / math.sqrt(reps)
         assert abs(times.mean() - target) < 3 * se

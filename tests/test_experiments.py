@@ -174,14 +174,14 @@ def bank_r_max(configs, cfg, n):
 
 
 def test_bank_config_at_the_bank_r_max_sees_its_own_payloads(mixed_bank):
-    configs, (per_config, draws, _) = mixed_bank
+    configs, (per_config, draws, _, _) = mixed_bank
     alike = [k for k, cfg in enumerate(configs)
              if all(bank_r_max(configs, cfg, n) == KINDS[cfg.kind].r_max(cfg)
                     for n in cfg.grid)]
     # chi2-law r=3 and the MIXED configs of another seed, another grid, no trace
     assert alike == [0, 4, 5, 7]
     for k in alike:
-        (alone,), (alone_draws,), _ = run_bank([configs[k]])
+        (alone,), (alone_draws,), _, _ = run_bank([configs[k]])
         assert per_config[k] == alone and draws[k] == alone_draws
     # bank_configs read the same 2 x 30 traces, so they count the same draws
     assert len(set(draws[:4])) == 1
@@ -191,19 +191,19 @@ def test_bank_worker_count_does_not_change_payloads(monkeypatch):
     monkeypatch.setattr(experiments, "_POOL_MIN_COST", 0)
     serial = run_bank(bank_configs())
     parallel = run_bank(bank_configs(), workers=2)
-    assert serial == parallel
+    assert serial[:3] == parallel[:3]
 
 
 def test_marginal_reads_the_same_times_without_the_jump_chain(monkeypatch):
     marginal = small_config("poissonized-marginal", r=2, n_grid=[15, 30])
-    shared_per_config, shared_draws, traces = run_bank(
+    shared_per_config, shared_draws, traces, _ = run_bank(
         [marginal, small_config("chi2-law", r=2, m=0, n_grid=[15, 30])])
     # alone, no reader reads the jump chain, so none is derived
     def no_chain(rng, times):
         raise AssertionError("the jump chain was derived")
 
     monkeypatch.setattr(discrete, "_jump_chain", no_chain)
-    (alone,), draws, alone_traces = run_bank([marginal])
+    (alone,), draws, alone_traces, _ = run_bank([marginal])
     assert draws == [0] < shared_draws[:1] and alone_traces == traces
     for n, payloads in alone.items():
         assert [p.tobytes() for p in payloads] == [p.tobytes() for p in shared_per_config[0][n]]
@@ -233,7 +233,7 @@ def test_bank_starts_no_more_processes_than_tasks_or_cpus(monkeypatch):
     monkeypatch.setattr(RecordingPool, "sizes", [])
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 3)
     configs = bank_configs()
-    assert run_bank(configs, workers=5000) == run_bank(configs)
+    assert run_bank(configs, workers=5000)[:3] == run_bank(configs)[:3]
     # one config of one replication is one task, which runs serially
     run_bank([small_config("erdos-renyi", replications=1)], workers=5000)
     run_bank(configs, workers=2)
@@ -248,12 +248,12 @@ def test_small_bank_starts_no_pool(monkeypatch):
     monkeypatch.setattr(RecordingPool, "sizes", [])
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
     # 4 configs reading 30 traces at n = 20: a bank far below the pool's cost
-    bank = run_bank(bank_configs(), workers=2)
-    assert RecordingPool.sizes == [] and bank.processes == 1
+    *_, processes = run_bank(bank_configs(), workers=2)
+    assert RecordingPool.sizes == [] and processes == 1
     # 300 traces of n * r_max = 2000 cost more than the pool's start-up
-    bank = run_bank([small_config("erdos-renyi", c=2, n_grid=[1000], replications=300)],
-                    workers=2)
-    assert RecordingPool.sizes == [2] and bank.processes == 2
+    *_, processes = run_bank([small_config("erdos-renyi", c=2, n_grid=[1000], replications=300)],
+                             workers=2)
+    assert RecordingPool.sizes == [2] and processes == 2
 
 
 @pytest.mark.parametrize("other", MIXED)
@@ -261,7 +261,7 @@ def test_bank_rejects_configs_that_do_not_share_its_streams(mixed_bank, other):
     """A config of another seed, grid, replication count or a traceless kind
     used to be rejected by a bank of bank_configs; it is now served beside
     them on one bank, with the traces of its own (seed, n, j)."""
-    configs, (per_config, _, traces) = mixed_bank
+    configs, (per_config, _, traces, _) = mixed_bank
     # (5, n, j < 31) and (6, n, j < 30) at n = 15, 30; (5, 21, j < 30); (5, 0, j < 30)
     assert traces == 2 * 31 + 2 * 30 + 30 + 30
     k = len(configs) - len(MIXED) + MIXED.index(other)
@@ -296,7 +296,7 @@ def test_kind_smoke_produces_well_formed_rows(kind, extra):
 
 
 def test_reports_of_one_bank_count_what_each_config_read(mixed_bank):
-    configs, (_, draws, _) = mixed_bank
+    configs, (_, draws, _, _) = mixed_bank
     reports = run_experiments(configs)
     for cfg, report, read in zip(configs, reports, draws):
         assert report.config == cfg.to_dict()

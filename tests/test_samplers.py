@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from dixiecup.discrete import run_discrete
-from dixiecup.poissonized import run_coupled
 from dixiecup.samplers import SeedSpec, philox_keys
+
+from oracles import seeded_traces
 
 SIG = 1e-3
 
@@ -19,8 +19,8 @@ def early_draw_types(n, r_max, reps, seed):
     is a tracked arrival, and their types are i.i.d. uniform on 1..n.
     """
     out = []
-    for j in range(reps):
-        arrivals = run_discrete(n, r_max, SeedSpec(seed, j)).arrivals
+    for trace in seeded_traces(n, r_max, reps, seed):
+        arrivals = trace.arrivals
         early = arrivals <= r_max
         types = np.zeros(r_max, dtype=np.int64)
         types[arrivals[early] - 1] = np.nonzero(early)[0] + 1
@@ -32,15 +32,14 @@ def early_draw_types(n, r_max, reps, seed):
 def rth_arrival_draws(n, r, reps, seed):
     """Draw number of one type's r-th arrival, one type per trace so the
     sample is independent; its law is the trial-counting NegBin(r, 1/n)."""
-    return np.array([run_discrete(n, r, SeedSpec(seed, j)).arrivals[j % n, r - 1]
-                     for j in range(reps)])
+    return np.array([trace.arrivals[j % n, r - 1]
+                     for j, trace in enumerate(seeded_traces(n, r, reps, seed))])
 
 
 def rth_arrival_times(n, r, reps, seed):
     """Coupled r-th arrival times of every type over ``reps`` traces; the types
     of the poissonized scheme are independent, so these are i.i.d. Gamma(r, n)."""
-    return np.concatenate([run_coupled(n, r, SeedSpec(seed, j)).time_column(r)
-                           for j in range(reps)])
+    return np.concatenate([trace.time_column(r) for trace in seeded_traces(n, r, reps, seed)])
 
 
 def test_seed_spec_validation():
@@ -117,8 +116,7 @@ def test_negbin_mean_general_case():
 
 
 def test_negbin_support_floor():
-    x = np.concatenate([run_discrete(2, 4, SeedSpec(16, j)).arrivals[:, 3]
-                        for j in range(2000)])
+    x = np.concatenate([trace.arrivals[:, 3] for trace in seeded_traces(2, 4, 2000, 16)])
     assert x.min() == 4  # counting-trials support starts at r
 
 
