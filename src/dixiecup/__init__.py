@@ -1,9 +1,9 @@
 """Coupon-collector / Dixie-cup simulation and limit-law verification toolkit."""
 
 from .samplers import SeedSpec
-from .discrete import CollectorTrace, collection_time, partial_collection_time, run_discrete
-from .poissonized import count_mismatch, run_coupled
-from .pointprocess import Normalization, PointPattern, normalize
+from .discrete import CollectorTrace, run_discrete
+from .poissonized import run_coupled
+from .pointprocess import Normalization, PointPattern
 from .limitlaws import (
     ChiSqLog,
     GumbelType,

@@ -1,4 +1,4 @@
-"""The one trace of both coupon schemes, its sampler, and collection times."""
+"""The one trace of both coupon schemes and its block sampler."""
 from __future__ import annotations
 
 from functools import cached_property
@@ -13,8 +13,6 @@ __all__ = [
     "TraceBlock",
     "block_size",
     "run_discrete",
-    "collection_time",
-    "partial_collection_time",
 ]
 
 
@@ -105,12 +103,6 @@ class TraceBlock:
     def __init__(self, n: int, r_max: int, streams: list[SeedSpec]) -> None:
         self.n, self.r_max, self.streams = n, r_max, streams
 
-    @property
-    def traces(self) -> list[CollectorTrace]:
-        """One trace per stream, each a row of this block."""
-        return [CollectorTrace(self.n, self.r_max, stream, self, row)
-                for row, stream in enumerate(self.streams)]
-
     @cached_property
     def times(self) -> np.ndarray:
         """The first ``r_max`` arrival times of every type in the poissonized scheme.
@@ -146,12 +138,12 @@ class TraceBlock:
         times = self.times
         return _jump_chain(self._states, times)
 
-    def derived_draws(self) -> np.ndarray:
-        """Per trace, the draws of its jump chain if the block derived it, else 0."""
+    def derived_draws(self) -> int:
+        """The draws of its traces' jump chains if the block derived them, else 0."""
         # a cached property is in the instance dict once it has been read
         if "arrivals" not in vars(self):
-            return np.zeros(len(self.streams), dtype=np.int64)
-        return self.arrivals[:, :, -1].max(axis=1)
+            return 0
+        return int(self.arrivals[:, :, -1].max(axis=1).sum())
 
 
 def _jump_chain(states: list[dict], times: np.ndarray) -> np.ndarray:
@@ -216,21 +208,3 @@ def run_discrete(n: int, r_max: int, stream: SeedSpec) -> CollectorTrace:
     trace.arrivals  # derive the jump chain now
     return trace
 
-
-def collection_time(trace: CollectorTrace, c: int) -> int:
-    """Draws needed to assemble ``c`` complete collections."""
-    return int(trace.arrival_column(c).max())
-
-
-def partial_collection_time(trace: CollectorTrace, r: int, m: int) -> int:
-    """First time all but ``m`` (unspecified) types have ``r`` arrivals each.
-
-    Zero when ``m >= n``; otherwise the (n-m)-th smallest r-th arrival time.
-    """
-    if m < 0:
-        raise ValueError(f"need m >= 0, got m={m}")
-    if m >= trace.n:
-        return 0
-    column = trace.arrival_column(r)
-    k = trace.n - m - 1
-    return int(np.partition(column, k)[k])

@@ -2,11 +2,11 @@
 
 Each experiment kind exercises one limit statement and is one entry of
 :data:`KINDS`: what it verifies, how many arrivals per type its traces track,
-what it extracts from one trace, and how it aggregates those payloads into
-rows, summaries and verdicts.  :func:`run_bank` simulates each trace once and
-hands it to the extraction of every config that reads it, sampling
-consecutive replications in blocks.  A trace is keyed by
-``(master_seed, n, j)`` alone: replication ``j`` at ``n`` reads the stream
+how it extracts one payload per trace from a block of traces, and how it
+aggregates those payloads into rows, summaries and verdicts.  :func:`run_bank`
+simulates each trace once, sampling consecutive replications in blocks, and
+hands each block to the extraction of every config that reads it.  A trace
+is keyed by ``(master_seed, n, j)`` alone: replication ``j`` at ``n`` reads the stream
 :func:`replication_block` gives it, with the largest r_max any config reading
 that ``(master_seed, n)`` needs, so configs sharing a seed share their traces
 and the numbers are independent of the worker count.  :func:`run_experiments` runs
@@ -29,7 +29,7 @@ from operator import attrgetter
 import numpy as np
 
 from . import calibration
-from .discrete import TraceBlock, block_size, collection_time, partial_collection_time
+from .discrete import TraceBlock, block_size
 from .gof import increment_test, ks_statistic, ks_test, poisson_count_test
 from .limitlaws import (
     ChiSqLog,
@@ -38,8 +38,7 @@ from .limitlaws import (
     PoissonizedMarginal,
     intensity_mass,
 )
-from .pointprocess import Normalization, h_transform, normalize
-from .poissonized import count_mismatch
+from .pointprocess import Normalization, h_transform
 from .samplers import SeedSpec
 
 __all__ = [
@@ -226,7 +225,7 @@ def battery_from_dict(d: dict) -> list[ExperimentReport]:
 
 
 # ---------------------------------------------------------------------------
-# experiment kinds: the payload each reads from one trace, and its aggregation
+# experiment kinds: the payloads each reads from a block of traces, and their aggregation
 
 def _row(cfg, n, name, value, p_value, sample_size, verdict):
     return {
@@ -267,8 +266,28 @@ def _count_tests(cfg, n, counts, rows, verdicts) -> None:
         verdicts[key.format(n=n)] = ok
 
 
-def _extract_marginal(trace, cfg):
-    return Normalization(trace.n, cfg.r).apply(trace.time_column(cfg.r))
+def _pattern(block, r):
+    """Per row of ``block``, the normalized draws of every type's r-th arrival."""
+    return Normalization(block.n, r).apply(block.arrivals[:, :, r - 1])
+
+
+def _within(points, a, b):
+    """Per row of ``points``, its points in the closed interval [a, b]; b may be +inf."""
+    return np.count_nonzero((points >= a) & (points <= b), axis=1)
+
+
+def _last_but(block, r, m):
+    """Per row of ``block``, for j = 0..m, the first draw at which all but j
+    types have r arrivals: the (n-j)-th smallest r-th arrival draw."""
+    k = block.n - m - 1
+    # the m+1 largest in one selection, then in order: a partition at each of
+    # them is up to ten times slower
+    largest = np.partition(block.arrivals[:, :, r - 1], k, axis=1)[:, k:]
+    return np.sort(largest, axis=1)[:, ::-1]
+
+
+def _extract_marginal(block, cfg):
+    return list(Normalization(block.n, cfg.r).apply(block.times[:, :, cfg.r - 1]))
 
 
 def _aggregate_marginal(cfg, per_n):
@@ -287,9 +306,10 @@ def _interval_windows(cfg):
             for k, (a, b) in enumerate(cfg.intervals)]
 
 
-def _extract_counts(trace, cfg):
-    pattern = normalize(trace.arrival_column(cfg.r), Normalization(trace.n, cfg.r))
-    return [pattern.count(a, b) for a, b in cfg.intervals], float(pattern.points[-1])
+def _extract_counts(block, cfg):
+    points = _pattern(block, cfg.r)
+    counts = np.column_stack([_within(points, a, b) for a, b in cfg.intervals])
+    return list(zip(counts.tolist(), points.max(axis=1).tolist()))
 
 
 def _aggregate_counts(cfg, per_n):
@@ -308,9 +328,11 @@ def _aggregate_counts(cfg, per_n):
     return rows, summaries, verdicts
 
 
-def _extract_collection(trace, cfg):
-    value = float(Normalization(trace.n, cfg.c).apply(collection_time(trace, cfg.c)))
-    return value, collection_time(trace, 1)
+def _extract_collection(block, cfg):
+    # T_c, the draws that c complete collections need, is the largest c-th arrival
+    t_c = block.arrivals[:, :, cfg.c - 1].max(axis=1)
+    values = Normalization(block.n, cfg.c).apply(t_c)
+    return list(zip(values.tolist(), block.arrivals[:, :, 0].max(axis=1).tolist()))
 
 
 def _aggregate_collection(cfg, per_n):
@@ -326,8 +348,9 @@ def _aggregate_collection(cfg, per_n):
         rows.append(_row(cfg, n, "ks_statistic", dist, None, len(values), ok))
         verdicts[f"ks_within_tolerance_n{n}"] = ok
         target = n * _harmonic(n)
-        stderr = float(t1.std(ddof=1)) / math.sqrt(len(t1))
-        mean_ok = abs(float(t1.mean()) - target) <= 3 * stderr
+        # one replication has no standard error, so it cannot meet the identity
+        mean_ok = len(t1) >= 2 and (abs(float(t1.mean()) - target)
+                                    <= 3 * float(t1.std(ddof=1)) / math.sqrt(len(t1)))
         rows.append(_row(cfg, n, "mean_T1_minus_nHn",
                          float(t1.mean()) - target, None, len(t1), mean_ok))
         verdicts[f"mean_identity_n{n}"] = mean_ok
@@ -339,10 +362,8 @@ def _aggregate_collection(cfg, per_n):
     return rows, summaries, verdicts
 
 
-def _extract_lastbut(trace, cfg):
-    norm = Normalization(trace.n, cfg.r)
-    return [float(norm.apply(partial_collection_time(trace, cfg.r, j)))
-            for j in range(cfg.m + 1)]
+def _extract_lastbut(block, cfg):
+    return Normalization(block.n, cfg.r).apply(_last_but(block, cfg.r, cfg.m)).tolist()
 
 
 def _aggregate_lastbut(cfg, per_n):
@@ -363,11 +384,11 @@ def _aggregate_lastbut(cfg, per_n):
     return rows, {}, verdicts
 
 
-def _extract_partial(trace, cfg):
-    t_rm, n = partial_collection_time(trace, cfg.r, cfg.m), trace.n
+def _extract_partial(block, cfg):
+    t_rm, n = _last_but(block, cfg.r, cfg.m)[:, -1], block.n
     if cfg.r == 1:
-        return math.log(2 * n) - t_rm / n
-    return float(Normalization(n, cfg.r).apply(t_rm))
+        return (math.log(2 * n) - t_rm / n).tolist()
+    return Normalization(n, cfg.r).apply(t_rm).tolist()
 
 
 def _aggregate_partial(cfg, per_n):
@@ -393,11 +414,11 @@ def _rare_windows(cfg):
                     for k, (a, b) in enumerate(zip(xs, xs[1:]))]
 
 
-def _extract_rare(trace, cfg):
-    pattern = normalize(trace.arrival_column(cfg.r), Normalization(trace.n, cfg.r))
-    tails = [pattern.count_from(x) for x in cfg.thresholds]
+def _extract_rare(block, cfg):
+    points = _pattern(block, cfg.r)
+    tails = np.column_stack([np.count_nonzero(points >= x, axis=1) for x in cfg.thresholds])
     # the points in [x, y): those of the tail from x less those of the tail from y
-    return tails + [lo - hi for lo, hi in zip(tails, tails[1:])]
+    return np.hstack([tails, tails[:, :-1] - tails[:, 1:]]).tolist()
 
 
 def _aggregate_rare(cfg, per_n):
@@ -410,9 +431,14 @@ def _aggregate_rare(cfg, per_n):
     return rows, {"mean_count_series": series}, verdicts
 
 
-def _extract_mismatch(trace, cfg):
+def _extract_mismatch(block, cfg):
+    """Per row, 1 if its discrete and poissonized normalized patterns hold
+    different numbers of points in the first interval, else 0."""
     a, b = cfg.intervals[0]
-    return int(count_mismatch(trace, cfg.r, a, b))
+    norm = Normalization(block.n, cfg.r)
+    discrete, poissonized = (_within(norm.apply(scheme[:, :, cfg.r - 1]), a, b)
+                             for scheme in (block.arrivals, block.times))
+    return (discrete != poissonized).astype(np.int64).tolist()
 
 
 def _aggregate_mismatch(cfg, per_n):
@@ -438,9 +464,11 @@ def _aggregate_mismatch(cfg, per_n):
     return rows, summaries, verdicts
 
 
-def _extract_null_p_value(trace, cfg):
-    sums = trace.stream.generator().exponential(1.0, (1000, cfg.m + 1)).sum(axis=1)
-    return ks_test(h_transform(sums, cfg.r), LogGamma(cfg.r, cfg.m).cdf).p_value
+def _extract_null_p_values(block, cfg):
+    law = LogGamma(cfg.r, cfg.m)
+    sums = (stream.generator().exponential(1.0, (1000, cfg.m + 1)).sum(axis=1)
+            for stream in block.streams)
+    return [ks_test(h_transform(s, cfg.r), law.cdf).p_value for s in sums]
 
 
 def _aggregate_null(cfg, per_n):
@@ -461,13 +489,13 @@ class Kind:
     """One experiment kind.
 
     ``r_max(cfg)`` is the number of arrivals per type its traces must track, 0
-    for a kind that samples no trace.  ``extract(trace, cfg)`` reads one
-    replication's payload from its :class:`~dixiecup.discrete.CollectorTrace`,
-    a row of the block of traces the bank samples together, which samples
-    only what is read: a kind that reads only ``times`` costs no jump chain,
-    and one of r_max 0 reads only ``trace.stream``.  The trace's arrays are
-    views of the block's, the same bytes as a trace sampled alone, so an
-    extractor sees one replication and never its block.
+    for a kind that samples no trace.  ``extract(block, cfg)`` reads the
+    payload of every replication in a :class:`~dixiecup.discrete.TraceBlock`
+    the bank samples, one per row and in row order, by array passes along the
+    row axis.  A block samples only what is read: a kind that reads only
+    ``times`` costs no jump chain, and one of r_max 0 reads only
+    ``block.streams``.  Row i is the bytes of the trace of ``streams[i]``
+    alone, so a payload does not depend on the block it was read from.
     ``aggregate(cfg, per_n)`` turns the payloads at each n into ``(rows,
     summaries, verdicts)``.  ``battery`` holds the config fields of the kind's
     experiments in the standard suite, replications at scale 1.  ``windows(cfg)``
@@ -525,7 +553,7 @@ KINDS = {
               replications=2000),)),
     "limit-consistency": Kind(
         "null calibration of the battery against its own limit laws",
-        lambda cfg: 0, _extract_null_p_value, _aggregate_null,
+        lambda cfg: 0, _extract_null_p_values, _aggregate_null,
         (dict(r=1, m=0, replications=200),)),
 }
 
@@ -541,13 +569,12 @@ def replication_block(seed: int, n: int, r_max: int, start: int, stop: int) -> T
 
 
 def _bank_block(configs, task):
-    """One block of traces: per trace, the payload of each config reading it,
-    then the draws of its jump chain (0 unless a reader derived the chain)."""
+    """One block of traces: per config reading it, the payload of each trace,
+    then the draws of the jump chains (0 unless a reader derived them)."""
     seed, n, start, count, r_max, readers = task
     block = replication_block(seed, n, r_max, start, start + count)
-    extractors = [(KINDS[configs[k].kind].extract, configs[k]) for k in readers]
-    payloads = [[extract(trace, cfg) for extract, cfg in extractors] for trace in block.traces]
-    return payloads, block.derived_draws().tolist()
+    payloads = [KINDS[configs[k].kind].extract(block, configs[k]) for k in readers]
+    return payloads, block.derived_draws()
 
 
 def _usable_cpus() -> int:
@@ -561,9 +588,15 @@ def _usable_cpus() -> int:
 # The cost model of a bank: a trace of n * r_max tracked arrivals costs
 # about what sampling n * r_max + _TRACE_COST arrivals would, and a bank of
 # total cost at most _POOL_MIN_COST runs faster serially than on a pool, whose
-# start-up it does not earn back.  Measured with `verify` on 2 vCPUs: a trace
-# costs about 50 us plus 0.17 us per tracked arrival, a 2-process pool about
-# 25 ms to start, and the pool broke even near 100 ms of serial work.
+# start-up it does not earn back.  Measured on 2 vCPUs, with extraction from
+# whole blocks: in a serial bank a trace costs about 25 us plus 0.12-0.14 us
+# per tracked arrival, so its fixed part is nearer 200 arrivals than 300.  A
+# 2-process pool costs about 20 ms to start.  In erdos-renyi `verify` runs,
+# serial against a forced pool of 2, the pool broke even near 1500-2000
+# replications at n = 100 (cost 600000-800000) and 250-400 at n = 1000 (cost
+# 325000-520000), about 50-75 ms of serial work.  With extraction per trace
+# the same runs broke even at 1500 and 250: the break-even moved by less
+# than the noise of these runs, so the constants stand.
 _TRACE_COST = 300
 _POOL_MIN_COST = 600_000
 
@@ -593,8 +626,10 @@ def run_bank(configs: list[ExperimentConfig], workers: int = 1) -> tuple:
     The unit of work is a block: consecutive j of one ``(seed, n)`` that the
     same configs read, at most :func:`~dixiecup.discrete.block_size` of them,
     sampled as one :class:`~dixiecup.discrete.TraceBlock` whose rows are the
-    traces, to the byte.  Blocks run serially, or on one pool of
-    :func:`_processes` processes when the bank's cost earns the pool's
+    traces, to the byte.  Each reading config extracts the payloads of all
+    its rows in one call, by array passes along the row axis, so a payload
+    does not depend on the block size.  Blocks run serially, or on one pool
+    of :func:`_processes` processes when the bank's cost earns the pool's
     start-up; the payloads do not depend on which.
 
     Returns ``(per_config, draws, traces, processes)``: one ``{n: [payload
@@ -637,10 +672,9 @@ def run_bank(configs: list[ExperimentConfig], workers: int = 1) -> tuple:
     per_config = [{n: [] for n in cfg.grid} for cfg in configs]
     draws = [0] * len(configs)
     for (_, n, _, _, _, ks), (block_payloads, block_draws) in zip(tasks, outcomes):
-        for payloads, trace_draws in zip(block_payloads, block_draws):
-            for k, payload in zip(ks, payloads):
-                per_config[k][n].append(payload)
-                draws[k] += trace_draws
+        for k, payloads in zip(ks, block_payloads):
+            per_config[k][n] += payloads
+            draws[k] += block_draws
     return per_config, draws, traces, processes
 
 

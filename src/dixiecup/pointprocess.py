@@ -14,7 +14,6 @@ import numpy as np
 __all__ = [
     "Normalization",
     "PointPattern",
-    "normalize",
     "h_transform",
 ]
 
@@ -66,11 +65,6 @@ class PointPattern:
     def count_from(self, x: float) -> int:
         """Number of points in [x, +inf)."""
         return self.mass - int(np.searchsorted(self.points, x, side="left"))
-
-
-def normalize(raw_times, norm: Normalization) -> PointPattern:
-    """Center and scale raw arrival times into a point pattern."""
-    return PointPattern.from_values(norm.apply(raw_times))
 
 
 def h_transform(x, r: int):

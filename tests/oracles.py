@@ -3,8 +3,13 @@
 ``trace_from_sequence`` builds the trace of an explicit draw-by-draw coupon
 sequence, ``sample_limit_process`` samples the limiting Poisson pattern
 directly, and ``last_but`` reads the largest points of a pattern by sorting.
-``seeded_traces`` is no oracle but the tests' fast way to loop over the lone
-traces of consecutive streams.
+``collection_time``, ``partial_collection_time``, ``normalize`` and
+``count_mismatch`` read one trace's statistics, and ``EXTRACT`` holds, per
+experiment kind, the payload of one trace built from them: the block
+extraction of :data:`dixiecup.experiments.KINDS` must give it for every row.
+``block_traces`` and ``seeded_traces`` are no oracles but the tests' ways to
+read the rows of a block, and to loop over the lone traces of consecutive
+streams, as traces.
 """
 from __future__ import annotations
 
@@ -15,7 +20,9 @@ import numpy as np
 from numpy.random import Generator
 
 from dixiecup.discrete import CollectorTrace, TraceBlock, block_size
-from dixiecup.pointprocess import PointPattern, h_transform
+from dixiecup.gof import ks_test
+from dixiecup.limitlaws import LogGamma
+from dixiecup.pointprocess import Normalization, PointPattern, h_transform
 from dixiecup.samplers import SeedSpec
 
 
@@ -43,6 +50,12 @@ def trace_from_sequence(types, n: int, r_max: int) -> CollectorTrace:
     return trace
 
 
+def block_traces(block: TraceBlock) -> list[CollectorTrace]:
+    """One trace per stream of ``block``, each a row of it."""
+    return [CollectorTrace(block.n, block.r_max, stream, block, row)
+            for row, stream in enumerate(block.streams)]
+
+
 def seeded_traces(n: int, r_max: int, reps: int, seed: int) -> Iterator[CollectorTrace]:
     """The traces of streams ``SeedSpec(seed, j)`` for j < ``reps``, in order:
     the bytes of ``run_discrete(n, r_max, SeedSpec(seed, j))``, sampled in
@@ -50,7 +63,100 @@ def seeded_traces(n: int, r_max: int, reps: int, seed: int) -> Iterator[Collecto
     size = block_size(n, r_max)
     for start in range(0, reps, size):
         streams = [SeedSpec(seed, j) for j in range(start, min(start + size, reps))]
-        yield from TraceBlock(n, r_max, streams).traces
+        yield from block_traces(TraceBlock(n, r_max, streams))
+
+
+def collection_time(trace: CollectorTrace, c: int) -> int:
+    """Draws needed to assemble ``c`` complete collections."""
+    return int(trace.arrival_column(c).max())
+
+
+def partial_collection_time(trace: CollectorTrace, r: int, m: int) -> int:
+    """First time all but ``m`` (unspecified) types have ``r`` arrivals each.
+
+    Zero when ``m >= n``; otherwise the (n-m)-th smallest r-th arrival time.
+    """
+    if m < 0:
+        raise ValueError(f"need m >= 0, got m={m}")
+    if m >= trace.n:
+        return 0
+    column = trace.arrival_column(r)
+    k = trace.n - m - 1
+    return int(np.partition(column, k)[k])
+
+
+def normalize(raw_times, norm: Normalization) -> PointPattern:
+    """Center and scale raw arrival times into a point pattern."""
+    return PointPattern.from_values(norm.apply(raw_times))
+
+
+def count_mismatch(trace: CollectorTrace, r: int, a: float, b: float) -> bool:
+    """Whether the discrete and poissonized normalized patterns disagree on [a, b]."""
+    norm = Normalization(trace.n, r)
+    discrete_pts = norm.apply(trace.arrival_column(r))
+    poisson_pts = norm.apply(trace.time_column(r))
+
+    def inside(x):
+        return int(np.count_nonzero((x >= a) & (x <= b)))
+
+    return inside(discrete_pts) != inside(poisson_pts)
+
+
+def _extract_marginal(trace, cfg):
+    return Normalization(trace.n, cfg.r).apply(trace.time_column(cfg.r))
+
+
+def _extract_counts(trace, cfg):
+    pattern = normalize(trace.arrival_column(cfg.r), Normalization(trace.n, cfg.r))
+    return [pattern.count(a, b) for a, b in cfg.intervals], float(pattern.points[-1])
+
+
+def _extract_collection(trace, cfg):
+    value = float(Normalization(trace.n, cfg.c).apply(collection_time(trace, cfg.c)))
+    return value, collection_time(trace, 1)
+
+
+def _extract_lastbut(trace, cfg):
+    norm = Normalization(trace.n, cfg.r)
+    return [float(norm.apply(partial_collection_time(trace, cfg.r, j)))
+            for j in range(cfg.m + 1)]
+
+
+def _extract_partial(trace, cfg):
+    t_rm, n = partial_collection_time(trace, cfg.r, cfg.m), trace.n
+    if cfg.r == 1:
+        return math.log(2 * n) - t_rm / n
+    return float(Normalization(n, cfg.r).apply(t_rm))
+
+
+def _extract_rare(trace, cfg):
+    pattern = normalize(trace.arrival_column(cfg.r), Normalization(trace.n, cfg.r))
+    tails = [pattern.count_from(x) for x in cfg.thresholds]
+    # the points in [x, y): those of the tail from x less those of the tail from y
+    return tails + [lo - hi for lo, hi in zip(tails, tails[1:])]
+
+
+def _extract_mismatch(trace, cfg):
+    a, b = cfg.intervals[0]
+    return int(count_mismatch(trace, cfg.r, a, b))
+
+
+def _extract_null_p_value(trace, cfg):
+    sums = trace.stream.generator().exponential(1.0, (1000, cfg.m + 1)).sum(axis=1)
+    return ks_test(h_transform(sums, cfg.r), LogGamma(cfg.r, cfg.m).cdf).p_value
+
+
+# per experiment kind, the payload of one replication read from its lone trace
+EXTRACT = {
+    "poissonized-marginal": _extract_marginal,
+    "theorem1-counts": _extract_counts,
+    "erdos-renyi": _extract_collection,
+    "partial-collection": _extract_lastbut,
+    "chi2-law": _extract_partial,
+    "rare-path": _extract_rare,
+    "coupling-decay": _extract_mismatch,
+    "limit-consistency": _extract_null_p_value,
+}
 
 
 def sample_limit_process(r: int, a: float, rng: Generator) -> PointPattern:

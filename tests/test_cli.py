@@ -3,6 +3,7 @@ import ast
 import copy
 import csv
 import importlib.util
+import io
 import json
 import math
 import os
@@ -71,6 +72,30 @@ def test_simulate_rows_are_the_bank_traces_across_blocks(tmp_path):
         want += [[str(j), str(i + 1), str(k + 1), str(trace.arrivals[i, k]),
                   repr(float(trace.times[i, k]))] for i in range(3) for k in range(2)]
     assert rows == want
+
+
+@pytest.mark.parametrize("scheme", ["discrete", "coupled"])
+def test_simulate_writes_the_csv_writer_bytes_across_blocks(scheme, tmp_path):
+    """The lines are formatted a block at a time, to the byte what csv.writer
+    writes for the rows of each lone trace."""
+    out = tmp_path / "trace.csv"
+    reps = block_size(4, 3) + 5  # a full block and part of the next
+    code = run_cli("simulate", "--scheme", scheme, "--n", "4", "--rmax", "3",
+                   "--reps", str(reps), "--seed", "12", "--out", str(out))
+    assert code == EXIT_PASS
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(["replication", "type", "multiplicity", "arrival_draw"]
+                    + ["arrival_time"] * (scheme == "coupled"))
+    for j in range(reps):
+        trace = run_discrete(4, 3, SeedSpec(12, (4 << 32) | j))
+        for i in range(4):
+            for k in range(3):
+                row = [j, i + 1, k + 1, int(trace.arrivals[i, k])]
+                if scheme == "coupled":
+                    row.append(float(trace.times[i, k]))
+                writer.writerow(row)
+    assert out.read_bytes() == want.getvalue().encode()
 
 
 def test_simulate_coupled_adds_time_column(tmp_path):
@@ -243,6 +268,24 @@ def test_verify_largest_float_factorial_still_runs(capsys):
     code = run_cli("verify", "--kind", "erdos-renyi", "--c", "171", "--n", "20", "--reps", "20")
     assert code == EXIT_STAT_FAIL
     assert TIMING.search(capsys.readouterr().err)
+
+
+def test_verify_one_replication_fails_the_mean_identity_without_warnings(tmp_path, capsys):
+    """One replication has no standard error: std(ddof=1) used to print two
+    RuntimeWarnings, and the verdict failed only because NaN compares false."""
+    out = tmp_path / "report.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli("verify", "--kind", "erdos-renyi", "--n", "10", "--reps", "1",
+                       "--out", str(out))
+    assert code == EXIT_STAT_FAIL
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    captured = capsys.readouterr()
+    assert "RuntimeWarning" not in captured.err
+    assert "FAIL  erdos-renyi: mean_identity_n10" in captured.out
+    (row,) = [row for row in json.loads(out.read_text())["results"]
+              if row["statistic_name"] == "mean_T1_minus_nHn"]
+    assert row["verdict"] is False and math.isfinite(row["value"])
 
 
 def test_verify_increments_beyond_float_range_fail_cleanly(tmp_path, capsys):

@@ -12,14 +12,18 @@ from dixiecup.discrete import (
     CollectorTrace,
     TraceBlock,
     block_size,
-    collection_time,
-    partial_collection_time,
     run_discrete,
 )
 from dixiecup.poissonized import run_coupled
 from dixiecup.samplers import SeedSpec
 
-from oracles import seeded_traces, trace_from_sequence
+from oracles import (
+    block_traces,
+    collection_time,
+    partial_collection_time,
+    seeded_traces,
+    trace_from_sequence,
+)
 
 
 def harmonic(n):
@@ -200,7 +204,7 @@ def test_block_rows_are_the_traces_alone(n, r_max):
     size = block_size(n, r_max)
     streams = [SeedSpec(2024, (n << 32) | j) for j in range(size)]
     block = TraceBlock(n, r_max, streams)
-    for trace, stream in zip(block.traces, streams):
+    for trace, stream in zip(block_traces(block), streams):
         assert_same_bytes((trace.arrivals, trace.times), embed(stream, n, r_max))
     times_first = TraceBlock(n, r_max, streams)
     times = times_first.times.copy()
@@ -218,7 +222,7 @@ def test_block_rows_restore_row_order_after_float_ties(n, r_max, tied_scratch):
     # some row's argsort reverses a tied pair, so its repair runs
     assert any(not np.array_equal(np.argsort(times, axis=None), stable_argsort(times, axis=None))
                for times in block.times)
-    for seed, trace in enumerate(block.traces):
+    for seed, trace in enumerate(block_traces(block)):
         assert_same_bytes((trace.arrivals, trace.times), embed(SeedSpec(seed, 0), n, r_max))
         assert np.all(np.diff(trace.arrivals, axis=1) > 0)
 

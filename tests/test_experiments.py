@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from dixiecup import discrete, experiments
+from dixiecup.cli import battery_configs
+from dixiecup.discrete import CollectorTrace
 from dixiecup.experiments import (
     CSV_COLUMNS,
     ConfigError,
@@ -20,6 +22,9 @@ from dixiecup.experiments import (
     run_bank,
     run_experiments,
 )
+from dixiecup.samplers import SeedSpec
+
+from oracles import EXTRACT
 
 
 def run_one(config, workers=1):
@@ -207,6 +212,78 @@ def test_marginal_reads_the_same_times_without_the_jump_chain(monkeypatch):
     assert draws == [0] < shared_draws[:1] and alone_traces == traces
     for n, payloads in alone.items():
         assert [p.tobytes() for p in payloads] == [p.tobytes() for p in shared_per_config[0][n]]
+
+
+def typed(value):
+    """``value`` as nested (type, value) pairs, a float as its hex and an
+    array as its bytes: two values are equal only if their types and bits are."""
+    if isinstance(value, np.ndarray):
+        return "ndarray", value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, dict):
+        return "dict", [(key, typed(item)) for key, item in value.items()]
+    if isinstance(value, (list, tuple)):
+        return type(value).__name__, [typed(item) for item in value]
+    return type(value).__name__, value.hex() if isinstance(value, float) else value
+
+
+def oracle_configs():
+    """One config of every kind, on one bank: r_max 3 at each n of the grid,
+    m up to n - 1, an infinite interval and several thresholds, and blocks
+    that one config reads further than another."""
+    grid = dict(n_grid=[5, 60], replications=300)
+    return [
+        small_config("poissonized-marginal", r=3, **grid),
+        small_config("theorem1-counts", r=2, intervals=[(0.0, math.inf), (-1.0, 0.0)], **grid),
+        small_config("erdos-renyi", c=2, **grid),
+        small_config("partial-collection", r=2, m=4, **grid),
+        small_config("chi2-law", r=1, m=2, n_grid=[5, 60], replications=200),
+        small_config("chi2-law", r=3, m=1, **grid),
+        small_config("rare-path", r=2, thresholds=[-1.0, 0.0, 1.0, 2.0], **grid),
+        small_config("coupling-decay", r=1, intervals=[(-math.inf, 1.0)], **grid),
+        small_config("limit-consistency", r=2, m=1, replications=20),
+    ]
+
+
+@pytest.fixture(scope="module")
+def oracle_bank():
+    configs = oracle_configs()
+    return configs, run_bank(configs)
+
+
+def test_block_payloads_are_the_per_trace_oracles(oracle_bank):
+    """Each kind reads a whole block in array passes; row j must give the
+    payload, in type and bits, that its per-trace oracle reads from the lone
+    trace of replication j."""
+    configs, (per_config, _, _, _) = oracle_bank
+    assert {cfg.kind for cfg in configs} == set(KINDS)
+    lone = {}
+    for cfg, per_n in zip(configs, per_config):
+        for n, payloads in per_n.items():
+            assert len(payloads) == cfg.replications
+            r_max = bank_r_max(configs, cfg, n)
+            for j, payload in enumerate(payloads):
+                if (n, j) not in lone:
+                    lone[n, j] = CollectorTrace(n, r_max, SeedSpec(cfg.master_seed, (n << 32) | j))
+                assert typed(payload) == typed(EXTRACT[cfg.kind](lone[n, j], cfg))
+
+
+def test_block_payloads_do_not_depend_on_the_block_size(oracle_bank, monkeypatch):
+    configs, bank = oracle_bank
+    monkeypatch.setattr(experiments, "block_size", lambda n, r_max: 1)
+    alone = run_bank(configs)
+    assert typed(alone[0]) == typed(bank[0]) and alone[1:3] == bank[1:3]
+
+
+def test_bank_builds_no_trace_objects(monkeypatch):
+    """The bank extracts from whole blocks: it builds no per-trace object."""
+    def no_trace(self, *args, **kwargs):
+        raise AssertionError("the bank built a CollectorTrace")
+
+    monkeypatch.setattr(CollectorTrace, "__init__", no_trace)
+    configs = battery_configs(7, 0.01)
+    per_config, *_ = run_bank(configs)
+    assert [sum(map(len, per_n.values())) for per_n in per_config] == [
+        cfg.replications * len(cfg.grid) for cfg in configs]
 
 
 class RecordingPool:

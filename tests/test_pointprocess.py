@@ -6,16 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dixiecup.discrete import partial_collection_time, run_discrete
-from dixiecup.pointprocess import (
-    Normalization,
-    PointPattern,
-    h_transform,
-    normalize,
-)
+from dixiecup.discrete import run_discrete
+from dixiecup.pointprocess import Normalization, PointPattern, h_transform
 from dixiecup.samplers import SeedSpec
 
-from oracles import last_but, sample_limit_process
+from oracles import last_but, normalize, partial_collection_time, sample_limit_process
 
 finite_floats = st.floats(-1e6, 1e6, allow_nan=False)
 

@@ -5,8 +5,10 @@ import numpy as np
 from scipy import special, stats
 
 from dixiecup.discrete import run_discrete
-from dixiecup.poissonized import count_mismatch, run_coupled
+from dixiecup.poissonized import run_coupled
 from dixiecup.samplers import SeedSpec
+
+from oracles import count_mismatch
 
 
 def test_coupling_times_are_gamma_given_arrivals():
