@@ -19,6 +19,7 @@ import sys
 
 from .discrete import block_size
 from .experiments import (
+    KEY_LIMIT,
     KINDS,
     ConfigError,
     ExperimentConfig,
@@ -115,6 +116,11 @@ def _cmd_simulate(args) -> int:
                                ("--reps", args.reps, 1)):
         if value < least:
             raise ValueError(f"{flag} must be at least {least}, got {value}")
+    # replication j at n reads stream (n << 32) | j, as in the bank
+    for flag, value, most in (("--n", args.n, KEY_LIMIT - 1), ("--reps", args.reps, KEY_LIMIT)):
+        if value > most:
+            raise ValueError(f"{flag} must be at most {most}, since n and j must each be "
+                             f"below 2**32 in a stream index; got {value}")
     if args.n < 3:
         print(f"warning: n={args.n} is below the recommended minimum of 3; "
               "the centering uses ln ln n", file=sys.stderr)
@@ -303,8 +309,9 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (MemoryError, OSError, ValueError) as exc:
+        # a MemoryError raised by the interpreter itself has no message
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -1,6 +1,8 @@
 """The one trace of both coupon schemes and its block sampler."""
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -12,59 +14,33 @@ __all__ = [
     "CollectorTrace",
     "TraceBlock",
     "block_size",
+    "keyed",
     "run_discrete",
 ]
 
 
+@dataclass(frozen=True, eq=False)
 class CollectorTrace:
     """One collection run: the poissonized scheme and its jump chain, the discrete one.
 
-    Built from ``(n, r_max, stream)``, a trace samples only what is read, so
-    one of r_max 0 is only its stream.  ``times[i, k]``, the stream's first
-    draws, is the time of the (k+1)-th arrival of type ``i`` (0-based) when
-    each type arrives as a rate-1/n Poisson process.  ``arrivals[i, k]``, the
-    jump chain, is the 1-based draw number of that arrival, derived from the
-    same generator on first read; so ``times`` are the same bytes whether it
-    was read or not.  Rows of ``arrivals`` strictly increase, all entries are
-    distinct (one coupon per draw), and the maximum is the number of draws the
+    ``times[i, k]`` is the time of the (k+1)-th arrival of type ``i``
+    (0-based) when each type arrives as a rate-1/n Poisson process.
+    ``arrivals[i, k]``, the jump chain, is the 1-based draw number of that
+    arrival.  Rows of ``arrivals`` strictly increase, all entries are distinct
+    (one coupon per draw), and the maximum is the number of draws the
     collection needed.  Given ``arrivals[i, k] = a``, ``times[i, k]`` is
-    Gamma(a, 1), since draws arrive at unit rate.
-
-    A trace is row ``row`` of a :class:`TraceBlock`, which samples its traces
-    together; by default a block of this one trace.  Its arrays are views of
-    the block's, and are the same bytes in a block of any size.
+    Gamma(a, 1), since draws arrive at unit rate.  A trace built from a coupon
+    sequence rather than sampled has no ``times``.
     """
 
-    def __init__(self, n: int, r_max: int, stream: SeedSpec | None,
-                 block: TraceBlock | None = None, row: int = 0) -> None:
-        self.n, self.r_max, self.stream = n, r_max, stream
-        self._block = TraceBlock(n, r_max, [stream]) if block is None else block
-        self._row = row
-
-    @cached_property
-    def times(self) -> np.ndarray:
-        return self._block.times[self._row]
-
-    @cached_property
-    def arrivals(self) -> np.ndarray:
-        return self._block.arrivals[self._row]
+    n: int
+    r_max: int
+    times: np.ndarray | None
+    arrivals: np.ndarray
 
     @property
     def total_draws(self) -> int:
         return int(self.arrivals[:, -1].max())
-
-    def _column(self, r: int) -> int:
-        if not 1 <= r <= self.r_max:
-            raise ValueError(f"multiplicity r={r} outside 1..{self.r_max}")
-        return r - 1
-
-    def arrival_column(self, r: int) -> np.ndarray:
-        """Arrival draws of the r-th coupon of every type."""
-        return self.arrivals[:, self._column(r)]
-
-    def time_column(self, r: int) -> np.ndarray:
-        """Poissonized arrival times of the r-th coupon of every type."""
-        return self.times[:, self._column(r)]
 
 
 # A block holds at most _BLOCK_TRACES traces and, unless it is one trace, at
@@ -87,15 +63,34 @@ def block_size(n: int, r_max: int) -> int:
 _SCRATCH = Generator(Philox(0))
 
 
+def keyed(streams: Sequence[SeedSpec]) -> Iterator[Generator]:
+    """The scratch generator set to each stream's key at counter 0, in turn.
+
+    A Philox stream is its key at counter 0, so what the generator draws
+    before the next step are the stream's first draws; the next step keys it
+    anew.  The keys are hashed at once, in one
+    :func:`~dixiecup.samplers.philox_keys` pass.
+    """
+    philox = _SCRATCH.bit_generator
+    zeros = np.zeros(4, dtype=np.uint64)
+    # the state setter copies what it reads, so one dict serves every key
+    start = {"bit_generator": "Philox", "state": {"counter": zeros, "key": None},
+             "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for key in philox_keys(streams):
+        start["state"]["key"] = key
+        philox.state = start
+        yield _SCRATCH
+
+
 class TraceBlock:
     """Traces of one ``(n, r_max)`` on their own streams, sampled as one array.
 
     ``times`` and ``arrivals`` have one row of shape ``(n, r_max)`` per
     stream, and row i is what a trace of ``streams[i]`` alone samples, to the
     byte: every generator call and its arguments are the ones the trace makes,
-    and each array pass runs row by row.  Each stream is a :class:`SeedSpec`,
-    keyed in one hash with the others: on the one scratch generator, set to
-    its key at counter 0, it draws its exponentials into its row of ``times``,
+    and each array pass runs row by row.  Each stream is a :class:`SeedSpec`:
+    on the one scratch generator, set to its key at counter 0 by
+    :func:`keyed`, it draws its exponentials into its row of ``times``,
     and its state is saved until the first read of ``arrivals`` derives the
     jump chain of the whole block.
     """
@@ -116,17 +111,10 @@ class TraceBlock:
         if r_max < 1:
             raise ValueError(f"need r_max >= 1, got r_max={r_max}")
         times = np.empty((len(self.streams), n, r_max))
-        philox = _SCRATCH.bit_generator
-        zeros = np.zeros(4, dtype=np.uint64)
-        # the state setter copies what it reads, so one dict serves every key
-        start = {"bit_generator": "Philox", "state": {"counter": zeros, "key": None},
-                 "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
         self._states = []
-        for row, key in zip(times, philox_keys(self.streams)):
-            start["state"]["key"] = key
-            philox.state = start
-            _SCRATCH.standard_exponential(out=row)
-            self._states.append(philox.state)
+        for row, rng in zip(times, keyed(self.streams)):
+            rng.standard_exponential(out=row)
+            self._states.append(rng.bit_generator.state)
         # the row sums np.cumsum(axis=-1) forms, a column at a time: it loops per row
         for k in range(1, r_max):
             times[:, :, k] += times[:, :, k - 1]
@@ -204,7 +192,5 @@ def _jump_chain(states: list[dict], times: np.ndarray) -> np.ndarray:
 
 def run_discrete(n: int, r_max: int, stream: SeedSpec) -> CollectorTrace:
     """Simulate both schemes until every type has ``r_max`` arrivals: a whole trace."""
-    trace = CollectorTrace(n, r_max, stream)
-    trace.arrivals  # derive the jump chain now
-    return trace
-
+    block = TraceBlock(n, r_max, [stream])
+    return CollectorTrace(n, r_max, block.times[0], block.arrivals[0])

@@ -2,10 +2,11 @@
 
 Each experiment kind exercises one limit statement and is one entry of
 :data:`KINDS`: what it verifies, how many arrivals per type its traces track,
-how it extracts one payload per trace from a block of traces, and how it
-aggregates those payloads into rows, summaries and verdicts.  :func:`run_bank`
-simulates each trace once, sampling consecutive replications in blocks, and
-hands each block to the extraction of every config that reads it.  A trace
+how it extracts the payloads of a block of traces as one array, a row per
+trace, and how it aggregates those payloads into rows, summaries and
+verdicts.  :func:`run_bank` simulates each trace once, sampling consecutive
+replications in blocks, and hands each block to the extraction of every
+config that reads it.  A trace
 is keyed by ``(master_seed, n, j)`` alone: replication ``j`` at ``n`` reads the stream
 :func:`replication_block` gives it, with the largest r_max any config reading
 that ``(master_seed, n)`` needs, so configs sharing a seed share their traces
@@ -29,7 +30,7 @@ from operator import attrgetter
 import numpy as np
 
 from . import calibration
-from .discrete import TraceBlock, block_size
+from .discrete import TraceBlock, block_size, keyed
 from .gof import increment_test, ks_statistic, ks_test, poisson_count_test
 from .limitlaws import (
     ChiSqLog,
@@ -108,6 +109,10 @@ def check_fields(d, types: dict, what: str) -> None:
             raise ConfigError(f"{what} key {key!r} has a value of the wrong type: {d[key]!r}")
 
 
+# replication j at n reads stream (n << 32) | j, so n and j must each fit in 32 bits
+KEY_LIMIT = 2**32
+
+
 @dataclass
 class ExperimentConfig:
     kind: str
@@ -141,8 +146,9 @@ class ExperimentConfig:
             if len(set(self.n_grid)) != len(self.n_grid):
                 raise ConfigError(f"n_grid entries must be distinct, got {self.n_grid}")
             for n in self.n_grid:
-                if n < 2:
-                    raise ConfigError(f"n_grid entries must be >= 2, got {n}")
+                if not 2 <= n < KEY_LIMIT:
+                    raise ConfigError(f"n_grid entries must be >= 2 and, as a stream "
+                                      f"index holds n in 32 bits, below 2**32; got {n}")
                 # a trace of n types has no last-but-m point for m >= n
                 if self.m >= n:
                     raise ConfigError(f"need m < n, got m={self.m} at n={n}")
@@ -152,8 +158,9 @@ class ExperimentConfig:
                 raise ConfigError(f"need 1 <= {name} <= 171, got {getattr(self, name)}")
         if self.m < 0:
             raise ConfigError(f"need m >= 0, got {self.m}")
-        if self.replications < 1:
-            raise ConfigError(f"need replications >= 1, got {self.replications}")
+        if not 1 <= self.replications <= KEY_LIMIT:
+            raise ConfigError(f"need 1 <= replications <= 2**32, as a stream index holds "
+                              f"j in 32 bits; got {self.replications}")
         if not 0.0 < self.significance < 1.0:
             raise ConfigError(f"significance must lie in (0, 1), got {self.significance}")
         if not self.intervals:
@@ -287,13 +294,13 @@ def _last_but(block, r, m):
 
 
 def _extract_marginal(block, cfg):
-    return list(Normalization(block.n, cfg.r).apply(block.times[:, :, cfg.r - 1]))
+    return Normalization(block.n, cfg.r).apply(block.times[:, :, cfg.r - 1])
 
 
 def _aggregate_marginal(cfg, per_n):
     rows, verdicts = [], {}
-    for n, payloads in per_n.items():
-        res = ks_test(np.concatenate(payloads), PoissonizedMarginal(n, cfg.r).cdf)
+    for n, points in per_n.items():
+        res = ks_test(points.ravel(), PoissonizedMarginal(n, cfg.r).cdf)
         ok = res.p_value >= cfg.significance
         rows.append(_row(cfg, n, "ks_statistic", res.statistic, res.p_value,
                          res.sample_size, ok))
@@ -307,17 +314,18 @@ def _interval_windows(cfg):
 
 
 def _extract_counts(block, cfg):
+    """Per row, the count in each interval, then the first (largest) point."""
     points = _pattern(block, cfg.r)
-    counts = np.column_stack([_within(points, a, b) for a, b in cfg.intervals])
-    return list(zip(counts.tolist(), points.max(axis=1).tolist()))
+    return np.column_stack([_within(points, a, b) for a, b in cfg.intervals]
+                           + [points.max(axis=1)])
 
 
 def _aggregate_counts(cfg, per_n):
     rows, verdicts = [], {}
     first_point_ks = {}
     for n, payloads in per_n.items():
-        _count_tests(cfg, n, np.array([p[0] for p in payloads], dtype=np.int64), rows, verdicts)
-        first = np.array([p[1] for p in payloads])
+        _count_tests(cfg, n, payloads[:, :-1].astype(np.int64), rows, verdicts)
+        first = payloads[:, -1]
         dist = ks_statistic(first, GumbelType(cfg.r).cdf)
         first_point_ks[n] = dist
         rows.append(_row(cfg, n, "first_point_ks", dist, None, len(first), True))
@@ -329,10 +337,11 @@ def _aggregate_counts(cfg, per_n):
 
 
 def _extract_collection(block, cfg):
+    """Per row, the normalized T_c, then T_1."""
     # T_c, the draws that c complete collections need, is the largest c-th arrival
     t_c = block.arrivals[:, :, cfg.c - 1].max(axis=1)
-    values = Normalization(block.n, cfg.c).apply(t_c)
-    return list(zip(values.tolist(), block.arrivals[:, :, 0].max(axis=1).tolist()))
+    return np.column_stack([Normalization(block.n, cfg.c).apply(t_c),
+                            block.arrivals[:, :, 0].max(axis=1)])
 
 
 def _aggregate_collection(cfg, per_n):
@@ -340,8 +349,7 @@ def _aggregate_collection(cfg, per_n):
     distances = {}
     tol = _ks_tolerance(calibration.ERDOS_RENYI_KS_TOL, cfg.c, f"erdos-renyi c={cfg.c}")
     for n, payloads in per_n.items():
-        values = np.array([p[0] for p in payloads])
-        t1 = np.array([p[1] for p in payloads], dtype=np.float64)
+        values, t1 = payloads.T
         dist = ks_statistic(values, GumbelType(cfg.c).cdf)
         distances[n] = dist
         ok = tol is not None and dist <= tol
@@ -363,13 +371,12 @@ def _aggregate_collection(cfg, per_n):
 
 
 def _extract_lastbut(block, cfg):
-    return Normalization(block.n, cfg.r).apply(_last_but(block, cfg.r, cfg.m)).tolist()
+    return Normalization(block.n, cfg.r).apply(_last_but(block, cfg.r, cfg.m))
 
 
 def _aggregate_lastbut(cfg, per_n):
     rows, verdicts = [], {}
-    for n, payloads in per_n.items():
-        vectors = np.array(payloads)
+    for n, vectors in per_n.items():
         res = increment_test(vectors, cfg.r, cfg.m)
         ok = res.p_value >= cfg.significance
         rows.append(_row(cfg, n, "increment_ks", res.statistic, res.p_value,
@@ -387,8 +394,8 @@ def _aggregate_lastbut(cfg, per_n):
 def _extract_partial(block, cfg):
     t_rm, n = _last_but(block, cfg.r, cfg.m)[:, -1], block.n
     if cfg.r == 1:
-        return (math.log(2 * n) - t_rm / n).tolist()
-    return Normalization(n, cfg.r).apply(t_rm).tolist()
+        return math.log(2 * n) - t_rm / n
+    return Normalization(n, cfg.r).apply(t_rm)
 
 
 def _aggregate_partial(cfg, per_n):
@@ -396,8 +403,7 @@ def _aggregate_partial(cfg, per_n):
     tol = _ks_tolerance(calibration.PARTIAL_COLLECTION_KS_TOL, (cfg.r, cfg.m),
                         f"chi2-law r={cfg.r}, m={cfg.m}")
     law = ChiSqLog(cfg.m) if cfg.r == 1 else LogGamma(cfg.r, cfg.m)
-    for n, payloads in per_n.items():
-        values = np.array(payloads)
+    for n, values in per_n.items():
         dist = ks_statistic(values, law.cdf)
         ok = tol is not None and dist <= tol
         rows.append(_row(cfg, n, f"ks_vs_{law.name}", dist, None, len(values), ok))
@@ -418,13 +424,12 @@ def _extract_rare(block, cfg):
     points = _pattern(block, cfg.r)
     tails = np.column_stack([np.count_nonzero(points >= x, axis=1) for x in cfg.thresholds])
     # the points in [x, y): those of the tail from x less those of the tail from y
-    return np.hstack([tails, tails[:, :-1] - tails[:, 1:]]).tolist()
+    return np.hstack([tails, tails[:, :-1] - tails[:, 1:]])
 
 
 def _aggregate_rare(cfg, per_n):
     rows, verdicts, series = [], {}, []
-    for n, payloads in per_n.items():
-        counts = np.array(payloads, dtype=np.int64)
+    for n, counts in per_n.items():
         _count_tests(cfg, n, counts, rows, verdicts)
         series += [{"n": n, "x": float(x), "mean_count": float(counts[:, k].mean())}
                    for k, x in enumerate(cfg.thresholds)]
@@ -438,7 +443,7 @@ def _extract_mismatch(block, cfg):
     norm = Normalization(block.n, cfg.r)
     discrete, poissonized = (_within(norm.apply(scheme[:, :, cfg.r - 1]), a, b)
                              for scheme in (block.arrivals, block.times))
-    return (discrete != poissonized).astype(np.int64).tolist()
+    return (discrete != poissonized).astype(np.int64)
 
 
 def _aggregate_mismatch(cfg, per_n):
@@ -466,13 +471,13 @@ def _aggregate_mismatch(cfg, per_n):
 
 def _extract_null_p_values(block, cfg):
     law = LogGamma(cfg.r, cfg.m)
-    sums = (stream.generator().exponential(1.0, (1000, cfg.m + 1)).sum(axis=1)
-            for stream in block.streams)
-    return [ks_test(h_transform(s, cfg.r), law.cdf).p_value for s in sums]
+    # drawn and reduced a stream at a time, so one stream's draws are held at once
+    sums = (rng.exponential(1.0, (1000, cfg.m + 1)).sum(axis=1) for rng in keyed(block.streams))
+    return np.array([ks_test(h_transform(s, cfg.r), law.cdf).p_value for s in sums])
 
 
 def _aggregate_null(cfg, per_n):
-    p_values = np.array(per_n[0])
+    p_values = per_n[0]
     frac = float(np.mean(p_values < 0.05))
     frac_ok = abs(frac - 0.05) <= 0.05
     unif = ks_statistic(p_values, lambda u: np.clip(u, 0.0, 1.0))
@@ -490,13 +495,14 @@ class Kind:
 
     ``r_max(cfg)`` is the number of arrivals per type its traces must track, 0
     for a kind that samples no trace.  ``extract(block, cfg)`` reads the
-    payload of every replication in a :class:`~dixiecup.discrete.TraceBlock`
-    the bank samples, one per row and in row order, by array passes along the
-    row axis.  A block samples only what is read: a kind that reads only
-    ``times`` costs no jump chain, and one of r_max 0 reads only
-    ``block.streams``.  Row i is the bytes of the trace of ``streams[i]``
-    alone, so a payload does not depend on the block it was read from.
-    ``aggregate(cfg, per_n)`` turns the payloads at each n into ``(rows,
+    payloads of a :class:`~dixiecup.discrete.TraceBlock` the bank samples as
+    one array whose first axis is the block's rows, by array passes along the
+    row axis; a payload of several fields is a row of columns.  A block
+    samples only what is read: a kind that reads only ``times`` costs no jump
+    chain, and one of r_max 0 reads only ``block.streams``.  Row i is the
+    bytes of the trace of ``streams[i]`` alone, so a payload does not depend
+    on the block it was read from.  ``aggregate(cfg, per_n)`` turns the
+    payload array at each n, one row per replication, into ``(rows,
     summaries, verdicts)``.  ``battery`` holds the config fields of the kind's
     experiments in the standard suite, replications at scale 1.  ``windows(cfg)``
     lists the windows whose counts a counting kind Poisson-tests against their
@@ -627,14 +633,15 @@ def run_bank(configs: list[ExperimentConfig], workers: int = 1) -> tuple:
     same configs read, at most :func:`~dixiecup.discrete.block_size` of them,
     sampled as one :class:`~dixiecup.discrete.TraceBlock` whose rows are the
     traces, to the byte.  Each reading config extracts the payloads of all
-    its rows in one call, by array passes along the row axis, so a payload
-    does not depend on the block size.  Blocks run serially, or on one pool
-    of :func:`_processes` processes when the bank's cost earns the pool's
-    start-up; the payloads do not depend on which.
+    its rows in one call, as one array, by passes along the row axis, so a
+    payload does not depend on the block size.  Blocks run serially, or on
+    one pool of :func:`_processes` processes when the bank's cost earns the
+    pool's start-up; the payloads do not depend on which.
 
-    Returns ``(per_config, draws, traces, processes)``: one ``{n: [payload
-    of each replication]}`` per config, the draws of the jump chains derived
-    for the traces each config read, the number of traces simulated, and the
+    Returns ``(per_config, draws, traces, processes)``: one ``{n: payloads}``
+    per config, its block arrays joined in j order, so that row j is the
+    payload of replication j; the draws of the jump chains derived for the
+    traces each config read; the number of traces simulated; and the
     processes sampled on (1 when serially), on which the rest do not depend.
     """
     if not configs:
@@ -669,12 +676,13 @@ def run_bank(configs: list[ExperimentConfig], workers: int = 1) -> tuple:
     else:
         outcomes = [work(t) for t in tasks]
 
-    per_config = [{n: [] for n in cfg.grid} for cfg in configs]
+    parts = [{n: [] for n in cfg.grid} for cfg in configs]
     draws = [0] * len(configs)
     for (_, n, _, _, _, ks), (block_payloads, block_draws) in zip(tasks, outcomes):
         for k, payloads in zip(ks, block_payloads):
-            per_config[k][n] += payloads
+            parts[k][n].append(payloads)
             draws[k] += block_draws
+    per_config = [{n: np.concatenate(blocks) for n, blocks in per_n.items()} for per_n in parts]
     return per_config, draws, traces, processes
 
 

@@ -1,16 +1,18 @@
-"""Seeded random streams: one independent generator per (seed, stream) pair.
+"""Seeded random streams: one independent stream per (seed, stream) pair.
 
 All randomness in the package flows through :class:`SeedSpec`.  A spec is a
-(master_seed, stream_index) pair; the counter-based Philox generator seeded
-through a ``SeedSequence`` over that pair gives bit-reproducible, mutually
-independent streams without sequential skipping, so replications can run on
-any number of workers in any order.
+(master_seed, stream_index) pair naming one stream of the counter-based
+Philox generator, which gives bit-reproducible, mutually independent streams
+without sequential skipping, so replications can run on any number of
+workers in any order.
 
 A Philox stream is its 128-bit key at counter 0 (Salmon et al. 2011,
-"Parallel random numbers: as easy as 1, 2, 3"), and ``SeedSequence`` derives
-that key by a fixed uint32 hash (O'Neill's ``seed_seq`` design, as numpy
-implements it).  :func:`philox_keys` runs that hash on many specs at once as
-array arithmetic, so a block of streams is keyed for about the cost of one.
+"Parallel random numbers: as easy as 1, 2, 3").  The key of a spec is what
+numpy's seed sequence derives from the pair by a fixed uint32 hash
+(O'Neill's ``seed_seq`` design).  :func:`philox_keys` runs that hash on many
+specs at once as array arithmetic, so a block of streams is keyed for about
+the cost of one, and :func:`dixiecup.discrete.keyed` sets one scratch
+generator to each key in turn: every stream is drawn there.
 """
 from __future__ import annotations
 
@@ -18,7 +20,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox, SeedSequence
 
 __all__ = ["SeedSpec", "philox_keys"]
 
@@ -40,11 +41,6 @@ class SeedSpec:
             if not 0 <= value <= _UINT64_MAX:
                 raise ValueError(f"{name} must fit in 64 unsigned bits, got {value}")
 
-    def generator(self) -> Generator:
-        """Return a fresh Philox generator for this stream."""
-        entropy = (int(self.master_seed), int(self.stream_index))
-        return Generator(Philox(SeedSequence(entropy)))
-
 
 def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
     """``init * mult**k`` mod 2**32 for k = 0..count: the running hash constant."""
@@ -54,7 +50,7 @@ def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
     return np.array(out, dtype=np.uint32)
 
 
-# SeedSequence's constants: the entropy hash runs 16 steps on a pool of 4
+# the seed sequence's constants: the entropy hash runs 16 steps on a pool of 4
 # words (4 to fill it, 12 to mix it), the output hash 4 steps; step k xors
 # with constant k and multiplies by constant k + 1
 _HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 16)[:, None]
@@ -87,10 +83,11 @@ def _hash(words: np.ndarray, constants: tuple[np.ndarray, np.ndarray]) -> np.nda
 def philox_keys(specs: Sequence[SeedSpec]) -> np.ndarray:
     """The Philox key of each spec's stream, one row of two uint64 words each.
 
-    Row i is ``SeedSequence((master_seed, stream_index)).generate_state(2,
-    np.uint64)`` of ``specs[i]``, bit for bit.  The entropy is the seed's
-    uint32 words, low first (one word below 2**32, else two), then the
-    index's; it fits the pool of 4 words, where missing words hash as 0.
+    Row i is, bit for bit, the two uint64 words that numpy's seed sequence
+    over ``(master_seed, stream_index)`` of ``specs[i]`` generates.  The
+    entropy is the seed's uint32 words, low first (one word below 2**32,
+    else two), then the index's; it fits the pool of 4 words, where missing
+    words hash as 0.
     """
     values = np.array([(s.master_seed, s.stream_index) for s in specs], dtype="<u8")
     # one row per pool word, one column per spec: seed low, seed high, index

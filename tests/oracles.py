@@ -1,11 +1,14 @@
 """Test oracles: each is a reference that tests compare the package against.
 
+``generator`` builds a stream's own Philox generator from numpy's
+``SeedSequence``: the reference for the package's block key hash and its
+keyed scratch generator, and a seeded generator for tests that need one.
 ``trace_from_sequence`` builds the trace of an explicit draw-by-draw coupon
 sequence, ``sample_limit_process`` samples the limiting Poisson pattern
 directly, and ``last_but`` reads the largest points of a pattern by sorting.
 ``collection_time``, ``partial_collection_time``, ``normalize`` and
 ``count_mismatch`` read one trace's statistics, and ``EXTRACT`` holds, per
-experiment kind, the payload of one trace built from them: the block
+experiment kind, the payload row of one trace built from them: the block
 extraction of :data:`dixiecup.experiments.KINDS` must give it for every row.
 ``block_traces`` and ``seeded_traces`` are no oracles but the tests' ways to
 read the rows of a block, and to loop over the lone traces of consecutive
@@ -17,13 +20,20 @@ import math
 from collections.abc import Iterator
 
 import numpy as np
-from numpy.random import Generator
+from numpy.random import Generator, Philox, SeedSequence
 
 from dixiecup.discrete import CollectorTrace, TraceBlock, block_size
 from dixiecup.gof import ks_test
 from dixiecup.limitlaws import LogGamma
 from dixiecup.pointprocess import Normalization, PointPattern, h_transform
 from dixiecup.samplers import SeedSpec
+
+
+def generator(stream: SeedSpec) -> Generator:
+    """A fresh Philox generator of ``stream``, keyed by the seed sequence over
+    ``(master_seed, stream_index)``."""
+    entropy = (int(stream.master_seed), int(stream.stream_index))
+    return Generator(Philox(SeedSequence(entropy)))
 
 
 def trace_from_sequence(types, n: int, r_max: int) -> CollectorTrace:
@@ -44,16 +54,14 @@ def trace_from_sequence(types, n: int, r_max: int) -> CollectorTrace:
         counts[i] += 1
     if np.any(counts < r_max):
         raise ValueError("sequence ended before every type arrived r_max times")
-    # the chain is given, so it is set rather than derived; the trace has no times
-    trace = CollectorTrace(n, r_max, None)
-    trace.arrivals = arrivals
-    return trace
+    # the chain is given, not derived, so the trace has no times
+    return CollectorTrace(n, r_max, None, arrivals)
 
 
 def block_traces(block: TraceBlock) -> list[CollectorTrace]:
     """One trace per stream of ``block``, each a row of it."""
-    return [CollectorTrace(block.n, block.r_max, stream, block, row)
-            for row, stream in enumerate(block.streams)]
+    return [CollectorTrace(block.n, block.r_max, times, arrivals)
+            for times, arrivals in zip(block.times, block.arrivals)]
 
 
 def seeded_traces(n: int, r_max: int, reps: int, seed: int) -> Iterator[CollectorTrace]:
@@ -66,9 +74,26 @@ def seeded_traces(n: int, r_max: int, reps: int, seed: int) -> Iterator[Collecto
         yield from block_traces(TraceBlock(n, r_max, streams))
 
 
+def _column(trace: CollectorTrace, r: int) -> int:
+    """The column of the r-th arrivals in ``trace``'s arrays."""
+    if not 1 <= r <= trace.r_max:
+        raise ValueError(f"multiplicity r={r} outside 1..{trace.r_max}")
+    return r - 1
+
+
+def arrival_column(trace: CollectorTrace, r: int) -> np.ndarray:
+    """Arrival draws of the r-th coupon of every type."""
+    return trace.arrivals[:, _column(trace, r)]
+
+
+def time_column(trace: CollectorTrace, r: int) -> np.ndarray:
+    """Poissonized arrival times of the r-th coupon of every type."""
+    return trace.times[:, _column(trace, r)]
+
+
 def collection_time(trace: CollectorTrace, c: int) -> int:
     """Draws needed to assemble ``c`` complete collections."""
-    return int(trace.arrival_column(c).max())
+    return int(arrival_column(trace, c).max())
 
 
 def partial_collection_time(trace: CollectorTrace, r: int, m: int) -> int:
@@ -80,7 +105,7 @@ def partial_collection_time(trace: CollectorTrace, r: int, m: int) -> int:
         raise ValueError(f"need m >= 0, got m={m}")
     if m >= trace.n:
         return 0
-    column = trace.arrival_column(r)
+    column = arrival_column(trace, r)
     k = trace.n - m - 1
     return int(np.partition(column, k)[k])
 
@@ -93,8 +118,8 @@ def normalize(raw_times, norm: Normalization) -> PointPattern:
 def count_mismatch(trace: CollectorTrace, r: int, a: float, b: float) -> bool:
     """Whether the discrete and poissonized normalized patterns disagree on [a, b]."""
     norm = Normalization(trace.n, r)
-    discrete_pts = norm.apply(trace.arrival_column(r))
-    poisson_pts = norm.apply(trace.time_column(r))
+    discrete_pts = norm.apply(arrival_column(trace, r))
+    poisson_pts = norm.apply(time_column(trace, r))
 
     def inside(x):
         return int(np.count_nonzero((x >= a) & (x <= b)))
@@ -103,17 +128,17 @@ def count_mismatch(trace: CollectorTrace, r: int, a: float, b: float) -> bool:
 
 
 def _extract_marginal(trace, cfg):
-    return Normalization(trace.n, cfg.r).apply(trace.time_column(cfg.r))
+    return Normalization(trace.n, cfg.r).apply(time_column(trace, cfg.r))
 
 
 def _extract_counts(trace, cfg):
-    pattern = normalize(trace.arrival_column(cfg.r), Normalization(trace.n, cfg.r))
-    return [pattern.count(a, b) for a, b in cfg.intervals], float(pattern.points[-1])
+    pattern = normalize(arrival_column(trace, cfg.r), Normalization(trace.n, cfg.r))
+    return [pattern.count(a, b) for a, b in cfg.intervals] + [float(pattern.points[-1])]
 
 
 def _extract_collection(trace, cfg):
     value = float(Normalization(trace.n, cfg.c).apply(collection_time(trace, cfg.c)))
-    return value, collection_time(trace, 1)
+    return [value, collection_time(trace, 1)]
 
 
 def _extract_lastbut(trace, cfg):
@@ -130,7 +155,7 @@ def _extract_partial(trace, cfg):
 
 
 def _extract_rare(trace, cfg):
-    pattern = normalize(trace.arrival_column(cfg.r), Normalization(trace.n, cfg.r))
+    pattern = normalize(arrival_column(trace, cfg.r), Normalization(trace.n, cfg.r))
     tails = [pattern.count_from(x) for x in cfg.thresholds]
     # the points in [x, y): those of the tail from x less those of the tail from y
     return tails + [lo - hi for lo, hi in zip(tails, tails[1:])]
@@ -141,12 +166,14 @@ def _extract_mismatch(trace, cfg):
     return int(count_mismatch(trace, cfg.r, a, b))
 
 
-def _extract_null_p_value(trace, cfg):
-    sums = trace.stream.generator().exponential(1.0, (1000, cfg.m + 1)).sum(axis=1)
+def _extract_null_p_value(stream, cfg):
+    sums = generator(stream).exponential(1.0, (1000, cfg.m + 1)).sum(axis=1)
     return ks_test(h_transform(sums, cfg.r), LogGamma(cfg.r, cfg.m).cdf).p_value
 
 
-# per experiment kind, the payload of one replication read from its lone trace
+# per experiment kind, the payload row of one replication read from its lone
+# trace, or for limit-consistency, which samples no trace, from its stream:
+# the rows of the replications, as one np.array, are the kind's payload array
 EXTRACT = {
     "poissonized-marginal": _extract_marginal,
     "theorem1-counts": _extract_counts,

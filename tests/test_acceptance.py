@@ -49,6 +49,8 @@ from dixiecup.limitlaws import (
 )
 from dixiecup.samplers import SeedSpec
 
+from oracles import generator
+
 ACCEPT_SEED = 46
 REPS = 2000
 GRID = (100, 1000, 10000)
@@ -138,19 +140,11 @@ BANK = {
 }
 
 
-def as_arrays(payloads):
-    """One array over the replications, or one per field of a tuple payload."""
-    if isinstance(payloads[0], tuple):
-        return tuple(np.array(field) for field in zip(*payloads))
-    return np.array(payloads)
-
-
 @pytest.fixture(scope="session")
 def bank():
-    """statistic -> {n: its payloads over the replications, as arrays}."""
+    """statistic -> {n: its payload array, one row per replication}."""
     per_config, _, _, _ = run_bank(list(BANK.values()))
-    return {key: {n: as_arrays(payloads) for n, payloads in per_n.items()}
-            for key, per_n in zip(BANK, per_config)}
+    return dict(zip(BANK, per_config))
 
 
 def mismatch_freqs(bank):
@@ -166,7 +160,7 @@ def test_criterion_01_exact_poissonized_marginal():
                for r in (1, 2, 3)]
     ok = True
     for cfg, per_n in zip(configs, run_bank(configs)[0]):
-        pooled = np.concatenate(per_n[100])
+        pooled = per_n[100].ravel()
         assert len(pooled) == 10_000
         res = ks_test(pooled, PoissonizedMarginal(100, cfg.r).cdf)
         ok = ok and res.p_value >= SIG
@@ -181,7 +175,8 @@ def test_criterion_01_exact_poissonized_marginal():
 def test_criterion_02_interval_counts_and_first_point(bank):
     ok = True
     for r in (1, 2):
-        counts = bank["counts", r][10000][0]
+        # a theorem1-counts payload is the count in each interval, then the first point
+        counts = bank["counts", r][10000][:, :-1].astype(np.int64)
         for k, (a, b) in enumerate(INTERVALS):
             if r == 1:
                 mean = intensity_mass(r, a, b)
@@ -190,8 +185,8 @@ def test_criterion_02_interval_counts_and_first_point(bank):
                 ok = ok and exact_mean_approaches_limit(a, b)
             res = poisson_count_test(counts[:, k], mean)
             ok = ok and res.p_value >= SIG
-        first_lo = ks_statistic(bank["counts", r][100][1], GumbelType(r).cdf)
-        first_hi = ks_statistic(bank["counts", r][10000][1], GumbelType(r).cdf)
+        first_lo = ks_statistic(bank["counts", r][100][:, -1], GumbelType(r).cdf)
+        first_hi = ks_statistic(bank["counts", r][10000][:, -1], GumbelType(r).cdf)
         ok = ok and first_hi < first_lo
     verdict_line(2, ok, "interval counts of the normalized pattern at n=1e4 are "
                         "Poisson(limit intensity) for r=1 and Poisson(exact "
@@ -210,11 +205,11 @@ def test_criterion_02_interval_counts_and_first_point(bank):
 
 def test_criterion_02_attainable_subset(bank):
     for k, (a, b) in enumerate(INTERVALS):
-        counts = bank["counts", 1][10000][0]
+        counts = bank["counts", 1][10000][:, :-1].astype(np.int64)
         assert poisson_count_test(counts[:, k], intensity_mass(1, a, b)).p_value >= SIG
     for r in (1, 2):
-        first_lo = ks_statistic(bank["counts", r][100][1], GumbelType(r).cdf)
-        first_hi = ks_statistic(bank["counts", r][10000][1], GumbelType(r).cdf)
+        first_lo = ks_statistic(bank["counts", r][100][:, -1], GumbelType(r).cdf)
+        first_hi = ks_statistic(bank["counts", r][10000][:, -1], GumbelType(r).cdf)
         assert first_hi < first_lo
 
 
@@ -222,7 +217,7 @@ def test_criterion_02_supplementary_exact_finite_n_means(bank):
     # the same r=2 counts that reject the limit mean match the exact
     # trial-counting-law mean, so the gap is purely asymptotic
     for n in (100, 10000):
-        counts = bank["counts", 2][n][0].astype(float)
+        counts = bank["counts", 2][n][:, :-1]
         for k, (a, b) in enumerate(INTERVALS):
             target = exact_count_mean(n, 2, a, b)
             se = counts[:, k].std(ddof=1) / math.sqrt(len(counts))
@@ -235,8 +230,8 @@ def test_criterion_02_supplementary_exact_finite_n_means(bank):
 def test_criterion_03_collection_time_limit_law(bank):
     ok = True
     for c in (1, 2):
-        # the first field of an erdos-renyi payload is the normalized T_c
-        distances = {n: ks_statistic(bank["T", c][n][0], GumbelType(c).cdf) for n in GRID}
+        # the first column of an erdos-renyi payload is the normalized T_c
+        distances = {n: ks_statistic(bank["T", c][n][:, 0], GumbelType(c).cdf) for n in GRID}
         ok = ok and distances[10000] <= calibration.ERDOS_RENYI_KS_TOL[c]
         ok = ok and distances[100] >= distances[1000] >= distances[10000]
     verdict_line(3, ok, "normalized c-collection times approach the "
@@ -255,8 +250,8 @@ def test_criterion_04_exact_mean_identity():
                for grid, reps in (([3], 100_000), ([10, 100], 10_000))]
     for cfg, per_n in zip(configs, run_bank(configs)[0]):
         for n in cfg.n_grid:
-            # the second field of an erdos-renyi payload is T_1
-            times = as_arrays(per_n[n])[1].astype(float)
+            # the second column of an erdos-renyi payload is T_1
+            times = per_n[n][:, 1]
             target = n * sum(1.0 / k for k in range(1, n + 1))
             se = times.std(ddof=1) / math.sqrt(cfg.replications)
             ok = ok and abs(times.mean() - target) < 3 * se
@@ -399,7 +394,7 @@ def test_criterion_09_null_calibration():
     low_p = 0
     trials = 200
     for t in range(trials):
-        rng = SeedSpec(ACCEPT_SEED + 4, t).generator()
+        rng = generator(SeedSpec(ACCEPT_SEED + 4, t))
         sample = -np.log(rng.exponential(1.0, 1000))
         if ks_test(sample, GumbelType(1).cdf).p_value < 0.05:
             low_p += 1

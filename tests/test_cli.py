@@ -8,6 +8,7 @@ import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 import warnings
@@ -131,6 +132,54 @@ def test_simulate_bad_arguments_write_no_file(argv, tmp_path, capsys):
     assert code == EXIT_USAGE
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,field", [
+    (("simulate", "--n", "4294967296"), "--n"),
+    (("simulate", "--n", "5", "--reps", "4294967297"), "--reps"),
+    (("verify", "--kind", "erdos-renyi", "--n", "4294967296", "--reps", "1"), "n_grid"),
+    (("verify", "--kind", "erdos-renyi", "--n", "100", "--reps", "4294967297"), "replications"),
+    (("verify", "--kind", "limit-consistency", "--reps", "4294967297"), "replications"),
+], ids=["simulate-n", "simulate-reps", "verify-n", "verify-reps", "verify-no-trace-reps"])
+def test_stream_key_fields_beyond_32_bits_are_usage_errors(argv, field, tmp_path, capsys):
+    """Replication j at n reads stream (n << 32) | j, so n must be below 2**32
+    and j must fit in 32 bits: both are rejected before any file is opened."""
+    out = tmp_path / "x.csv"
+    assert run_cli(*argv, "--out", str(out)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err and "2**32" in err
+    assert not out.exists()
+
+
+# the address space of a child whose allocations must fail at once
+MEMORY_CAP = 2 * 1024**3
+
+OUT_OF_MEMORY = """
+import sys
+from dixiecup.cli import main
+print(main(["verify", "--kind", "erdos-renyi", "--n", "3000000000", "--reps", "1"]))
+print(main(["verify", "--kind", "limit-consistency", "--m", "100000000", "--reps", "1"]))
+"""
+
+
+def cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
+
+
+def test_failed_allocation_is_a_usage_error():
+    """An array too large for memory ends in an error line and exit 2, not a
+    traceback.  Run only in a child whose address space is capped, so that
+    the allocations fail at once instead of growing until the machine runs
+    out of memory."""
+    src = os.path.dirname(os.path.dirname(dixiecup.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", OUT_OF_MEMORY], env=env,
+                          preexec_fn=cap_address_space, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [str(EXIT_USAGE)] * 2
+    errors = done.stderr.splitlines()
+    assert len(errors) == 2 and all(line.startswith("error: Unable to allocate") for line in errors)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Discrete scheme: construction invariants and exact-oracle comparisons."""
+import ast
 import functools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,6 @@ from scipy import stats
 
 from dixiecup import discrete
 from dixiecup.discrete import (
-    CollectorTrace,
     TraceBlock,
     block_size,
     run_discrete,
@@ -20,6 +21,7 @@ from dixiecup.samplers import SeedSpec
 from oracles import (
     block_traces,
     collection_time,
+    generator,
     partial_collection_time,
     seeded_traces,
     trace_from_sequence,
@@ -66,8 +68,9 @@ def test_run_matches_sequence_scan():
     # the oracle sequences come from a seed stream run_discrete never uses
     reps = 4000
     for n, r_max in ((5, 2), (50, 3)):
-        oracle_rng = SeedSpec(102, n).generator()
-        sim = [run_discrete(n, r_max, SeedSpec(101, j)) for j in range(reps)]
+        oracle_rng = generator(SeedSpec(102, n))
+        # the traces of run_discrete(n, r_max, SeedSpec(101, j)), sampled in blocks
+        sim = list(seeded_traces(n, r_max, reps, 101))
         ref = [uniform_sequence_trace(oracle_rng, n, r_max) for _ in range(reps)]
 
         def stats_of(traces):
@@ -97,7 +100,7 @@ class TiedExponentials:
     wrapped generator's."""
 
     def __init__(self, seed):
-        self._rng = SeedSpec(seed, 0).generator()
+        self._rng = generator(SeedSpec(seed, 0))
 
     def standard_exponential(self, size=None, out=None):
         draws = self._rng.standard_exponential(size, out=out)
@@ -126,7 +129,7 @@ def tied_scratch(monkeypatch):
 
 def embed(stream, n, r_max):
     """A trace's ``(arrivals, times)``, the pair the reference returns."""
-    trace = CollectorTrace(n, r_max, stream)
+    trace = run_discrete(n, r_max, stream)
     return trace.arrivals, trace.times
 
 
@@ -179,7 +182,7 @@ def test_embed_matches_reference_bytes(n, r_max):
     for j in range(3 if n == 10_000 else 8):
         stream = SeedSpec(2024, (n << 8) | j)
         assert_same_bytes(embed(stream, n, r_max),
-                          reference_embed(stream.generator(), n, r_max))
+                          reference_embed(generator(stream), n, r_max))
 
 
 @pytest.mark.parametrize("n,r_max", [(40, 3), (2, 2), (10, 4), (1000, 2)])
@@ -240,9 +243,9 @@ def test_poissonized_times_are_the_coupled_times(n, r_max, request):
     for j in range(3):
         stream = SeedSpec(2024, (n << 8) | j)
         coupled = run_coupled(n, r_max, stream).times
-        assert_same_bytes([first_draw_times(stream.generator(), n, r_max)], [coupled])
-        # a trace whose arrivals are never read has the same times
-        assert_same_bytes([CollectorTrace(n, r_max, stream).times], [coupled])
+        assert_same_bytes([first_draw_times(generator(stream), n, r_max)], [coupled])
+        # a block whose arrivals are never read has the same times
+        assert_same_bytes([TraceBlock(n, r_max, [stream]).times[0]], [coupled])
     if r_max > 1:  # TiedExponentials ties the second and the last column
         request.getfixturevalue("tied_scratch")
         for j in range(3):
@@ -250,17 +253,23 @@ def test_poissonized_times_are_the_coupled_times(n, r_max, request):
                               [embed(SeedSpec(j, 0), n, r_max)[1]])
 
 
-def test_blocks_key_streams_without_their_own_generators(monkeypatch):
-    """Every trace, a lone one too, keys the one scratch generator: building a
-    generator per stream would cost about twice the keying."""
-    def no_generator(self):
-        raise AssertionError("a stream built its own generator")
-
-    monkeypatch.setattr(SeedSpec, "generator", no_generator)
-    streams = [SeedSpec(2024, j) for j in range(block_size(100, 3))]
-    TraceBlock(100, 3, streams).arrivals
-    TraceBlock(100, 3, streams).times
-    run_discrete(100, 3, streams[0])
+def test_blocks_key_streams_without_their_own_generators():
+    """Every stream, a lone trace's and limit-consistency's too, is drawn on
+    the one scratch generator, keyed by ``keyed``: no module of the package
+    but that generator's builds a Philox generator or a seed sequence, since
+    a generator per stream would cost about twice the keying."""
+    found = []
+    for path in Path(discrete.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in ("Generator", "Philox", "SeedSequence", "default_rng"):
+                    found.append((path.name, name))
+            elif isinstance(node, ast.ImportFrom):
+                found += [(path.name, alias.name) for alias in node.names
+                          if alias.name in ("SeedSequence", "default_rng")]
+    # the two calls of _SCRATCH = Generator(Philox(0))
+    assert sorted(found) == [("discrete.py", "Generator"), ("discrete.py", "Philox")]
 
 
 def test_collection_time_is_max_of_column():
@@ -297,7 +306,7 @@ def test_partial_time_reduces_to_collection_time_and_zero():
 def test_partial_time_matches_time_scan_oracle():
     n, r = 4, 2
     for j in range(500):
-        raw = SeedSpec(77, j).generator().integers(0, n, size=200) + 1
+        raw = generator(SeedSpec(77, j)).integers(0, n, size=200) + 1
         trace = trace_from_sequence(raw, n, r)
         for m in range(0, n + 1):
             assert partial_collection_time(trace, r, m) == scan_partial_time(raw, n, r, m)

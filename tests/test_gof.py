@@ -26,7 +26,7 @@ from dixiecup.limitlaws import (
 )
 from dixiecup.samplers import SeedSpec
 
-from oracles import last_but, sample_limit_process
+from oracles import generator, last_but, sample_limit_process
 
 
 def uniform_cdf(x):
@@ -51,7 +51,7 @@ def test_ks_rejects_empty_sample():
 
 
 def test_ks_invariant_under_monotone_transform():
-    rng = SeedSpec(42, 0).generator()
+    rng = generator(SeedSpec(42, 0))
     sample = rng.exponential(1.0, 5000)
 
     def exp_cdf(x):
@@ -70,7 +70,7 @@ def test_ks_null_calibration_against_exact_law():
     low_p = 0
     trials = 200
     for t in range(trials):
-        rng = SeedSpec(90, t).generator()
+        rng = generator(SeedSpec(90, t))
         z = n * rng.standard_exponential((10_000, r)).sum(axis=1)
         sample = z / n - shift
         if ks_test(sample, law.cdf).p_value < 0.05:
@@ -154,7 +154,7 @@ def threshold_sizes():
 
 @pytest.mark.parametrize("name,cdf,draw", NULL_SAMPLERS, ids=[t[0] for t in NULL_SAMPLERS])
 def test_ks_statistic_equals_full_evaluation(name, cdf, draw):
-    rng = SeedSpec(97, 0).generator()
+    rng = generator(SeedSpec(97, 0))
     for size in threshold_sizes():
         null = draw(rng, size)
         # the law itself, a near miss, a gross miss and a rescaled sample
@@ -182,7 +182,7 @@ def gumbel_quantile(u):
 
 @pytest.mark.parametrize("size", threshold_sizes())
 def test_ks_statistic_equals_full_evaluation_at_placed_suprema(size):
-    rng = SeedSpec(98, size).generator()
+    rng = generator(SeedSpec(98, size))
     cdfs = ((uniform_cdf, lambda u: u), (exp1_cdf, lambda u: -np.log1p(-u)),
             (GumbelType(1).cdf, gumbel_quantile))
     for where, u in positioned_uniform_samples(rng, size):
@@ -196,7 +196,7 @@ def test_ks_statistic_equals_full_evaluation_at_placed_suprema(size):
 @pytest.mark.parametrize("size", threshold_sizes())
 def test_ks_statistic_equals_full_evaluation_in_the_far_tails(size):
     # where the reference CDF has rounded to exactly 0 or 1 over long runs
-    rng = SeedSpec(99, size).generator()
+    rng = generator(SeedSpec(99, size))
     e = rng.standard_exponential(size)
     cases = [(40.0 * e, exp1_cdf), (-np.log(e) - 40.0, GumbelType(1).cdf),
              (-np.log(e) + 40.0, GumbelType(2).cdf),
@@ -213,7 +213,7 @@ def test_pruned_ks_evaluates_a_fifth_of_a_large_null_sample(r):
     n = 10**5
     law = PoissonizedMarginal(n, r)
     shift = math.log(n) + (r - 1) * math.log(math.log(n))
-    sample = SeedSpec(100, r).generator().standard_gamma(r, 3 * n) - shift
+    sample = generator(SeedSpec(100, r)).standard_gamma(r, 3 * n) - shift
     evaluated = []
 
     def counting_cdf(x):
@@ -274,20 +274,20 @@ def test_poisson_count_single_cell_tests_the_total_exactly(total):
 def test_poisson_count_null_calibration():
     fails = 0
     for t in range(50):
-        counts = SeedSpec(91, t).generator().poisson(1.0, 5000)
+        counts = generator(SeedSpec(91, t)).poisson(1.0, 5000)
         if poisson_count_test(counts, 1.0).p_value <= 1e-3:
             fails += 1
     assert fails == 0
 
 
 def test_poisson_count_power():
-    counts = SeedSpec(92, 0).generator().poisson(2.0, 5000)
+    counts = generator(SeedSpec(92, 0)).poisson(2.0, 5000)
     assert poisson_count_test(counts, 1.0).p_value < 1e-6
 
 
 def test_poisson_cell_merge_properties():
     for mean in (0.3, 1.0, 7.5):
-        counts = SeedSpec(93, 0).generator().poisson(mean, 400)
+        counts = generator(SeedSpec(93, 0)).poisson(mean, 400)
         observed, expected = _poisson_cells(counts, mean)
         if len(expected) > 1:
             assert expected.min() >= 5.0
@@ -326,7 +326,7 @@ def test_chi2_tail_matches_scipy_stats_bit_for_bit():
 
 def test_poisson_count_p_value_is_the_chi2_tail():
     for mean in (0.3, 1.0, 7.5, 40.0):
-        counts = SeedSpec(96, 0).generator().poisson(mean, 5000)
+        counts = generator(SeedSpec(96, 0)).poisson(mean, 5000)
         res = poisson_count_test(counts, mean)
         dof = len(_poisson_cells(counts, mean)[1]) - 1
         assert res.p_value == float(stats.chi2.sf(res.statistic, dof))
@@ -353,7 +353,7 @@ def test_increment_test_under_true_limit():
     # exponential transformed increments
     m = 2
     vectors = []
-    rng = SeedSpec(94, 0).generator()
+    rng = generator(SeedSpec(94, 0))
     while len(vectors) < 5000:
         pattern = sample_limit_process(1, -3.0, rng)
         if pattern.mass >= m + 1:
@@ -365,7 +365,7 @@ def test_increment_test_under_true_limit():
 
 def test_increment_test_transformed_marginal_is_exponential():
     # single-coordinate version: exp(-L_0) for r=1 is Exp(1)
-    rng = SeedSpec(95, 0).generator()
+    rng = generator(SeedSpec(95, 0))
     vectors = [last_but(sample_limit_process(1, -3.0, rng), 0) for _ in range(10_000)]
     res = increment_test(np.array(vectors), 1, 0)
     assert res.p_value > 1e-3

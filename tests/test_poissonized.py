@@ -8,7 +8,7 @@ from dixiecup.discrete import run_discrete
 from dixiecup.poissonized import run_coupled
 from dixiecup.samplers import SeedSpec
 
-from oracles import count_mismatch
+from oracles import count_mismatch, generator, time_column
 
 
 def test_coupling_times_are_gamma_given_arrivals():
@@ -35,7 +35,7 @@ def test_times_strictly_increase_with_arrival_index():
 def test_marginal_law_of_first_arrival_times():
     # pooled Z(i, 1) at n=10 over many replications is Exp with mean 10
     pooled = np.concatenate([
-        run_coupled(10, 1, SeedSpec(33, j)).time_column(1) for j in range(1000)
+        time_column(run_coupled(10, 1, SeedSpec(33, j)), 1) for j in range(1000)
     ])
     d = stats.kstest(pooled, lambda t: stats.expon.cdf(t, scale=10)).statistic
     assert d < 1.36 / math.sqrt(len(pooled))
@@ -54,9 +54,9 @@ def test_independence_across_types():
 def test_marginal_agrees_with_standalone_gamma_sampler():
     # coupled-mode Z(i, r) and a direct Gamma(r, scale n) sample realize the same law
     coupled = np.concatenate([
-        run_coupled(10, 2, SeedSpec(35, j)).time_column(2) for j in range(500)
+        time_column(run_coupled(10, 2, SeedSpec(35, j)), 2) for j in range(500)
     ])
-    rng = SeedSpec(36, 0).generator()
+    rng = generator(SeedSpec(36, 0))
     standalone = 10 * rng.standard_exponential((len(coupled), 2)).sum(axis=1)
     assert stats.ks_2samp(coupled, standalone).pvalue > 1e-3
 

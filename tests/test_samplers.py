@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from dixiecup.discrete import keyed
 from dixiecup.samplers import SeedSpec, philox_keys
 
-from oracles import seeded_traces
+from oracles import generator, seeded_traces, time_column
 
 SIG = 1e-3
 
@@ -39,7 +40,7 @@ def rth_arrival_draws(n, r, reps, seed):
 def rth_arrival_times(n, r, reps, seed):
     """Coupled r-th arrival times of every type over ``reps`` traces; the types
     of the poissonized scheme are independent, so these are i.i.d. Gamma(r, n)."""
-    return np.concatenate([trace.time_column(r) for trace in seeded_traces(n, r, reps, seed)])
+    return np.concatenate([time_column(trace, r) for trace in seeded_traces(n, r, reps, seed)])
 
 
 def test_seed_spec_validation():
@@ -50,16 +51,11 @@ def test_seed_spec_validation():
     SeedSpec(2**64 - 1, 0)  # boundary is fine
 
 
-def test_bit_exact_reproducibility():
-    draws_a = SeedSpec(123, 7).generator().random(1000)
-    draws_b = SeedSpec(123, 7).generator().random(1000)
-    assert np.array_equal(draws_a, draws_b)
-
-
 @pytest.mark.parametrize("seed", [0, 1, 42, 2**32 - 1, 2**32, 2**64 - 1])
 def test_philox_keys_are_the_seed_sequence_keys(seed):
-    """The vectorized hash is SeedSequence's, bit for bit, for one- and
-    two-word seeds and streams, and for the bank's streams (n << 32) | j."""
+    """The vectorized hash gives the seed sequence's key of each stream's own
+    generator, bit for bit, for one- and two-word seeds and streams, and for
+    the bank's streams (n << 32) | j."""
     ns = [2, 3, 100, 2**16, 2**31 - 1, 2**31]
     indices = [0, 1, 2**31, 2**32 - 1, 2**32, 2**64 - 1]
     indices += [(n << 32) | j for n in ns for j in (0, 1, 2**32 - 1)]
@@ -67,15 +63,18 @@ def test_philox_keys_are_the_seed_sequence_keys(seed):
     keys = philox_keys(specs)
     assert keys.dtype == np.uint64 and keys.shape == (len(specs), 2)
     for spec, key in zip(specs, keys):
-        entropy = (spec.master_seed, spec.stream_index)
-        assert np.array_equal(key, np.random.SeedSequence(entropy).generate_state(2, np.uint64))
+        assert np.array_equal(key, generator(spec).bit_generator.state["state"]["key"])
     # one spec alone is keyed as within the block
     assert np.array_equal(philox_keys(specs[-1:]), keys[-1:])
 
 
 def test_distinct_streams_differ_and_are_uncorrelated():
-    x = SeedSpec(5, 0).generator().exponential(1.0, 100_000)
-    y = SeedSpec(5, 1).generator().exponential(1.0, 100_000)
+    """Two streams keyed on the scratch generator draw what their own
+    generators would, and their draws differ and are uncorrelated."""
+    streams = [SeedSpec(5, 0), SeedSpec(5, 1)]
+    x, y = (rng.exponential(1.0, 100_000) for rng in keyed(streams))
+    for draws, stream in zip((x, y), streams):
+        assert np.array_equal(draws, generator(stream).exponential(1.0, 100_000))
     assert not np.array_equal(x[:100], y[:100])
     corr = np.corrcoef(x, y)[0, 1]
     assert abs(corr) < 3.0 / math.sqrt(len(x))
