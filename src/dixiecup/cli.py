@@ -21,6 +21,7 @@ from .discrete import block_size
 from .experiments import (
     KEY_LIMIT,
     KINDS,
+    SEED_LIMIT,
     ConfigError,
     ExperimentConfig,
     ExperimentReport,
@@ -121,12 +122,12 @@ def _cmd_simulate(args) -> int:
         if value > most:
             raise ValueError(f"{flag} must be at most {most}, since n and j must each be "
                              f"below 2**32 in a stream index; got {value}")
+    if not 0 <= args.seed < SEED_LIMIT:
+        raise ValueError(f"--seed must lie in [0, 2**64), got {args.seed}")
     if args.n < 3:
         print(f"warning: n={args.n} is below the recommended minimum of 3; "
               "the centering uses ln ln n", file=sys.stderr)
     coupled = args.scheme == "coupled"
-    # "type,multiplicity" of each arrival of a trace, in row order
-    positions = [f"{i},{k}" for i in range(1, args.n + 1) for k in range(1, args.rmax + 1)]
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         header = ["replication", "type", "multiplicity", "arrival_draw"]
@@ -143,11 +144,17 @@ def _cmd_simulate(args) -> int:
             # the bank's traces (seed, n, j), which verify --seed reads
             block = replication_block(args.seed, args.n, args.rmax,
                                       start, min(start + size, args.reps))
-            keys = [f"{j},{position}" for j in range(start, start + len(block.streams))
-                    for position in positions]
+            # the arrays before the row labels, so that a run too big for
+            # memory fails at their allocation at once
             columns = [_csv_cells(block.arrivals)]
             if coupled:
                 columns.append(_csv_cells(block.times))
+            if not start:
+                # "type,multiplicity" of each arrival of a trace, in row order
+                positions = [f"{i},{k}" for i in range(1, args.n + 1)
+                             for k in range(1, args.rmax + 1)]
+            keys = [f"{j},{position}" for j in range(start, start + len(block.streams))
+                    for position in positions]
             fh.writelines(map(line.format, keys, *columns))
     return EXIT_PASS
 

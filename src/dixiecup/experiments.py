@@ -111,6 +111,8 @@ def check_fields(d, types: dict, what: str) -> None:
 
 # replication j at n reads stream (n << 32) | j, so n and j must each fit in 32 bits
 KEY_LIMIT = 2**32
+# a master seed, like a stream index, is a 64-bit unsigned word
+SEED_LIMIT = 2**64
 
 
 @dataclass
@@ -158,6 +160,8 @@ class ExperimentConfig:
                 raise ConfigError(f"need 1 <= {name} <= 171, got {getattr(self, name)}")
         if self.m < 0:
             raise ConfigError(f"need m >= 0, got {self.m}")
+        if not 0 <= self.master_seed < SEED_LIMIT:
+            raise ConfigError(f"master_seed must lie in [0, 2**64), got {self.master_seed}")
         if not 1 <= self.replications <= KEY_LIMIT:
             raise ConfigError(f"need 1 <= replications <= 2**32, as a stream index holds "
                               f"j in 32 bits; got {self.replications}")
@@ -234,19 +238,35 @@ def battery_from_dict(d: dict) -> list[ExperimentReport]:
 # ---------------------------------------------------------------------------
 # experiment kinds: the payloads each reads from a block of traces, and their aggregation
 
-def _row(cfg, n, name, value, p_value, sample_size, verdict):
-    return {
-        "experiment": cfg.kind,
-        "n": n,
-        "r": cfg.r,
-        "c": cfg.c,
-        "m": cfg.m,
-        "statistic_name": name,
-        "value": float(value),
-        "p_value": None if p_value is None else float(p_value),
-        "sample_size": int(sample_size),
-        "verdict": bool(verdict),
-    }
+class _Checks:
+    """The rows, summaries and verdicts of one experiment, as its aggregation
+    records them.  A row with a ``key`` records its verdict under that key; a
+    row without one is informative, and its verdict is True."""
+
+    def __init__(self, cfg: ExperimentConfig):
+        self.cfg, self.rows, self.summaries, self.verdicts = cfg, [], {}, {}
+
+    def row(self, n, name, value, sample_size, verdict=True, key=None, p_value=None) -> None:
+        cfg = self.cfg
+        self.rows.append({
+            "experiment": cfg.kind,
+            "n": n,
+            "r": cfg.r,
+            "c": cfg.c,
+            "m": cfg.m,
+            "statistic_name": name,
+            "value": float(value),
+            "p_value": None if p_value is None else float(p_value),
+            "sample_size": int(sample_size),
+            "verdict": bool(verdict),
+        })
+        if key is not None:
+            self.verdicts[key] = bool(verdict)
+
+    def test(self, n, name, res, key) -> None:
+        """The row of a test result, which passes if its p-value is at least the significance."""
+        self.row(n, name, res.statistic, res.sample_size,
+                 res.p_value >= self.cfg.significance, key, res.p_value)
 
 
 def _harmonic(n: int) -> float:
@@ -263,14 +283,12 @@ def _ks_tolerance(table: dict, key, label: str) -> float | None:
     return tol
 
 
-def _count_tests(cfg, n, counts, rows, verdicts) -> None:
+def _count_tests(out, n, counts) -> None:
     """Poisson-test column k of ``counts`` against the limit mass of the kind's
-    k-th window, adding a row and a verdict per window."""
+    k-th window, recording a row and a verdict per window."""
+    cfg = out.cfg
     for (_, a, b, name, key), column in zip(KINDS[cfg.kind].windows(cfg), counts.T, strict=True):
-        res = poisson_count_test(column, intensity_mass(cfg.r, a, b))
-        ok = res.p_value >= cfg.significance
-        rows.append(_row(cfg, n, name, res.statistic, res.p_value, res.sample_size, ok))
-        verdicts[key.format(n=n)] = ok
+        out.test(n, name, poisson_count_test(column, intensity_mass(cfg.r, a, b)), key.format(n=n))
 
 
 def _pattern(block, r):
@@ -297,15 +315,10 @@ def _extract_marginal(block, cfg):
     return Normalization(block.n, cfg.r).apply(block.times[:, :, cfg.r - 1])
 
 
-def _aggregate_marginal(cfg, per_n):
-    rows, verdicts = [], {}
+def _aggregate_marginal(out, per_n):
     for n, points in per_n.items():
-        res = ks_test(points.ravel(), PoissonizedMarginal(n, cfg.r).cdf)
-        ok = res.p_value >= cfg.significance
-        rows.append(_row(cfg, n, "ks_statistic", res.statistic, res.p_value,
-                         res.sample_size, ok))
-        verdicts[f"ks_pass_n{n}"] = ok
-    return rows, {}, verdicts
+        out.test(n, "ks_statistic", ks_test(points.ravel(), PoissonizedMarginal(n, out.cfg.r).cdf),
+                 f"ks_pass_n{n}")
 
 
 def _interval_windows(cfg):
@@ -320,20 +333,18 @@ def _extract_counts(block, cfg):
                            + [points.max(axis=1)])
 
 
-def _aggregate_counts(cfg, per_n):
-    rows, verdicts = [], {}
+def _aggregate_counts(out, per_n):
+    cfg = out.cfg
     first_point_ks = {}
     for n, payloads in per_n.items():
-        _count_tests(cfg, n, payloads[:, :-1].astype(np.int64), rows, verdicts)
+        _count_tests(out, n, payloads[:, :-1].astype(np.int64))
         first = payloads[:, -1]
-        dist = ks_statistic(first, GumbelType(cfg.r).cdf)
-        first_point_ks[n] = dist
-        rows.append(_row(cfg, n, "first_point_ks", dist, None, len(first), True))
-    summaries = {"first_point_ks": {str(n): d for n, d in first_point_ks.items()}}
+        first_point_ks[n] = ks_statistic(first, GumbelType(cfg.r).cdf)
+        out.row(n, "first_point_ks", first_point_ks[n], len(first))
+    out.summaries["first_point_ks"] = {str(n): d for n, d in first_point_ks.items()}
     if len(cfg.n_grid) >= 2:
         lo, hi = min(cfg.n_grid), max(cfg.n_grid)
-        verdicts["first_point_ks_decreases"] = first_point_ks[hi] < first_point_ks[lo]
-    return rows, summaries, verdicts
+        out.verdicts["first_point_ks_decreases"] = first_point_ks[hi] < first_point_ks[lo]
 
 
 def _extract_collection(block, cfg):
@@ -344,51 +355,40 @@ def _extract_collection(block, cfg):
                             block.arrivals[:, :, 0].max(axis=1)])
 
 
-def _aggregate_collection(cfg, per_n):
-    rows, verdicts = [], {}
+def _aggregate_collection(out, per_n):
+    cfg = out.cfg
     distances = {}
     tol = _ks_tolerance(calibration.ERDOS_RENYI_KS_TOL, cfg.c, f"erdos-renyi c={cfg.c}")
     for n, payloads in per_n.items():
         values, t1 = payloads.T
-        dist = ks_statistic(values, GumbelType(cfg.c).cdf)
-        distances[n] = dist
-        ok = tol is not None and dist <= tol
-        rows.append(_row(cfg, n, "ks_statistic", dist, None, len(values), ok))
-        verdicts[f"ks_within_tolerance_n{n}"] = ok
+        dist = distances[n] = ks_statistic(values, GumbelType(cfg.c).cdf)
+        out.row(n, "ks_statistic", dist, len(values), tol is not None and dist <= tol,
+                f"ks_within_tolerance_n{n}")
         target = n * _harmonic(n)
         # one replication has no standard error, so it cannot meet the identity
         mean_ok = len(t1) >= 2 and (abs(float(t1.mean()) - target)
                                     <= 3 * float(t1.std(ddof=1)) / math.sqrt(len(t1)))
-        rows.append(_row(cfg, n, "mean_T1_minus_nHn",
-                         float(t1.mean()) - target, None, len(t1), mean_ok))
-        verdicts[f"mean_identity_n{n}"] = mean_ok
-    summaries = {"ks_by_n": {str(n): d for n, d in distances.items()}}
+        out.row(n, "mean_T1_minus_nHn", float(t1.mean()) - target, len(t1), mean_ok,
+                f"mean_identity_n{n}")
+    out.summaries["ks_by_n"] = {str(n): d for n, d in distances.items()}
     grid = sorted(cfg.n_grid)
     if len(grid) >= 2:
-        verdicts["ks_nonincreasing"] = all(distances[grid[i + 1]] <= distances[grid[i]]
-                                           for i in range(len(grid) - 1))
-    return rows, summaries, verdicts
+        out.verdicts["ks_nonincreasing"] = all(distances[hi] <= distances[lo]
+                                               for lo, hi in zip(grid, grid[1:]))
 
 
 def _extract_lastbut(block, cfg):
     return Normalization(block.n, cfg.r).apply(_last_but(block, cfg.r, cfg.m))
 
 
-def _aggregate_lastbut(cfg, per_n):
-    rows, verdicts = [], {}
+def _aggregate_lastbut(out, per_n):
     for n, vectors in per_n.items():
-        res = increment_test(vectors, cfg.r, cfg.m)
-        ok = res.p_value >= cfg.significance
-        rows.append(_row(cfg, n, "increment_ks", res.statistic, res.p_value,
-                         res.sample_size, ok))
-        verdicts[f"increments_pass_n{n}"] = ok
+        res = increment_test(vectors, out.cfg.r, out.cfg.m)
+        out.test(n, "increment_ks", res, f"increments_pass_n{n}")
         max_corr = res.details.get("max_abs_increment_correlation")
         if max_corr is not None:
-            corr_ok = max_corr <= 3.0 / math.sqrt(len(vectors))
-            rows.append(_row(cfg, n, "max_abs_increment_correlation",
-                             max_corr, None, len(vectors), corr_ok))
-            verdicts[f"correlations_small_n{n}"] = corr_ok
-    return rows, {}, verdicts
+            out.row(n, "max_abs_increment_correlation", max_corr, len(vectors),
+                    max_corr <= 3.0 / math.sqrt(len(vectors)), f"correlations_small_n{n}")
 
 
 def _extract_partial(block, cfg):
@@ -398,17 +398,15 @@ def _extract_partial(block, cfg):
     return Normalization(n, cfg.r).apply(t_rm)
 
 
-def _aggregate_partial(cfg, per_n):
-    rows, verdicts = [], {}
+def _aggregate_partial(out, per_n):
+    cfg = out.cfg
     tol = _ks_tolerance(calibration.PARTIAL_COLLECTION_KS_TOL, (cfg.r, cfg.m),
                         f"chi2-law r={cfg.r}, m={cfg.m}")
     law = ChiSqLog(cfg.m) if cfg.r == 1 else LogGamma(cfg.r, cfg.m)
     for n, values in per_n.items():
         dist = ks_statistic(values, law.cdf)
-        ok = tol is not None and dist <= tol
-        rows.append(_row(cfg, n, f"ks_vs_{law.name}", dist, None, len(values), ok))
-        verdicts[f"ks_within_tolerance_n{n}"] = ok
-    return rows, {}, verdicts
+        out.row(n, f"ks_vs_{law.name}", dist, len(values), tol is not None and dist <= tol,
+                f"ks_within_tolerance_n{n}")
 
 
 def _rare_windows(cfg):
@@ -427,13 +425,12 @@ def _extract_rare(block, cfg):
     return np.hstack([tails, tails[:, :-1] - tails[:, 1:]])
 
 
-def _aggregate_rare(cfg, per_n):
-    rows, verdicts, series = [], {}, []
+def _aggregate_rare(out, per_n):
+    series = out.summaries["mean_count_series"] = []
     for n, counts in per_n.items():
-        _count_tests(cfg, n, counts, rows, verdicts)
+        _count_tests(out, n, counts)
         series += [{"n": n, "x": float(x), "mean_count": float(counts[:, k].mean())}
-                   for k, x in enumerate(cfg.thresholds)]
-    return rows, {"mean_count_series": series}, verdicts
+                   for k, x in enumerate(out.cfg.thresholds)]
 
 
 def _extract_mismatch(block, cfg):
@@ -446,27 +443,22 @@ def _extract_mismatch(block, cfg):
     return (discrete != poissonized).astype(np.int64)
 
 
-def _aggregate_mismatch(cfg, per_n):
-    rows, verdicts = [], {}
+def _aggregate_mismatch(out, per_n):
+    cfg = out.cfg
     freqs = {}
     for n, payloads in per_n.items():
-        freq = float(np.mean(payloads))
-        freqs[n] = freq
-        rows.append(_row(cfg, n, "mismatch_frequency", freq, None,
-                         len(payloads), True))
-    summaries = {"mismatch_by_n": {str(n): f for n, f in freqs.items()}}
+        freqs[n] = freq = float(np.mean(payloads))
+        out.row(n, "mismatch_frequency", freq, len(payloads))
+    out.summaries["mismatch_by_n"] = {str(n): f for n, f in freqs.items()}
     grid = sorted(cfg.n_grid)
-    mono = True
-    for i in range(len(grid) - 1):
-        f_lo, f_hi = freqs[grid[i]], freqs[grid[i + 1]]
-        slack = 2.0 * math.sqrt(max(f_lo * (1 - f_lo), 1e-12) / cfg.replications)
-        if f_hi > f_lo + slack:
-            mono = False
+    # a step along the grid may rise by two binomial standard errors at most
+    slack = {n: 2.0 * math.sqrt(max(f * (1 - f), 1e-12) / cfg.replications)
+             for n, f in freqs.items()}
     if len(grid) >= 2:
-        verdicts["mismatch_nonincreasing"] = mono
-    bound_ok = freqs[max(grid)] <= calibration.COUPLING_MISMATCH_BOUND_N1E4
-    verdicts["largest_n_below_bound"] = bound_ok
-    return rows, summaries, verdicts
+        out.verdicts["mismatch_nonincreasing"] = all(freqs[hi] <= freqs[lo] + slack[lo]
+                                                     for lo, hi in zip(grid, grid[1:]))
+    out.verdicts["largest_n_below_bound"] = (freqs[max(grid)]
+                                             <= calibration.COUPLING_MISMATCH_BOUND_N1E4)
 
 
 def _extract_null_p_values(block, cfg):
@@ -476,17 +468,14 @@ def _extract_null_p_values(block, cfg):
     return np.array([ks_test(h_transform(s, cfg.r), law.cdf).p_value for s in sums])
 
 
-def _aggregate_null(cfg, per_n):
+def _aggregate_null(out, per_n):
     p_values = per_n[0]
     frac = float(np.mean(p_values < 0.05))
-    frac_ok = abs(frac - 0.05) <= 0.05
-    unif = ks_statistic(p_values, lambda u: np.clip(u, 0.0, 1.0))
-    rows = [
-        _row(cfg, 0, "fraction_p_below_0.05", frac, None, len(p_values), frac_ok),
-        _row(cfg, 0, "p_value_uniformity_ks", unif, None, len(p_values), True),
-    ]
-    summaries = {"p_values": [float(p) for p in p_values]}
-    return rows, summaries, {"p_fraction_calibrated": frac_ok}
+    out.row(0, "fraction_p_below_0.05", frac, len(p_values), abs(frac - 0.05) <= 0.05,
+            "p_fraction_calibrated")
+    out.row(0, "p_value_uniformity_ks", ks_statistic(p_values, lambda u: np.clip(u, 0.0, 1.0)),
+            len(p_values))
+    out.summaries["p_values"] = [float(p) for p in p_values]
 
 
 @dataclass(frozen=True)
@@ -501,14 +490,17 @@ class Kind:
     samples only what is read: a kind that reads only ``times`` costs no jump
     chain, and one of r_max 0 reads only ``block.streams``.  Row i is the
     bytes of the trace of ``streams[i]`` alone, so a payload does not depend
-    on the block it was read from.  ``aggregate(cfg, per_n)`` turns the
-    payload array at each n, one row per replication, into ``(rows,
-    summaries, verdicts)``.  ``battery`` holds the config fields of the kind's
-    experiments in the standard suite, replications at scale 1.  ``windows(cfg)``
-    lists the windows whose counts a counting kind Poisson-tests against their
-    limit mass, as ``(what, a, b, row name, verdict key)``: ``what`` names the
-    window in errors and the key is a format string of ``n``.  Column k of its
-    count payload is the count in window k.
+    on the block it was read from.  ``aggregate(out, per_n)`` reads the
+    payload array at each n, one row per replication, and records its rows,
+    summaries and verdicts in ``out``, the :class:`_Checks` of the config
+    ``out.cfg``: a row per statistic, with its verdict under a key unless it is
+    informative, and a verdict with no row by its key alone.  ``battery``
+    holds the config fields of the kind's experiments in the standard suite,
+    replications at scale 1.  ``windows(cfg)`` lists the windows whose counts
+    a counting kind Poisson-tests against their limit mass, as ``(what, a, b,
+    row name, verdict key)``: ``what`` names the window in errors and the key
+    is a format string of ``n``.  Column k of its count payload is the count
+    in window k.
     """
 
     description: str
@@ -695,15 +687,15 @@ def run_experiments(configs: list[ExperimentConfig], workers: int = 1) -> list[E
     per_config, draws, traces, processes = run_bank(configs, workers)
     reports = []
     for cfg, per_n, total_draws in zip(configs, per_config, draws):
-        kind = KINDS[cfg.kind]
-        rows, summaries, verdicts = kind.aggregate(cfg, per_n)
+        kind, out = KINDS[cfg.kind], _Checks(cfg)
+        kind.aggregate(out, per_n)
         reports.append(ExperimentReport(
             config=cfg.to_dict(),
             theorem=kind.description,
-            results=rows,
-            summaries=summaries,
-            verdicts=verdicts,
-            passed=all(verdicts.values()),
+            results=out.rows,
+            summaries=out.summaries,
+            verdicts=out.verdicts,
+            passed=all(out.verdicts.values()),
             telemetry={"total_draws": int(total_draws),
                        "replications": cfg.replications * len(cfg.grid)},
         ))

@@ -37,23 +37,25 @@ def generator(stream: SeedSpec) -> Generator:
 
 
 def trace_from_sequence(types, n: int, r_max: int) -> CollectorTrace:
-    """Build a trace by scanning an explicit 1-based coupon type sequence.
+    """Build the trace of an explicit 1-based coupon type sequence: the k-th
+    arrival of a type is the 1-based position of its k-th occurrence.
 
     The sequence must contain at least ``r_max`` occurrences of every type.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got n={n}")
-    counts = np.zeros(n, dtype=np.int64)
-    arrivals = np.zeros((n, r_max), dtype=np.int64)
-    for t, label in enumerate(types, start=1):
-        i = int(label) - 1
-        if not 0 <= i < n:
-            raise ValueError(f"type {label} outside 1..{n}")
-        if counts[i] < r_max:
-            arrivals[i, counts[i]] = t
-        counts[i] += 1
+    raw = np.asarray(types, dtype=np.int64)
+    outside = raw[(raw < 1) | (raw > n)]
+    if outside.size:
+        raise ValueError(f"type {outside[0]} outside 1..{n}")
+    counts = np.bincount(raw - 1, minlength=n)
     if np.any(counts < r_max):
         raise ValueError("sequence ended before every type arrived r_max times")
+    # the draws of each type in order, the types in order: type i's first
+    # r_max draws start where the draws of the types below it end
+    order = np.argsort(raw, kind="stable")
+    starts = np.cumsum(counts) - counts
+    arrivals = order[starts[:, None] + np.arange(r_max)] + 1
     # the chain is given, not derived, so the trace has no times
     return CollectorTrace(n, r_max, None, arrivals)
 

@@ -2,6 +2,7 @@
 import ast
 import copy
 import csv
+import hashlib
 import importlib.util
 import io
 import json
@@ -125,7 +126,9 @@ def test_simulate_unwritable_path_is_usage_error():
     ("--reps", "0"),
     ("--rmax", "0"),
     ("--n", "1"),
-], ids=["reps-negative", "reps-0", "rmax-0", "n-1"])
+    ("--seed", "-1"),
+    ("--seed", str(2**64)),
+], ids=["reps-negative", "reps-0", "rmax-0", "n-1", "seed-negative", "seed-2**64"])
 def test_simulate_bad_arguments_write_no_file(argv, tmp_path, capsys):
     out = tmp_path / "x.csv"
     code = run_cli("simulate", "--n", "5", *argv, "--out", str(out))
@@ -159,6 +162,7 @@ import sys
 from dixiecup.cli import main
 print(main(["verify", "--kind", "erdos-renyi", "--n", "3000000000", "--reps", "1"]))
 print(main(["verify", "--kind", "limit-consistency", "--m", "100000000", "--reps", "1"]))
+print(main(["simulate", "--n", "3000000000", "--reps", "1", "--out", "/dev/null"]))
 """
 
 
@@ -177,9 +181,9 @@ def test_failed_allocation_is_a_usage_error():
                           preexec_fn=cap_address_space, capture_output=True, text=True,
                           timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == [str(EXIT_USAGE)] * 2
+    assert done.stdout.split() == [str(EXIT_USAGE)] * 3
     errors = done.stderr.splitlines()
-    assert len(errors) == 2 and all(line.startswith("error: Unable to allocate") for line in errors)
+    assert len(errors) == 3 and all(line.startswith("error: Unable to allocate") for line in errors)
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +462,19 @@ def test_battery_bad_arguments_are_usage_errors(argv, tmp_path, capsys):
     code = run_cli("battery", *argv, "--out", str(tmp_path / "battery.json"))
     assert code == EXIT_USAGE
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# the sha256 of `battery --seed 42 --scale 0.02`, as README documents it: a
+# change meant to alter the report bytes updates it there too
+BATTERY_002_SHA256 = "f6ba9b0924d75ba2dce4b9b9152cbfcc7ad011ff8a7c697724f9f3a4da71cbca"
+
+
+def test_battery_report_bytes_are_pinned(tmp_path):
+    out = tmp_path / "battery.json"
+    code = run_cli("battery", "--seed", "42", "--scale", "0.02", "--workers", "1",
+                   "--out", str(out))
+    assert code in (EXIT_PASS, EXIT_STAT_FAIL)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == BATTERY_002_SHA256
 
 
 def test_report_rendering_round_trip(tmp_path, capsys):

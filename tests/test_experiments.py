@@ -63,6 +63,12 @@ def test_config_validation_rejects_bad_values():
         ExperimentConfig(kind=kind, n_grid=[5], m=4).validate()
     with pytest.raises(ConfigError):
         ExperimentConfig(kind="chi2-law", replications=0).validate()
+    # a master seed keys its streams as a 64-bit unsigned word
+    for kind in ("erdos-renyi", "limit-consistency"):
+        for seed in (-1, 2**64):
+            with pytest.raises(ConfigError, match="master_seed"):
+                ExperimentConfig(kind=kind, master_seed=seed).validate()
+        ExperimentConfig(kind=kind, master_seed=2**64 - 1).validate()
     with pytest.raises(ConfigError):
         ExperimentConfig(kind="chi2-law", significance=0.0).validate()
     with pytest.raises(ConfigError):
