@@ -29,6 +29,7 @@ from .experiments import (
     emit_report,
     replication_block,
     run_experiments,
+    write_json,
     write_rows_csv,
 )
 
@@ -128,6 +129,23 @@ def _cmd_simulate(args) -> int:
         print(f"warning: n={args.n} is below the recommended minimum of 3; "
               "the centering uses ln ln n", file=sys.stderr)
     coupled = args.scheme == "coupled"
+    size = block_size(args.n, args.rmax)
+
+    def block_columns(start):
+        """The csv cells of each column of the block from replication start:
+        the bank's traces (seed, n, j), which verify --seed reads."""
+        block = replication_block(args.seed, args.n, args.rmax,
+                                  start, min(start + size, args.reps))
+        columns = [_csv_cells(block.arrivals)]
+        if coupled:
+            columns.append(_csv_cells(block.times))
+        return columns
+
+    # the first block's arrays before the row labels and the file: a run too
+    # big for memory fails at their allocation at once and leaves no file
+    first = block_columns(0)
+    # "type,multiplicity" of each arrival of a trace, in row order
+    positions = [f"{i},{k}" for i in range(1, args.n + 1) for k in range(1, args.rmax + 1)]
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         header = ["replication", "type", "multiplicity", "arrival_draw"]
@@ -139,21 +157,9 @@ def _cmd_simulate(args) -> int:
         # costs a fraction of a writerow per line
         line = "{},{},{}" if coupled else "{},{}"
         line += writer.dialect.lineterminator
-        size = block_size(args.n, args.rmax)
         for start in range(0, args.reps, size):
-            # the bank's traces (seed, n, j), which verify --seed reads
-            block = replication_block(args.seed, args.n, args.rmax,
-                                      start, min(start + size, args.reps))
-            # the arrays before the row labels, so that a run too big for
-            # memory fails at their allocation at once
-            columns = [_csv_cells(block.arrivals)]
-            if coupled:
-                columns.append(_csv_cells(block.times))
-            if not start:
-                # "type,multiplicity" of each arrival of a trace, in row order
-                positions = [f"{i},{k}" for i in range(1, args.n + 1)
-                             for k in range(1, args.rmax + 1)]
-            keys = [f"{j},{position}" for j in range(start, start + len(block.streams))
+            columns = block_columns(start) if start else first
+            keys = [f"{j},{position}" for j in range(start, min(start + size, args.reps))
                     for position in positions]
             fh.writelines(map(line.format, keys, *columns))
     return EXIT_PASS
@@ -267,9 +273,7 @@ def _cmd_battery(args) -> int:
         "experiments": [rep.to_dict() for rep in reports],
         "passed": all_pass,
     }
-    with open(args.out, "w") as fh:
-        json.dump(combined, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(combined, args.out)
     print(f"battery report written to {args.out}")
     return EXIT_PASS if all_pass else EXIT_STAT_FAIL
 

@@ -710,12 +710,17 @@ def run_experiments(configs: list[ExperimentConfig], workers: int = 1) -> list[E
 # ---------------------------------------------------------------------------
 # persistence
 
+def write_json(data: dict, path: str) -> None:
+    """Write a report, or a battery of them, in the one JSON report format."""
+    with open(path, "w") as fh:
+        json.dump(data, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
 def emit_report(report: ExperimentReport, fmt: str, path: str) -> None:
     """Persist a report as nested JSON or flat CSV rows."""
     if fmt == "json":
-        with open(path, "w") as fh:
-            json.dump(report.to_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_json(report.to_dict(), path)
     elif fmt == "csv":
         write_rows_csv(report.results, path)
         series = report.summaries.get("mean_count_series")

@@ -15,13 +15,12 @@ a second of start-up and about 45 MB of resident memory in every process
 that imports this package, and nothing else in it is used here.
 
 The KS supremum is exact but does not evaluate the reference CDF everywhere.
-For a sorted sample of at least ``_PRUNE_MIN_SIZE`` points, the CDF ``F`` is
-first evaluated at knots: every ``block``-th rank and the last.  A point of
-rank k has ``grid_k = k / size`` and ``lower_k = grid_k - 1 / size``.  Between
-two knots lo < hi, every rank k has ``grid_k <= grid_(hi-1)`` and
-``lower_k >= lower_(lo+1)`` and, because a CDF is nondecreasing,
-``F_lo <= F_k <= F_hi``.  IEEE rounding is monotone too, so the computed
-distances obey
+The CDF ``F`` of a sorted sample is first evaluated at knots: every
+``block``-th rank and the last.  A point of rank k has ``grid_k = k / size``
+and ``lower_k = grid_k - 1 / size``.  Between two knots lo < hi, every rank
+k has ``grid_k <= grid_(hi-1)`` and ``lower_k >= lower_(lo+1)`` and,
+because a CDF is nondecreasing, ``F_lo <= F_k <= F_hi``.  IEEE rounding is
+monotone too, so the computed distances obey
 
     fl(grid_k - F_k) <= fl(grid_(hi-1) - F_lo)
     fl(F_k - lower_k) <= fl(F_hi - lower_(lo+1))
@@ -29,9 +28,7 @@ distances obey
 Only the blocks whose bound reaches the largest distance at the knots, less a
 slack of a few ulps for a CDF that is not monotone to the last bit, are
 evaluated in full.  Every skipped point's distance is at most that largest
-one, so the result is the float that evaluating every point gives.  Below
-the size threshold the bookkeeping costs more than a cheap CDF saves, and
-every point is evaluated.
+one, so the result is the float that evaluating every point gives.
 """
 from __future__ import annotations
 
@@ -61,10 +58,6 @@ class GofResult:
             raise ValueError("p-value must lie in [0, 1]")
 
 
-# Sample size from which the KS supremum is pruned.  Measured: below it the
-# cheapest reference CDFs here (Gumbel, uniform, Exp(1)) are faster evaluated
-# at every point; from it on pruning was faster for every law.
-_PRUNE_MIN_SIZE = 16384
 # Slack of the block bound: a CDF may fall short of monotone by a few ulps.
 _SLACK = 8 * np.finfo(np.float64).eps
 
@@ -87,17 +80,14 @@ def _distances(points, ranks, size, cdf):
 def ks_statistic(sample, cdf) -> float:
     """Two-sided sup-distance between the empirical CDF and the callable ``cdf``.
 
-    ``cdf`` must be nondecreasing and act elementwise.  Large samples are
-    evaluated only where the supremum can lie (see the module docstring); the
-    result is the same float either way.
+    ``cdf`` must be nondecreasing and act elementwise.  It is evaluated only
+    where the supremum can lie (see the module docstring); the result is the
+    float that evaluating it at every point gives.
     """
     sample = np.sort(np.asarray(sample, dtype=np.float64))
     size = len(sample)
     if size == 0:
         raise ValueError("KS test needs a nonempty sample")
-    if size < _PRUNE_MIN_SIZE:
-        _, d_plus, d_minus = _distances(sample, np.arange(1, size + 1), size, cdf)
-        return float(max(np.max(d_plus), np.max(d_minus), 0.0))
     block = _block_size(size)
     knots = np.arange(1, size + block, block)  # ranks 1, 1 + block, ...
     knots[-1] = size  # ... and the last
@@ -196,7 +186,8 @@ def increment_test(lastbut_vectors, r: int, m: int) -> GofResult:
     map w_j = (r-1)! exp(-L_j) turns them into partial sums of the limiting
     unit exponentials, whose first differences (and the j=0 term itself) are
     pooled and KS-tested against Exp(1).  The largest absolute pairwise
-    increment correlation is reported in ``details``.
+    increment correlation is reported in ``details``, unless some increment
+    is the same in every row.
 
     Where a partial sum overflows, its increment is formed in log space, as
     exp(log (r-1)! - L_j + log(1 - exp(L_j - L_(j-1)))), which subtracts no
@@ -220,14 +211,11 @@ def increment_test(lastbut_vectors, r: int, m: int) -> GofResult:
             logs = math.lgamma(r) - vectors + log_gaps
             increments[overflowed] = np.exp(logs[overflowed])
     pooled = increments.ravel()
-
-    def exp1_cdf(x):
-        return -np.expm1(-np.asarray(x, dtype=np.float64))
-
-    res = ks_test(pooled, exp1_cdf)
+    res = ks_test(pooled, lambda x: -np.expm1(-x))  # the Exp(1) CDF
     finite = bool(np.isfinite(pooled).all())
     details: dict = {}
-    if m >= 1 and len(vectors) >= 2 and finite:
+    # a column that never varies, as in a lone replication, has no correlation
+    if m >= 1 and finite and np.ptp(increments, axis=0).all():
         corr = np.corrcoef(increments, rowvar=False)
         off_diag = corr[~np.eye(m + 1, dtype=bool)]
         details["max_abs_increment_correlation"] = float(np.max(np.abs(off_diag)))

@@ -162,7 +162,7 @@ import sys
 from dixiecup.cli import main
 print(main(["verify", "--kind", "erdos-renyi", "--n", "3000000000", "--reps", "1"]))
 print(main(["verify", "--kind", "limit-consistency", "--m", "100000000", "--reps", "1"]))
-print(main(["simulate", "--n", "3000000000", "--reps", "1", "--out", "/dev/null"]))
+print(main(["simulate", "--n", "3000000000", "--reps", "1", "--out", sys.argv[1]]))
 """
 
 
@@ -170,20 +170,22 @@ def cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
 
 
-def test_failed_allocation_is_a_usage_error():
+def test_failed_allocation_is_a_usage_error(tmp_path):
     """An array too large for memory ends in an error line and exit 2, not a
-    traceback.  Run only in a child whose address space is capped, so that
-    the allocations fail at once instead of growing until the machine runs
-    out of memory."""
+    traceback, and a failed ``simulate`` leaves no file.  Run only in a child
+    whose address space is capped, so that the allocations fail at once
+    instead of growing until the machine runs out of memory."""
     src = os.path.dirname(os.path.dirname(dixiecup.__file__))
     env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
-    done = subprocess.run([sys.executable, "-c", OUT_OF_MEMORY], env=env,
+    out = tmp_path / "oom.csv"
+    done = subprocess.run([sys.executable, "-c", OUT_OF_MEMORY, str(out)], env=env,
                           preexec_fn=cap_address_space, capture_output=True, text=True,
                           timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == [str(EXIT_USAGE)] * 3
     errors = done.stderr.splitlines()
     assert len(errors) == 3 and all(line.startswith("error: Unable to allocate") for line in errors)
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +356,23 @@ def test_verify_increments_beyond_float_range_fail_cleanly(tmp_path, capsys):
     (row,) = json.loads(out.read_text())["results"]
     assert row["p_value"] == 0.0 and math.isfinite(row["value"])
     assert "NaN" not in out.read_text()
+
+
+def test_verify_constant_increment_column_reports_no_correlation(tmp_path, capsys):
+    """At m = n - 1 the two smallest points are nearly always draws 1 and 2,
+    so their increment is the same in every replication and has no
+    correlation: the report holds no correlation row, and no NaN, and numpy
+    divides by no zero variance."""
+    out = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli("verify", "--kind", "partial-collection", "--n", "100", "--m", "99",
+                       "--reps", "5", "--out", str(out))
+    assert code == EXIT_STAT_FAIL
+    assert "RuntimeWarning" not in capsys.readouterr().err
+    assert "NaN" not in out.read_text()
+    (row,) = json.loads(out.read_text())["results"]
+    assert row["statistic_name"] == "increment_ks"
 
 
 def test_verify_ini_config_with_overrides(tmp_path, capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from dixiecup import gof, limitlaws
+from dixiecup import limitlaws
 from dixiecup.experiments import KINDS
 from dixiecup.gof import (
     GofResult,
@@ -142,20 +142,17 @@ NULL_SAMPLERS = [(repr(law), law.cdf, draw) for law, draw in law_samplers()] + [
 ]
 
 
-def threshold_sizes():
-    """Sample sizes on both sides of the pruning threshold, within one block
-    of it with last blocks of several lengths, and far above it."""
-    low = gof._PRUNE_MIN_SIZE
-    block = _block_size(low)
-    near = [low - 1, low, low + 1, low + block - 1, low + block, low + block + 1,
-            low + block + 2]
-    return near + [3 * low + 7, 100_003]
+# Sample sizes: below one block of 8 points, one block, one knot past it, a
+# few blocks and a few dozen; then around 16384, where a block is 12 points,
+# with last blocks of several lengths; and far above.
+KS_SIZES = [1, 2, 7, 8, 9, 17, 20, 60, 1000,
+            16383, 16384, 16385, 16395, 16396, 16397, 16398, 49159, 100_003]
 
 
 @pytest.mark.parametrize("name,cdf,draw", NULL_SAMPLERS, ids=[t[0] for t in NULL_SAMPLERS])
 def test_ks_statistic_equals_full_evaluation(name, cdf, draw):
     rng = generator(SeedSpec(97, 0))
-    for size in threshold_sizes():
+    for size in KS_SIZES:
         null = draw(rng, size)
         # the law itself, a near miss, a gross miss and a rescaled sample
         for sample in (null, null + 0.01, null - 0.5, 1.05 * null):
@@ -163,7 +160,9 @@ def test_ks_statistic_equals_full_evaluation(name, cdf, draw):
 
 
 def positioned_uniform_samples(rng, size):
-    """Uniform-scale samples whose supremum is placed: (where, sample)."""
+    """Uniform-scale samples of at least 3 points whose supremum is placed:
+    (where, sample).  The "first" sample fits below 1 only from about 450
+    points, and is left out below that."""
     jitter = 0.1 * rng.random(size) / size
     # no point below 0.3, five spaced 2/size apart, the rest 0.69/size apart:
     # the supremum is the distance below the fifth point, inside the first block
@@ -173,14 +172,15 @@ def positioned_uniform_samples(rng, size):
     # above the second largest point, inside the last block
     last = 0.6 * (np.arange(size) + 0.5) / (size - 2) + jitter
     last[-2:] = (0.6 + 1e-9, 0.95)
-    return [("first", np.sort(first)), ("last", np.sort(last))]
+    samples = [("first", np.sort(first))] if first.max() < 1.0 else []
+    return samples + [("last", np.sort(last))]
 
 
 def gumbel_quantile(u):
     return -np.log(-np.log(u))
 
 
-@pytest.mark.parametrize("size", threshold_sizes())
+@pytest.mark.parametrize("size", [size for size in KS_SIZES if size >= 3])
 def test_ks_statistic_equals_full_evaluation_at_placed_suprema(size):
     rng = generator(SeedSpec(98, size))
     cdfs = ((uniform_cdf, lambda u: u), (exp1_cdf, lambda u: -np.log1p(-u)),
@@ -193,7 +193,7 @@ def test_ks_statistic_equals_full_evaluation_at_placed_suprema(size):
             assert ks_statistic(sample, cdf) == reference_ks_statistic(sample, cdf)
 
 
-@pytest.mark.parametrize("size", threshold_sizes())
+@pytest.mark.parametrize("size", KS_SIZES)
 def test_ks_statistic_equals_full_evaluation_in_the_far_tails(size):
     # where the reference CDF has rounded to exactly 0 or 1 over long runs
     rng = generator(SeedSpec(99, size))
@@ -228,31 +228,33 @@ def test_pruned_ks_allows_a_cdf_off_monotone_by_a_few_ulps():
     # A stub CDF, flat at c up to a dip of 8 ulps just below a knot.  The
     # supremum is the distance above the dipped point; the block bound falls
     # a few ulps short of it, and the next knot's distance lies in between.
-    size = 2 * gof._PRUNE_MIN_SIZE + 5
-    block = _block_size(size)
-    lo = 1 + (size // 2 // block) * block  # a knot's rank
-    hi = lo + block
-    c = 0.15
-    dipped = c - 8 * np.spacing(c)
-    bound = (hi - 1) / size - c
-    top = (hi - 1) / size - dipped
-    assert bound < top
-    target = np.nextafter(np.nextafter(bound, 1.0), 1.0)
-    at_hi = hi / size - target
-    while hi / size - at_hi < target:
-        at_hi = np.nextafter(at_hi, 0.0)
-    table = np.full(size, c)
-    table[hi - 2] = dipped
-    table[hi - 1:] = at_hi + 1.5 * np.arange(size - hi + 1) / size
-    sample = np.arange(size, dtype=float)
+    # The dip is 4 ulps of a distance below 1/2, room for the next knot's in
+    # between, so the knot lies near the middle of a sample of several blocks.
+    for size in (60, 1000, 32773):
+        block = _block_size(size)
+        lo = 1 + (size // 2 // block) * block  # a knot's rank
+        hi = lo + block
+        c = 0.15
+        dipped = c - 8 * np.spacing(c)
+        bound = (hi - 1) / size - c
+        top = (hi - 1) / size - dipped
+        assert bound < top
+        target = np.nextafter(np.nextafter(bound, 1.0), 1.0)
+        at_hi = hi / size - target
+        while hi / size - at_hi < target:
+            at_hi = np.nextafter(at_hi, 0.0)
+        table = np.full(size, c)
+        table[hi - 2] = dipped
+        table[hi - 1:] = at_hi + 1.5 * np.arange(size - hi + 1) / size
+        sample = np.arange(size, dtype=float)
 
-    def stub_cdf(x):
-        return table[np.asarray(x).astype(np.int64)]
+        def stub_cdf(x):
+            return table[np.asarray(x).astype(np.int64)]
 
-    assert bound < hi / size - at_hi < top
-    assert sup_rank(sample, stub_cdf) == hi - 1
-    assert reference_ks_statistic(sample, stub_cdf) == top
-    assert ks_statistic(sample, stub_cdf) == top
+        assert bound < hi / size - at_hi < top
+        assert sup_rank(sample, stub_cdf) == hi - 1
+        assert reference_ks_statistic(sample, stub_cdf) == top
+        assert ks_statistic(sample, stub_cdf) == top
 
 
 def test_poisson_count_degenerate_mean():
