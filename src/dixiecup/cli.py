@@ -49,6 +49,10 @@ def _parse_interval(text: str) -> tuple[float, float]:
     return parts[0], parts[1]
 
 
+def _parse_intervals(text: str) -> list[tuple[float, float]]:
+    return [_parse_interval(part) for part in text.split(";") if part.strip()]
+
+
 def _parse_ints(text: str) -> list[int]:
     return [int(tok) for tok in text.replace(",", " ").split()]
 
@@ -174,6 +178,7 @@ _CONFIG_KEYS = {
     "r": int,
     "c": int,
     "m": int,
+    "intervals": _parse_intervals,
     "thresholds": _parse_floats,
     "replications": int,
     "master_seed": int,
@@ -193,17 +198,14 @@ def _config_from_ini(path: str, section: str | None) -> dict:
         section = ini.sections()[0]
     if section not in ini:
         raise ConfigError(f"no section {section!r} in {path!r}")
-    raw = dict(ini[section])
     out: dict = {}
-    for key, value in raw.items():
-        if key == "intervals":
-            out["intervals"] = [
-                _parse_interval(part) for part in value.split(";") if part.strip()
-            ]
-        elif key in _CONFIG_KEYS:
-            out[key] = _CONFIG_KEYS[key](value)
-        else:
+    for key, value in ini[section].items():
+        if key not in _CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
+        try:
+            out[key] = _CONFIG_KEYS[key](value)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ConfigError(f"config file {path!r}, key {key!r}: {exc}") from exc
     out.setdefault("kind", section)
     return out
 
@@ -214,7 +216,7 @@ def _verify_config(args) -> ExperimentConfig:
     if args.config:
         try:
             fields = _config_from_ini(args.config, args.section)
-        except (configparser.Error, argparse.ArgumentTypeError) as exc:
+        except configparser.Error as exc:
             raise ConfigError(f"config file {args.config!r}: {exc}") from exc
     names = {f.name for f in dataclasses.fields(ExperimentConfig)}
     fields.update((k, v) for k, v in vars(args).items() if k in names and v is not None)
@@ -225,8 +227,18 @@ def _verify_config(args) -> ExperimentConfig:
     return config
 
 
+def _check_out_dir(path: str) -> None:
+    """Raise unless the directory that ``path`` names a file in exists, so a
+    run fails before it samples rather than after."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise ConfigError(f"cannot write {path!r}: no directory {directory!r}")
+
+
 def _cmd_verify(args) -> int:
     config = _verify_config(args)
+    if args.out:
+        _check_out_dir(args.out)
     if 0 < min(config.grid) < 3:
         print("warning: n below 3 makes the ln ln n centering negative",
               file=sys.stderr)
@@ -262,6 +274,7 @@ def battery_configs(seed: int, scale: float) -> list[ExperimentConfig]:
 
 def _cmd_battery(args) -> int:
     configs = battery_configs(args.seed, args.scale)
+    _check_out_dir(args.out)
     reports = run_experiments(configs, args.workers)
     for cfg, report in zip(configs, reports):
         status = "PASS" if report.passed else "FAIL"

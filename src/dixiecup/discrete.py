@@ -15,6 +15,7 @@ __all__ = [
     "TraceBlock",
     "block_size",
     "keyed",
+    "release_scratch",
     "run_discrete",
 ]
 
@@ -61,6 +62,28 @@ def block_size(n: int, r_max: int) -> int:
 # before it draws, so it carries nothing from one to the next.  It is one per
 # process, so two threads must not sample at once.
 _SCRATCH = Generator(Philox(0))
+
+
+# The jump chain's temporaries, one buffer per process beside _SCRATCH: it
+# grows on demand, every pass writes it with ``out=``, and release_scratch
+# empties it.  Only temporaries live in it: ``times`` and ``arrivals`` leave
+# their block, so they are fresh arrays.
+_WORK = np.empty(0)
+
+
+def _work(*sizes: int) -> list[np.ndarray]:
+    """Consecutive float64 runs of ``sizes`` in the work buffer, grown to hold them."""
+    global _WORK
+    if _WORK.size < sum(sizes):
+        _WORK = np.empty(sum(sizes))
+    ends = np.cumsum(sizes)
+    return [_WORK[end - size:end] for size, end in zip(sizes, ends)]
+
+
+def release_scratch() -> None:
+    """Free the jump chain's work buffer; the next chain allocates it anew."""
+    global _WORK
+    _WORK = np.empty(0)
 
 
 def keyed(streams: Sequence[SeedSpec]) -> Iterator[Generator]:
@@ -144,33 +167,48 @@ def _jump_chain(states: list[dict], times: np.ndarray) -> np.ndarray:
     tracked events are Poisson with mean (#types past r_max) * gap / n.  An
     event's draw number is its rank plus the untracked draws before it.
 
-    Each pass runs on the whole block, row by row, and in place where it can;
-    the generator calls and their arguments are fixed, so a stream always
-    gives the same trace.  A type's times strictly increase unless two of them
+    Each pass runs on the whole block, row by row, and writes into the work
+    buffer, so only the argsort order, each row's Poisson draws and the
+    returned arrivals are allocated.  The generator calls and their arguments
+    are fixed, so a stream always gives the same trace.  A type's times strictly increase unless two of them
     are an exact float tie, which shows as a zero gap between sorted times.
     Only then can a tie break the wrong way in ``argsort`` and reverse two
     ranks of a row, so only then are the rows checked.
     """
     traces, n, r_max = times.shape
     size = n * r_max
+    cells = traces * size
     order = np.argsort(times.reshape(traces, size), axis=1)
-    if r_max == 1:
-        completed = np.arange(1, n)
-    else:
-        # types past r_max before each gap: the number of last-column events so far
-        last = np.zeros((n, r_max), dtype=np.int8)
-        last[:, -1] = 1
-        completed = last.take(order[:, :-1]).astype(np.float64)
-        np.cumsum(completed, axis=1, out=completed)
     # flat positions in the block, so that one gather and one scatter serve all rows
-    order += np.arange(0, traces * size, size)[:, None]
-    gaps = np.diff(times.take(order), axis=1)
+    order += np.arange(0, cells, size)[:, None]
+    # the work buffer: the times in rank order, whose run then holds the
+    # running counts and at last the draw numbers; the gaps; and the marks of
+    # last-column positions
+    ranked, gaps, marks = _work(cells, cells - traces, cells if r_max > 1 else 0)
+    ranked = ranked.reshape(traces, size)
+    # mode="clip" gathers straight into out=; order is in range, so it clips nothing
+    times.take(order, out=ranked, mode="clip")
+    gaps = gaps.reshape(traces, size - 1)
+    np.subtract(ranked[:, 1:], ranked[:, :-1], out=gaps)
     tied = r_max > 1 and not gaps.all()
+    # types past r_max before each gap
+    if r_max == 1:
+        completed = ranked.ravel()[:n - 1]  # 1..n-1, the same in every row
+        completed.fill(1.0)
+        np.cumsum(completed, out=completed)
+    else:
+        # the number of last-column events so far
+        marks.fill(0.0)  # a contiguous fill is several times faster than a strided one
+        marks = marks.reshape(traces * n, r_max)
+        marks[:, -1] = 1.0
+        completed = ranked.ravel()[:cells - traces].reshape(traces, size - 1)
+        marks.take(order[:, :-1], out=completed, mode="clip")
+        np.cumsum(completed, axis=1, out=completed)
     gaps *= completed
     gaps /= n
     # draw numbers: the first event is draw 1, and each later one comes its
     # untracked draws plus one after the event before it
-    index = np.empty((traces, size), dtype=np.int64)
+    index = ranked.view(np.int64)
     index[:, 0] = 1
     for row, (state, lam) in enumerate(zip(states, gaps)):
         _SCRATCH.bit_generator.state = state

@@ -6,9 +6,9 @@ how it extracts the payloads of a block of traces as one array, a row per
 trace, and how it aggregates those payloads into rows, summaries and
 verdicts.  :func:`run_bank` simulates each trace once, sampling consecutive
 replications in blocks, and hands each block to the extraction of every
-config that reads it.  A trace
-is keyed by ``(master_seed, n, j)`` alone: replication ``j`` at ``n`` reads the stream
-:func:`replication_block` gives it, with the largest r_max any config reading
+config that reads it, with the statistics several of them read computed once.
+A trace is keyed by ``(master_seed, n, j)`` alone: replication ``j`` at ``n``
+reads the stream :func:`replication_block` gives it, with the largest r_max any config reading
 that ``(master_seed, n)`` needs, so configs sharing a seed share their traces
 and the numbers are independent of the worker count.  :func:`run_experiments` runs
 any list of configs on one bank, and ``verify`` and ``battery`` both use it.
@@ -22,7 +22,7 @@ import os
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import partial
 from multiprocessing import Pool
 from operator import attrgetter
@@ -30,7 +30,7 @@ from operator import attrgetter
 import numpy as np
 
 from . import calibration
-from .discrete import TraceBlock, block_size, keyed
+from .discrete import TraceBlock, block_size, keyed, release_scratch
 from .gof import increment_test, ks_statistic, ks_test, poisson_count_test
 from .limitlaws import (
     ChiSqLog,
@@ -189,9 +189,9 @@ class ExperimentConfig:
                                   "which must be finite and positive")
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["intervals"] = [[a, b] for a, b in self.intervals]
-        return d
+        # the fields as JSON values: its lists copied, an interval a list
+        return {**vars(self), "n_grid": list(self.n_grid), "thresholds": list(self.thresholds),
+                "intervals": [[a, b] for a, b in self.intervals]}
 
 
 @dataclass
@@ -205,7 +205,8 @@ class ExperimentReport:
     telemetry: dict
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # the report's own rows and summaries: a deep copy would only be written out
+        return dict(vars(self))
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentReport":
@@ -270,7 +271,9 @@ class _Checks:
 
 
 def _harmonic(n: int) -> float:
-    return float(sum(1.0 / k for k in range(1, n + 1)))
+    """H_n, summed in order from 1/1 up: the float of a sequential sum on
+    every Python, where since 3.12 the builtin ``sum`` of floats compensates."""
+    return float(np.cumsum(1.0 / np.arange(1, n + 1))[-1])
 
 
 def _ks_tolerance(table: dict, key, label: str) -> float | None:
@@ -291,9 +294,33 @@ def _count_tests(out, n, counts) -> None:
         out.test(n, name, poisson_count_test(column, intensity_mass(cfg.r, a, b)), key.format(n=n))
 
 
-def _pattern(block, r):
-    """Per row of ``block``, the normalized draws of every type's r-th arrival."""
-    return Normalization(block.n, r).apply(block.arrivals[:, :, r - 1])
+class _SharedBlock(TraceBlock):
+    """A block as the bank hands it to its readers: the traces of ``block``,
+    and the statistics that several kinds read from them, each computed once
+    per r and then shared.  ``depth`` is one more than the largest m among
+    the readers."""
+
+    def __init__(self, block: TraceBlock, depth: int) -> None:
+        super().__init__(block.n, block.r_max, block.streams)
+        self.depth = depth
+        self._patterns: dict[int, np.ndarray] = {}
+        self._largest: dict[int, np.ndarray] = {}
+
+    def pattern(self, r: int) -> np.ndarray:
+        """Per row, the normalized draws of every type's r-th arrival."""
+        if r not in self._patterns:
+            self._patterns[r] = Normalization(self.n, r).apply(self.arrivals[:, :, r - 1])
+        return self._patterns[r]
+
+    def largest(self, r: int) -> np.ndarray:
+        """Per row, the ``depth`` largest r-th arrival draws, largest first."""
+        if r not in self._largest:
+            k = self.n - self.depth
+            # the largest in one selection, then in order: a partition at each
+            # of them is up to ten times slower
+            largest = np.partition(self.arrivals[:, :, r - 1], k, axis=1)[:, k:]
+            self._largest[r] = np.sort(largest, axis=1)[:, ::-1]
+        return self._largest[r]
 
 
 def _within(points, a, b):
@@ -304,11 +331,7 @@ def _within(points, a, b):
 def _last_but(block, r, m):
     """Per row of ``block``, for j = 0..m, the first draw at which all but j
     types have r arrivals: the (n-j)-th smallest r-th arrival draw."""
-    k = block.n - m - 1
-    # the m+1 largest in one selection, then in order: a partition at each of
-    # them is up to ten times slower
-    largest = np.partition(block.arrivals[:, :, r - 1], k, axis=1)[:, k:]
-    return np.sort(largest, axis=1)[:, ::-1]
+    return block.largest(r)[:, :m + 1]
 
 
 def _extract_marginal(block, cfg):
@@ -328,7 +351,7 @@ def _interval_windows(cfg):
 
 def _extract_counts(block, cfg):
     """Per row, the count in each interval, then the first (largest) point."""
-    points = _pattern(block, cfg.r)
+    points = block.pattern(cfg.r)
     return np.column_stack([_within(points, a, b) for a, b in cfg.intervals]
                            + [points.max(axis=1)])
 
@@ -419,7 +442,7 @@ def _rare_windows(cfg):
 
 
 def _extract_rare(block, cfg):
-    points = _pattern(block, cfg.r)
+    points = block.pattern(cfg.r)
     tails = np.column_stack([np.count_nonzero(points >= x, axis=1) for x in cfg.thresholds])
     # the points in [x, y): those of the tail from x less those of the tail from y
     return np.hstack([tails, tails[:, :-1] - tails[:, 1:]])
@@ -437,10 +460,8 @@ def _extract_mismatch(block, cfg):
     """Per row, 1 if its discrete and poissonized normalized patterns hold
     different numbers of points in the first interval, else 0."""
     a, b = cfg.intervals[0]
-    norm = Normalization(block.n, cfg.r)
-    discrete, poissonized = (_within(norm.apply(scheme[:, :, cfg.r - 1]), a, b)
-                             for scheme in (block.arrivals, block.times))
-    return (discrete != poissonized).astype(np.int64)
+    poissonized = Normalization(block.n, cfg.r).apply(block.times[:, :, cfg.r - 1])
+    return (_within(block.pattern(cfg.r), a, b) != _within(poissonized, a, b)).astype(np.int64)
 
 
 def _aggregate_mismatch(out, per_n):
@@ -484,9 +505,11 @@ class Kind:
 
     ``r_max(cfg)`` is the number of arrivals per type its traces must track, 0
     for a kind that samples no trace.  ``extract(block, cfg)`` reads the
-    payloads of a :class:`~dixiecup.discrete.TraceBlock` the bank samples as
-    one array whose first axis is the block's rows, by array passes along the
-    row axis; a payload of several fields is a row of columns.  A block
+    payloads of a :class:`_SharedBlock` the bank samples as one array whose
+    first axis is the block's rows, by array passes along the row axis; a
+    payload of several fields is a row of columns.  It reads the statistics
+    that several kinds share, the normalized pattern and the largest r-th
+    arrival draws, from the block's ``pattern`` and ``largest``.  A block
     samples only what is read: a kind that reads only ``times`` costs no jump
     chain, and one of r_max 0 reads only ``block.streams``.  Row i is the
     bytes of the trace of ``streams[i]`` alone, so a payload does not depend
@@ -570,7 +593,8 @@ def _bank_block(configs, task):
     """One block of traces: per config reading it, the payload of each trace,
     then the draws of the jump chains (0 unless a reader derived them)."""
     seed, n, start, count, r_max, readers = task
-    block = replication_block(seed, n, r_max, start, start + count)
+    block = _SharedBlock(replication_block(seed, n, r_max, start, start + count),
+                         max(configs[k].m for k in readers) + 1)
     payloads = [KINDS[configs[k].kind].extract(block, configs[k]) for k in readers]
     return payloads, block.derived_draws()
 
@@ -635,6 +659,7 @@ def run_bank(configs: list[ExperimentConfig], workers: int = 1) -> tuple:
     payload of replication j; the draws of the jump chains derived for the
     traces each config read; the number of traces simulated; and the
     processes sampled on (1 when serially), on which the rest do not depend.
+    The jump chain's work buffer is empty when it returns.
     """
     if not configs:
         raise ConfigError("a bank needs at least one config")
@@ -667,6 +692,8 @@ def run_bank(configs: list[ExperimentConfig], workers: int = 1) -> tuple:
             outcomes = pool.map(work, tasks, chunksize=chunk)
     else:
         outcomes = [work(t) for t in tasks]
+    # the jump chain's work buffer lives for one bank
+    release_scratch()
 
     parts = [{n: [] for n in cfg.grid} for cfg in configs]
     draws = [0] * len(configs)

@@ -50,7 +50,7 @@ def test_simulate_discrete_csv(tmp_path):
                    "--rmax", "2", "--reps", "3", "--seed", "11",
                    "--out", str(out))
     assert code == EXIT_PASS
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert len(rows) == 3 * 6 * 2
     assert set(rows[0]) == {"replication", "type", "multiplicity", "arrival_draw"}
     # the CSV must reproduce the bank's trace (seed 11, n 6, replication 0)
@@ -67,7 +67,7 @@ def test_simulate_rows_are_the_bank_traces_across_blocks(tmp_path):
     code = run_cli("simulate", "--scheme", "coupled", "--n", "3", "--rmax", "2",
                    "--reps", str(reps), "--seed", "11", "--out", str(out))
     assert code == EXIT_PASS
-    rows = list(csv.reader(out.open()))[1:]
+    rows = list(csv.reader(out.read_text().splitlines()))[1:]
     want = []
     for j in range(reps):
         trace = run_discrete(3, 2, SeedSpec(11, (3 << 32) | j))
@@ -105,7 +105,7 @@ def test_simulate_coupled_adds_time_column(tmp_path):
     code = run_cli("simulate", "--scheme", "coupled", "--n", "5",
                    "--out", str(out))
     assert code == EXIT_PASS
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert "arrival_time" in rows[0]
     times = [float(r["arrival_time"]) for r in rows]
     assert all(t > 0 for t in times)
@@ -411,6 +411,29 @@ def test_verify_malformed_ini_is_usage_error(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_verify_ini_value_that_does_not_parse_names_its_file_and_key(tmp_path, capsys):
+    ini = tmp_path / "bad.ini"
+    ini.write_text("[erdos-renyi]\nreplications = abc\n")
+    assert run_cli("verify", "--config", str(ini)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config file {str(ini)!r}, key 'replications': ")
+    assert "'abc'" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--kind", "erdos-renyi", "--n", "100", "--reps", "5"],
+    ["battery", "--scale", "0.01"],
+], ids=["verify", "battery"])
+def test_missing_out_directory_fails_before_sampling(tmp_path, capsys, argv):
+    code = run_cli(*argv, "--out", str(tmp_path / "missing" / "x.json"))
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    # no verdict line, and no bank ran: run_experiments reports each bank on stderr
+    assert captured.out == ""
+    assert "replications from" not in captured.err
+    assert captured.err.startswith("error: ") and "missing" in captured.err
+
+
 INI_KEYS = ["kind", "n_grid", "r", "c", "m", "intervals", "thresholds",
             "replications", "master_seed", "significance", "workers", "bogus"]
 INI_CHARS = st.sampled_from("0123456789 ,;.-+eE:=[]%()nfia\t\n")
@@ -510,7 +533,7 @@ def test_report_rendering_round_trip(tmp_path, capsys):
     csv_out = tmp_path / "rep.csv"
     code = run_cli("report", str(out), "--format", "csv", "--out", str(csv_out))
     assert code == EXIT_PASS
-    rows = list(csv.DictReader(csv_out.open()))
+    rows = list(csv.DictReader(csv_out.read_text().splitlines()))
     assert rows and rows[0]["experiment"] == "erdos-renyi"
 
 
@@ -529,7 +552,7 @@ def test_report_renders_battery(tmp_path, capsys):
 
     csv_out = tmp_path / "battery.csv"
     run_cli("report", str(out), "--format", "csv", "--out", str(csv_out))
-    rows = list(csv.DictReader(csv_out.open()))
+    rows = list(csv.DictReader(csv_out.read_text().splitlines()))
     assert len(rows) == sum(len(exp["results"]) for exp in data["experiments"])
 
 

@@ -2,6 +2,7 @@
 import ast
 import functools
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -228,6 +229,48 @@ def test_block_rows_restore_row_order_after_float_ties(n, r_max, tied_scratch):
     for seed, trace in enumerate(block_traces(block)):
         assert_same_bytes((trace.arrivals, trace.times), embed(SeedSpec(seed, 0), n, r_max))
         assert np.all(np.diff(trace.arrivals, axis=1) > 0)
+
+
+@pytest.mark.parametrize("r_max", [3, 1])
+def test_warmed_jump_chain_allocates_below_four_arrival_arrays(r_max):
+    """The chain's temporaries live in the work buffer: once it has grown, a
+    chain allocates only the argsort order, a row's Poisson draws and the
+    arrivals it returns, each n * r_max int64s (fresh temporaries were six)."""
+    n = 10_000
+    TraceBlock(n, r_max, [SeedSpec(3, 0)]).arrivals  # grows the work buffer
+    block = TraceBlock(n, r_max, [SeedSpec(3, 1)])
+    block.times
+    tracemalloc.start()
+    try:
+        block.arrivals
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * n * r_max * 8
+
+
+def test_blocks_of_alternating_shapes_match_the_reference(request):
+    """The work buffer holds the last, larger block's data when a smaller or
+    differently shaped one reuses it; no row may read any of it."""
+    shapes = [(10_000, 3), (100, 1), (10_000, 1), (100, 2)]
+    for n, r_max in shapes:
+        streams = [SeedSpec(2025, (n << 8) | j) for j in range(3)]
+        for trace, stream in zip(block_traces(TraceBlock(n, r_max, streams)), streams):
+            assert_same_bytes((trace.arrivals, trace.times),
+                              reference_embed(generator(stream), n, r_max))
+    TraceBlock(10_000, 3, [SeedSpec(2025, 0)]).arrivals
+    request.getfixturevalue("tied_scratch")
+    assert_same_bytes(embed(SeedSpec(1, 0), 40, 3), reference_embed(TiedExponentials(1), 40, 3))
+
+
+def test_a_trace_keeps_its_bytes_after_later_blocks():
+    """``times`` and ``arrivals`` leave their block, so no later block may
+    write them: they are never the work buffer."""
+    trace = run_discrete(1000, 2, SeedSpec(8, 0))
+    saved = trace.arrivals.copy(), trace.times.copy()
+    for n, r_max in ((1000, 2), (10_000, 3), (100, 1)):
+        TraceBlock(n, r_max, [SeedSpec(8, 1), SeedSpec(8, 2)]).arrivals
+    assert_same_bytes((trace.arrivals, trace.times), saved)
 
 
 def first_draw_times(rng, n, r_max):

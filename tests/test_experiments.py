@@ -1,8 +1,10 @@
 """Experiment orchestration: determinism, aggregation, persistence."""
 import csv
+import functools
 import importlib.util
 import json
 import math
+import operator
 import re
 from pathlib import Path
 
@@ -11,7 +13,7 @@ import pytest
 
 from dixiecup import discrete, experiments
 from dixiecup.cli import battery_configs
-from dixiecup.discrete import CollectorTrace, run_discrete
+from dixiecup.discrete import CollectorTrace, block_size, run_discrete
 from dixiecup.experiments import (
     CSV_COLUMNS,
     ConfigError,
@@ -293,6 +295,28 @@ def test_bank_builds_no_trace_objects(monkeypatch):
         cfg.replications * len(cfg.grid) for cfg in configs]
 
 
+def test_run_bank_returns_with_the_work_buffer_empty():
+    (_,), (draws,), _, _ = run_bank([small_config("chi2-law", r=2, m=1)])
+    assert draws > 0  # its traces derived their jump chains
+    assert discrete._WORK.size == 0
+
+
+def test_readers_of_one_block_get_what_each_reads_alone():
+    """The battery configs of every kind that reads traces all read one
+    block: the statistics they share, computed once per r for the largest m
+    among them, give each the payloads it gets reading the block alone."""
+    configs = [cfg for cfg in battery_configs(7, 0.01) if KINDS[cfg.kind].r_max(cfg)]
+    for cfg in configs:
+        cfg.n_grid = [60]
+    r_max = max(KINDS[cfg.kind].r_max(cfg) for cfg in configs)
+    task = (7, 60, 0, block_size(60, r_max), r_max)
+    together, _ = experiments._bank_block(configs, (*task, list(range(len(configs)))))
+    assert len(together) == len(configs)
+    for k, payloads in enumerate(together):
+        (alone,), _ = experiments._bank_block(configs, (*task, [k]))
+        assert typed(payloads) == typed(alone)
+
+
 class RecordingPool:
     """Stands in for ``multiprocessing.Pool``: records its size, starts no process."""
 
@@ -417,6 +441,15 @@ def test_rare_path_mean_series_matches_rows():
     series = report.summaries["mean_count_series"]
     assert [item["x"] for item in series] == [0.0, 1.0]
     assert all(item["mean_count"] >= 0.0 for item in series)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 999, 1000, 2999, 10_000, 100_000])
+def test_harmonic_is_the_sequential_sum_on_every_python(n):
+    """H_n of the n * H_n identity is summed in order, the float that a
+    sequential sum gives on every Python (since 3.12 the builtin ``sum`` of
+    floats compensates, which moved the last bits at n = 1000 and 10000)."""
+    sequential = functools.reduce(operator.add, (1.0 / k for k in range(1, n + 1)), 0.0)
+    assert experiments._harmonic(n).hex() == sequential.hex()
 
 
 # ---------------------------------------------------------------------------
