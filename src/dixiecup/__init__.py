@@ -14,8 +14,6 @@ from .limitlaws import (
 from .gof import GofResult, increment_test, ks_statistic, ks_test, poisson_count_test
 from .experiments import (
     ExperimentConfig,
-    ExperimentReport,
-    emit_report,
     run_bank,
     run_experiments,
 )

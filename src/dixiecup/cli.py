@@ -24,13 +24,12 @@ from .experiments import (
     SEED_LIMIT,
     ConfigError,
     ExperimentConfig,
-    ExperimentReport,
-    battery_from_dict,
-    emit_report,
+    check_battery,
+    check_report,
     replication_block,
     run_experiments,
+    write_csv,
     write_json,
-    write_rows_csv,
 )
 
 EXIT_PASS = 0
@@ -89,8 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--seed", dest="master_seed", metavar="SEED", type=int)
     ver.add_argument("--sig", dest="significance", metavar="SIG", type=float)
     ver.add_argument("--workers", type=int, default=1)
-    ver.add_argument("--out")
-    ver.add_argument("--format", choices=["csv", "json"], default="json")
+    ver.add_argument("--out", help="write the JSON report here")
 
     bat = sub.add_parser("battery", help="run the full verification suite")
     bat.add_argument("--seed", type=int, default=42)
@@ -213,6 +211,8 @@ def _config_from_ini(path: str, section: str | None) -> dict:
 def _verify_config(args) -> ExperimentConfig:
     """The validated experiment config of a ``verify`` command line."""
     fields: dict = {}
+    if args.section is not None and not args.config:
+        raise ConfigError("--section picks a section of a config file; give one with --config")
     if args.config:
         try:
             fields = _config_from_ini(args.config, args.section)
@@ -228,11 +228,13 @@ def _verify_config(args) -> ExperimentConfig:
 
 
 def _check_out_dir(path: str) -> None:
-    """Raise unless the directory that ``path`` names a file in exists, so a
+    """Raise unless ``path`` names a file in a directory that exists, so a
     run fails before it samples rather than after."""
     directory = os.path.dirname(path) or "."
     if not os.path.isdir(directory):
         raise ConfigError(f"cannot write {path!r}: no directory {directory!r}")
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write {path!r}: it is a directory")
 
 
 def _cmd_verify(args) -> int:
@@ -244,12 +246,12 @@ def _cmd_verify(args) -> int:
               file=sys.stderr)
 
     (report,) = run_experiments([config], args.workers)
-    for name, ok in sorted(report.verdicts.items()):
+    for name, ok in sorted(report["verdicts"].items()):
         print(f"{'PASS' if ok else 'FAIL'}  {config.kind}: {name}")
     if args.out:
-        emit_report(report, args.format, args.out)
+        write_json(report, args.out)
         print(f"report written to {args.out}")
-    return EXIT_PASS if report.passed else EXIT_STAT_FAIL
+    return EXIT_PASS if report["passed"] else EXIT_STAT_FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -277,13 +279,13 @@ def _cmd_battery(args) -> int:
     _check_out_dir(args.out)
     reports = run_experiments(configs, args.workers)
     for cfg, report in zip(configs, reports):
-        status = "PASS" if report.passed else "FAIL"
+        status = "PASS" if report["passed"] else "FAIL"
         print(f"{status}  {cfg.kind}(r={cfg.r}, c={cfg.c}, m={cfg.m})")
-    all_pass = all(report.passed for report in reports)
+    all_pass = all(report["passed"] for report in reports)
     combined = {
         "master_seed": args.seed,
         "scale": args.scale,
-        "experiments": [rep.to_dict() for rep in reports],
+        "experiments": reports,
         "passed": all_pass,
     }
     write_json(combined, args.out)
@@ -298,25 +300,22 @@ def _cmd_report(args) -> int:
     with open(args.input) as fh:
         data = json.load(fh)
     battery = isinstance(data, dict) and "experiments" in data
-    reports = battery_from_dict(data) if battery else [ExperimentReport.from_dict(data)]
-    passed = all(report.passed for report in reports)
+    reports = check_battery(data) if battery else [check_report(data)]
+    passed = all(report["passed"] for report in reports)
     if args.format == "csv":
         out = args.out or os.path.splitext(args.input)[0] + ".csv"
-        if battery:
-            write_rows_csv([row for rep in reports for row in rep.results], out)
-        else:
-            emit_report(reports[0], "csv", out)
+        write_csv(reports, out)
         print(f"CSV written to {out}")
     else:
         for report in reports:
-            print(f"experiment: {report.config['kind']}")
-            print(f"verifies:   {report.theorem}")
-            for row in report.results:
+            print(f"experiment: {report['config']['kind']}")
+            print(f"verifies:   {report['theorem']}")
+            for row in report["results"]:
                 p = "" if row["p_value"] is None else f" p={row['p_value']:.4g}"
                 status = "PASS" if row["verdict"] else "FAIL"
                 print(f"  {status}  n={row['n']:>6}  {row['statistic_name']}"
                       f" = {row['value']:.6g}{p}")
-            print(f"overall: {'PASS' if report.passed else 'FAIL'}")
+            print(f"overall: {'PASS' if report['passed'] else 'FAIL'}")
         if battery:
             print(f"battery: {'PASS' if passed else 'FAIL'}")
     return EXIT_PASS if passed else EXIT_STAT_FAIL

@@ -45,12 +45,14 @@ from .samplers import SeedSpec
 __all__ = [
     "ConfigError",
     "ExperimentConfig",
-    "ExperimentReport",
     "KINDS",
+    "check_battery",
+    "check_report",
     "replication_block",
     "run_bank",
     "run_experiments",
-    "emit_report",
+    "write_csv",
+    "write_json",
 ]
 
 
@@ -194,44 +196,32 @@ class ExperimentConfig:
                 "intervals": [[a, b] for a, b in self.intervals]}
 
 
-@dataclass
-class ExperimentReport:
-    config: dict
-    theorem: str
-    results: list[dict]
-    summaries: dict
-    verdicts: dict
-    passed: bool
-    telemetry: dict
-
-    def to_dict(self) -> dict:
-        # the report's own rows and summaries: a deep copy would only be written out
-        return dict(vars(self))
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentReport":
-        check_fields(d, REPORT_TYPES, "report")
-        check_fields(d["config"], CONFIG_TYPES, "report config")
-        for row in d["results"]:
-            check_fields(row, ROW_TYPES, "report row")
-        if "mean_count_series" in d["summaries"]:
-            series = d["summaries"]["mean_count_series"]
-            if not isinstance(series, list):
-                raise ConfigError("report mean_count_series is not a JSON list")
-            for item in series:
-                check_fields(item, SERIES_TYPES, "report series item")
-        if not all(type(v) is bool for v in d["verdicts"].values()):
-            raise ConfigError("report verdicts are not all true or false")
-        if d["passed"] != all(d["verdicts"].values()):
-            raise ConfigError("report passed disagrees with its verdicts")
-        return cls(**d)
+def check_report(d) -> dict:
+    """Return ``d`` if it is a report as :func:`run_experiments` builds it,
+    else raise ConfigError: its keys, rows, config and series items of the
+    right types, its verdicts true or false, and ``passed`` their conjunction."""
+    check_fields(d, REPORT_TYPES, "report")
+    check_fields(d["config"], CONFIG_TYPES, "report config")
+    for row in d["results"]:
+        check_fields(row, ROW_TYPES, "report row")
+    if "mean_count_series" in d["summaries"]:
+        series = d["summaries"]["mean_count_series"]
+        if not isinstance(series, list):
+            raise ConfigError("report mean_count_series is not a JSON list")
+        for item in series:
+            check_fields(item, SERIES_TYPES, "report series item")
+    if not all(type(v) is bool for v in d["verdicts"].values()):
+        raise ConfigError("report verdicts are not all true or false")
+    if d["passed"] != all(d["verdicts"].values()):
+        raise ConfigError("report passed disagrees with its verdicts")
+    return d
 
 
-def battery_from_dict(d: dict) -> list[ExperimentReport]:
-    """The experiment reports of a battery report, checked like single ones."""
+def check_battery(d) -> list[dict]:
+    """The experiment reports of a battery report, each checked like a single one."""
     check_fields(d, BATTERY_TYPES, "battery report")
-    reports = [ExperimentReport.from_dict(e) for e in d["experiments"]]
-    if d["passed"] != all(rep.passed for rep in reports):
+    reports = [check_report(e) for e in d["experiments"]]
+    if d["passed"] != all(report["passed"] for report in reports):
         raise ConfigError("battery passed disagrees with its experiments")
     return reports
 
@@ -705,8 +695,9 @@ def run_bank(configs: list[ExperimentConfig], workers: int = 1) -> tuple:
     return per_config, draws, traces, processes
 
 
-def run_experiments(configs: list[ExperimentConfig], workers: int = 1) -> list[ExperimentReport]:
-    """Run the experiments on one trace bank, sampling on ``workers`` processes.
+def run_experiments(configs: list[ExperimentConfig], workers: int = 1) -> list[dict]:
+    """Run the experiments on one trace bank, sampling on ``workers`` processes,
+    and return the report of each, a dict of JSON values.
 
     The report numbers depend only on the configs, not on the worker count.
     """
@@ -716,16 +707,16 @@ def run_experiments(configs: list[ExperimentConfig], workers: int = 1) -> list[E
     for cfg, per_n, total_draws in zip(configs, per_config, draws):
         kind, out = KINDS[cfg.kind], _Checks(cfg)
         kind.aggregate(out, per_n)
-        reports.append(ExperimentReport(
-            config=cfg.to_dict(),
-            theorem=kind.description,
-            results=out.rows,
-            summaries=out.summaries,
-            verdicts=out.verdicts,
-            passed=all(out.verdicts.values()),
-            telemetry={"total_draws": int(total_draws),
-                       "replications": cfg.replications * len(cfg.grid)},
-        ))
+        reports.append({
+            "config": cfg.to_dict(),
+            "theorem": kind.description,
+            "results": out.rows,
+            "summaries": out.summaries,
+            "verdicts": out.verdicts,
+            "passed": all(out.verdicts.values()),
+            "telemetry": {"total_draws": int(total_draws),
+                          "replications": cfg.replications * len(cfg.grid)},
+        })
     # wall-clock goes to stderr, not the reports, so reruns are byte-identical
     replications = sum(cfg.replications * len(cfg.grid) for cfg in configs)
     print(f"{replications} replications from {traces} traces in "
@@ -744,31 +735,19 @@ def write_json(data: dict, path: str) -> None:
         fh.write("\n")
 
 
-def emit_report(report: ExperimentReport, fmt: str, path: str) -> None:
-    """Persist a report as nested JSON or flat CSV rows."""
-    if fmt == "json":
-        write_json(report.to_dict(), path)
-    elif fmt == "csv":
-        write_rows_csv(report.results, path)
-        series = report.summaries.get("mean_count_series")
-        if series:
-            base, _ = os.path.splitext(path)
-            with open(base + ".series.csv", "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["n", "x", "mean_count"])
-                for item in series:
-                    writer.writerow([item["n"], item["x"], item["mean_count"]])
-    else:
-        raise ConfigError(f"unknown report format {fmt!r}; use csv or json")
-
-
-def write_rows_csv(rows: list[dict], path: str) -> None:
-    """Write result rows as flat CSV; a missing p-value becomes an empty cell."""
+def write_csv(reports: list[dict], path: str) -> None:
+    """Write the result rows of ``reports`` as flat CSV, a missing p-value as
+    the empty cell csv makes of None, and beside them the mean-count series of
+    a lone report."""
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         writer.writeheader()
-        for row in rows:
-            out = dict(row)
-            if out["p_value"] is None:
-                out["p_value"] = ""
-            writer.writerow(out)
+        for report in reports:
+            writer.writerows(report["results"])
+    series = reports[0]["summaries"].get("mean_count_series") if len(reports) == 1 else None
+    if series:
+        base, _ = os.path.splitext(path)
+        with open(base + ".series.csv", "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(SERIES_TYPES))
+            writer.writeheader()
+            writer.writerows(series)

@@ -1,7 +1,9 @@
 """Command-line interface: subcommands, exit codes, config files, rendering."""
+import argparse
 import ast
 import copy
 import csv
+import dataclasses
 import hashlib
 import importlib.util
 import io
@@ -425,13 +427,34 @@ def test_verify_ini_value_that_does_not_parse_names_its_file_and_key(tmp_path, c
     ["battery", "--scale", "0.01"],
 ], ids=["verify", "battery"])
 def test_missing_out_directory_fails_before_sampling(tmp_path, capsys, argv):
-    code = run_cli(*argv, "--out", str(tmp_path / "missing" / "x.json"))
+    # a file in a directory that does not exist, and a path that is a directory
+    for out, why in ((tmp_path / "missing" / "x.json", "missing"), (tmp_path, "is a directory")):
+        code = run_cli(*argv, "--out", str(out))
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        # no verdict line, and no bank ran: run_experiments reports each bank on stderr
+        assert captured.out == ""
+        assert "replications from" not in captured.err
+        assert captured.err.startswith("error: ") and why in captured.err
+
+
+def test_verify_section_without_config_fails_before_sampling(capsys):
+    code = run_cli("verify", "--kind", "erdos-renyi", "--n", "100", "--reps", "5",
+                   "--section", "erdos-renyi")
     captured = capsys.readouterr()
     assert code == EXIT_USAGE
-    # no verdict line, and no bank ran: run_experiments reports each bank on stderr
     assert captured.out == ""
     assert "replications from" not in captured.err
-    assert captured.err.startswith("error: ") and "missing" in captured.err
+    assert captured.err.startswith("error: ") and "--section" in captured.err
+
+
+def test_every_verify_option_reaches_the_config_or_the_command():
+    """_verify_config passes on each option whose dest is an ExperimentConfig
+    field and drops any other, so every other dest is one the command reads."""
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    dests = {action.dest for action in sub.choices["verify"]._actions} - {"help"}
+    fields = {f.name for f in dataclasses.fields(experiments.ExperimentConfig)}
+    assert dests - fields <= {"config", "section", "workers", "out"}
 
 
 INI_KEYS = ["kind", "n_grid", "r", "c", "m", "intervals", "thresholds",
@@ -511,12 +534,42 @@ def test_battery_bad_arguments_are_usage_errors(argv, tmp_path, capsys):
 BATTERY_002_SHA256 = "f6ba9b0924d75ba2dce4b9b9152cbfcc7ad011ff8a7c697724f9f3a4da71cbca"
 
 
+def sha256_of(paths) -> dict:
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in paths}
+
+
 def test_battery_report_bytes_are_pinned(tmp_path):
     out = tmp_path / "battery.json"
     code = run_cli("battery", "--seed", "42", "--scale", "0.02", "--workers", "1",
                    "--out", str(out))
     assert code in (EXIT_PASS, EXIT_STAT_FAIL)
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == BATTERY_002_SHA256
+    assert sha256_of([out]) == {"battery.json": BATTERY_002_SHA256}
+    # its CSV rendering: the rows of every experiment, and no series sidecar
+    assert run_cli("report", str(out), "--format", "csv") == code
+    assert sha256_of(tmp_path.glob("*.csv")) == {
+        "battery.csv": "f66a45a8c0c3c300eedd4e648d16b17063dfffc4dd97013862321c541e4d32ee"}
+
+
+def test_verify_report_bytes_are_pinned(tmp_path):
+    out = tmp_path / "lc.json"
+    code = run_cli("verify", "--kind", "limit-consistency", "--r", "2", "--m", "3",
+                   "--reps", "60", "--seed", "3", "--out", str(out))
+    assert code in (EXIT_PASS, EXIT_STAT_FAIL)
+    assert sha256_of([out]) == {
+        "lc.json": "b5fa3af992afac4dc77b42240ec78bd84f081d22711ed9e52628bf37a2a349f8"}
+
+
+def test_report_csv_of_a_single_report_is_pinned(tmp_path):
+    out = tmp_path / "rare.json"
+    code = run_cli("verify", "--kind", "rare-path", "--n", "100,1000", "--reps", "50",
+                   "--seed", "4", "--out", str(out))
+    # the rows beside the report, and the mean-count series beside the rows
+    assert run_cli("report", str(out), "--format", "csv") == code
+    assert sha256_of(sorted(tmp_path.iterdir())) == {
+        "rare.json": "3a0c3204ebcfc0bb2ef375dac224796cacaf39ab56edb5afb5e758e234c0588b",
+        "rare.csv": "10decb29de88ccea1d1f234eea202919c82b660ca83fb455d3f20718a2648752",
+        "rare.series.csv": "f33e8ed4dd1b7ddeffb7325bfc4823e93be5a58a73ba0b43aa2d80baaa6d2b5f",
+    }
 
 
 def test_report_rendering_round_trip(tmp_path, capsys):

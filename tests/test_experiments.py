@@ -19,10 +19,11 @@ from dixiecup.experiments import (
     ConfigError,
     KINDS,
     ExperimentConfig,
-    ExperimentReport,
-    emit_report,
+    check_report,
     run_bank,
     run_experiments,
+    write_csv,
+    write_json,
 )
 from dixiecup.samplers import SeedSpec
 
@@ -124,8 +125,8 @@ def test_every_kind_has_a_description():
 
 def test_same_seed_gives_identical_report():
     cfg = small_config("erdos-renyi", n_grid=[15, 30])
-    a = run_one(cfg).to_dict()
-    b = run_one(small_config("erdos-renyi", n_grid=[15, 30])).to_dict()
+    a = run_one(cfg)
+    b = run_one(small_config("erdos-renyi", n_grid=[15, 30]))
     assert a == b
 
 
@@ -134,8 +135,8 @@ def test_worker_count_does_not_change_the_report(monkeypatch):
     monkeypatch.setattr(experiments, "_POOL_MIN_COST", 0)
     # chi2-law samples whole traces, poissonized-marginal alone only their times
     for fields in (dict(kind="chi2-law", r=1, m=1), dict(kind="poissonized-marginal", r=2)):
-        serial = run_one(small_config(**fields)).to_dict()
-        parallel = run_one(small_config(**fields), workers=2).to_dict()
+        serial = run_one(small_config(**fields))
+        parallel = run_one(small_config(**fields), workers=2)
         assert serial == parallel
 
 
@@ -151,7 +152,7 @@ def test_worker_count_below_one_is_rejected():
 def test_different_seed_changes_statistics():
     a = run_one(small_config("erdos-renyi"))
     b = run_one(small_config("erdos-renyi", master_seed=6))
-    assert a.results[0]["value"] != b.results[0]["value"]
+    assert a["results"][0]["value"] != b["results"][0]["value"]
 
 
 # ---------------------------------------------------------------------------
@@ -393,52 +394,52 @@ def test_bank_rejects_configs_that_do_not_share_its_streams(mixed_bank, other):
 ])
 def test_kind_smoke_produces_well_formed_rows(kind, extra):
     report = run_one(small_config(kind, **extra))
-    assert report.theorem == KINDS[kind].description
-    assert report.results
-    for row in report.results:
+    assert report["theorem"] == KINDS[kind].description
+    assert report["results"]
+    for row in report["results"]:
         assert set(row) == set(CSV_COLUMNS)
         assert isinstance(row["verdict"], bool)
         assert row["p_value"] is None or 0.0 <= row["p_value"] <= 1.0
-    assert report.passed == all(report.verdicts.values())
-    assert report.telemetry["replications"] > 0
+    assert report["passed"] == all(report["verdicts"].values())
+    assert report["telemetry"]["replications"] > 0
 
 
 def test_reports_of_one_bank_count_what_each_config_read(mixed_bank):
     configs, (_, draws, _, _) = mixed_bank
     reports = run_experiments(configs)
     for cfg, report, read in zip(configs, reports, draws):
-        assert report.config == cfg.to_dict()
-        assert report.telemetry == {"total_draws": read,
-                                    "replications": cfg.replications * len(cfg.grid)}
+        assert report["config"] == cfg.to_dict()
+        assert report["telemetry"] == {"total_draws": read,
+                                       "replications": cfg.replications * len(cfg.grid)}
     # limit-consistency reads bare streams, no trace
     assert draws[-1] == 0 < min(draws[:-1])
 
 
 def test_telemetry_counts_no_draws_where_no_jump_chain_is_sampled():
     report = run_one(small_config("poissonized-marginal", r=3))
-    assert report.telemetry == {"total_draws": 0, "replications": 30}
+    assert report["telemetry"] == {"total_draws": 0, "replications": 30}
 
 
 def test_telemetry_counts_every_draw():
     cfg = small_config("theorem1-counts", r=1, n_grid=[10], replications=5)
     report = run_one(cfg)
     # T_1 >= n per replication, so at least n * reps draws were consumed
-    assert report.telemetry["total_draws"] >= 10 * 5
-    assert report.telemetry["replications"] == 5
+    assert report["telemetry"]["total_draws"] >= 10 * 5
+    assert report["telemetry"]["replications"] == 5
 
 
 def test_limit_consistency_is_calibrated_at_small_scale():
     report = run_one(
         small_config("limit-consistency", r=1, m=0, replications=100)
     )
-    assert report.verdicts["p_fraction_calibrated"]
+    assert report["verdicts"]["p_fraction_calibrated"]
 
 
 def test_rare_path_mean_series_matches_rows():
     cfg = small_config("rare-path", r=1, n_grid=[50],
                        thresholds=[0.0, 1.0], replications=40)
     report = run_one(cfg)
-    series = report.summaries["mean_count_series"]
+    series = report["summaries"]["mean_count_series"]
     assert [item["x"] for item in series] == [0.0, 1.0]
     assert all(item["mean_count"] >= 0.0 for item in series)
 
@@ -458,17 +459,17 @@ def test_harmonic_is_the_sequential_sum_on_every_python(n):
 def test_json_round_trip(tmp_path):
     report = run_one(small_config("erdos-renyi"))
     path = tmp_path / "report.json"
-    emit_report(report, "json", str(path))
+    write_json(report, str(path))
     with open(path) as fh:
-        loaded = ExperimentReport.from_dict(json.load(fh))
-    assert loaded.to_dict() == report.to_dict()
+        loaded = check_report(json.load(fh))
+    assert loaded == report
 
 
 def test_json_output_is_byte_stable(tmp_path):
     report = run_one(small_config("chi2-law", r=1, m=0))
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    emit_report(report, "json", str(p1))
-    emit_report(report, "json", str(p2))
+    write_json(report, str(p1))
+    write_json(report, str(p2))
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -477,12 +478,12 @@ def test_csv_round_trip(tmp_path):
         small_config("theorem1-counts", r=1, intervals=[(0.0, math.inf)])
     )
     path = tmp_path / "report.csv"
-    emit_report(report, "csv", str(path))
+    write_csv([report], str(path))
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert len(rows) == len(report.results)
+    assert len(rows) == len(report["results"])
     assert list(rows[0]) == CSV_COLUMNS
-    for raw, original in zip(rows, report.results):
+    for raw, original in zip(rows, report["results"]):
         assert raw["experiment"] == original["experiment"]
         assert float(raw["value"]) == pytest.approx(original["value"])
         if original["p_value"] is None:
@@ -494,7 +495,7 @@ def test_csv_rare_path_writes_series_sidecar(tmp_path):
         small_config("rare-path", r=1, n_grid=[40, 60], thresholds=[0.0, 1.0])
     )
     path = tmp_path / "rare.csv"
-    emit_report(report, "csv", str(path))
+    write_csv([report], str(path))
     sidecar = tmp_path / "rare.series.csv"
     assert sidecar.exists()
     with open(sidecar, newline="") as fh:
@@ -502,33 +503,27 @@ def test_csv_rare_path_writes_series_sidecar(tmp_path):
     assert list(rows[0]) == ["n", "x", "mean_count"]
     assert [(int(row["n"]), float(row["x"])) for row in rows] == [
         (40, 0.0), (40, 1.0), (60, 0.0), (60, 1.0)]
-    assert len(rows) == len(report.summaries["mean_count_series"])
+    assert len(rows) == len(report["summaries"]["mean_count_series"])
 
 
 def test_empty_report_gives_header_only_csv(tmp_path):
-    empty = ExperimentReport(config={}, theorem="", results=[], summaries={},
-                             verdicts={}, passed=True, telemetry={})
+    empty = {"config": {}, "theorem": "", "results": [], "summaries": {},
+             "verdicts": {}, "passed": True, "telemetry": {}}
     path = tmp_path / "empty.csv"
-    emit_report(empty, "csv", str(path))
+    write_csv([empty], str(path))
     assert path.read_text().strip() == ",".join(CSV_COLUMNS)
     with open(path, newline="") as fh:
         assert list(csv.DictReader(fh)) == []
 
 
-def test_emit_report_rejects_unknown_format(tmp_path):
-    report = run_one(small_config("erdos-renyi"))
-    with pytest.raises(ConfigError):
-        emit_report(report, "xml", str(tmp_path / "x"))
-
-
 def test_report_json_is_sorted_and_newline_terminated(tmp_path):
     report = run_one(small_config("erdos-renyi"))
     path = tmp_path / "report.json"
-    emit_report(report, "json", str(path))
+    write_json(report, str(path))
     text = path.read_text()
     assert text.endswith("\n")
     assert json.loads(text) == json.loads(
-        json.dumps(report.to_dict(), sort_keys=True)
+        json.dumps(report, sort_keys=True)
     )
 
 

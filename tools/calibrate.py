@@ -40,7 +40,7 @@ def main() -> None:
 
     results: dict = {f"discrete_n{n}": {} for n in DISCRETE_GRID}
     for name, report in zip(pilots, run_experiments(list(pilots.values()))):
-        for row in report.results:
+        for row in report["results"]:
             if name == "mismatch":
                 results[f"mismatch_n{row['n']}"] = row["value"]
             # the KS distance of each n; erdos-renyi adds a mean-identity row
