@@ -18,13 +18,13 @@ from __future__ import annotations
 import csv
 import json
 import math
+import multiprocessing
 import os
+import pickle
 import sys
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import partial
-from multiprocessing import Pool
 from operator import attrgetter
 
 import numpy as np
@@ -589,6 +589,77 @@ def _bank_block(configs, task):
     return payloads, block.derived_draws()
 
 
+def _drain(configs, tasks, counter) -> dict:
+    """Claim the next task index from the shared ``counter`` and run its block
+    until the tasks run out; returns ``{index: outcome}`` of the blocks run."""
+    outcomes = {}
+    while True:
+        with counter.get_lock():
+            index = counter.value
+            counter.value = index + 1
+        if index >= len(tasks):
+            return outcomes
+        outcomes[index] = _bank_block(configs, tasks[index])
+
+
+def _helper(configs, tasks, counter, send) -> None:
+    """A forked helper's work: drain the tasks, then send its outcomes, or the
+    exception that stopped it, once, at the end.  An exception that does not
+    survive pickling is sent as a RuntimeError with its repr."""
+    try:
+        result = _drain(configs, tasks, counter)
+    except Exception as exc:  # everything goes to the parent, which re-raises it
+        result = exc
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:
+            result = RuntimeError(f"a sampling helper raised {exc!r}")
+    try:
+        send.send(result)
+    except BrokenPipeError:  # the parent raised and stopped reading
+        pass
+    finally:
+        send.close()
+
+
+def _sample_forked(configs, tasks, processes: int) -> list:
+    """The outcome of each task, in task order, sampled on this process and
+    ``processes - 1`` forked helpers that claim blocks from one counter.
+
+    A helper's exception is raised here; a helper that ends without sending
+    raises ChildProcessError.  Whatever happens, every helper has been joined
+    when this returns or raises."""
+    context = multiprocessing.get_context("fork")
+    counter = context.Value("q", 0)
+    helpers = []
+    try:
+        for _ in range(processes - 1):
+            receive, send = context.Pipe(duplex=False)
+            helper = context.Process(target=_helper, args=(configs, tasks, counter, send))
+            helper.start()
+            send.close()
+            helpers.append((helper, receive))
+        outcomes = _drain(configs, tasks, counter)
+        for helper, receive in helpers:
+            try:
+                result = receive.recv()
+            except EOFError:
+                helper.join()
+                raise ChildProcessError(f"a sampling helper ended with exit code "
+                                        f"{helper.exitcode} before sending its blocks") from None
+            if isinstance(result, BaseException):
+                raise result
+            outcomes.update(result)
+    finally:
+        # on an exception here, the helpers claim no new block
+        with counter.get_lock():
+            counter.value = len(tasks)
+        for helper, receive in helpers:
+            receive.close()
+            helper.join()
+    return [outcomes[index] for index in range(len(tasks))]
+
+
 def _usable_cpus() -> int:
     """The number of CPUs this process may run on."""
     try:
@@ -599,26 +670,27 @@ def _usable_cpus() -> int:
 
 # The cost model of a bank: a trace of n * r_max tracked arrivals costs
 # about what sampling n * r_max + _TRACE_COST arrivals would, and a bank of
-# total cost at most _POOL_MIN_COST runs faster serially than on a pool, whose
-# start-up it does not earn back.  Measured on 2 vCPUs, with extraction from
-# whole blocks: in a serial bank a trace costs about 25 us plus 0.12-0.14 us
-# per tracked arrival, so its fixed part is nearer 200 arrivals than 300.  A
-# 2-process pool costs about 20 ms to start.  In erdos-renyi `verify` runs,
-# serial against a forced pool of 2, the pool broke even near 1500-2000
-# replications at n = 100 (cost 600000-800000) and 250-400 at n = 1000 (cost
-# 325000-520000), about 50-75 ms of serial work.  With extraction per trace
-# the same runs broke even at 1500 and 250: the break-even moved by less
-# than the noise of these runs, so the constants stand.
+# total cost at most _POOL_MIN_COST runs faster serially than with forked
+# helpers.  Measured on 2 vCPUs, with extraction from whole blocks: in a
+# serial bank a trace costs about 25 us plus 0.12-0.14 us per tracked
+# arrival, so its fixed part is nearer 200 arrivals than 300.  Forking a
+# helper, reading its pipe and joining it costs about 5 ms, against about
+# 11 ms to start, map and exit a 2-process pool, which broke even near cost
+# 600000, about 50-75 ms of serial work.  The cheaper start did not move the
+# threshold: right after a fork both processes run slower, copying the pages
+# they write, so an n = 100 erdos-renyi bank of 1000 replications (cost
+# 400000) took a median 41 ms and 36 minor faults serially, but 58 ms on the
+# parent and one helper, each taking over 1000 faults.
 _TRACE_COST = 300
 _POOL_MIN_COST = 600_000
 
 
 def _processes(workers: int, traces: int, cost: int) -> int:
     """The processes a bank of ``traces`` traces and ``cost`` samples on: 1,
-    which means serially with no pool, if its cost is at most
-    ``_POOL_MIN_COST``; else at most ``workers``, and no more than the traces
-    or the usable CPUs."""
-    if cost <= _POOL_MIN_COST:
+    which means serially with no helper, if its cost is at most
+    ``_POOL_MIN_COST`` or this platform cannot fork; else at most
+    ``workers``, and no more than the traces or the usable CPUs."""
+    if cost <= _POOL_MIN_COST or "fork" not in multiprocessing.get_all_start_methods():
         return 1
     return min(workers, traces, _usable_cpus())
 
@@ -640,9 +712,10 @@ def run_bank(configs: list[ExperimentConfig], workers: int = 1) -> tuple:
     sampled as one :class:`~dixiecup.discrete.TraceBlock` whose rows are the
     traces, to the byte.  Each reading config extracts the payloads of all
     its rows in one call, as one array, by passes along the row axis, so a
-    payload does not depend on the block size.  Blocks run serially, or on
-    one pool of :func:`_processes` processes when the bank's cost earns the
-    pool's start-up; the payloads do not depend on which.
+    payload does not depend on the block size.  Blocks run serially, or, when
+    the bank's cost earns the start-up, on this process and the helpers it
+    forks, :func:`_processes` processes in all; the payloads do not depend
+    on which.
 
     Returns ``(per_config, draws, traces, processes)``: one ``{n: payloads}``
     per config, its block arrays joined in j order, so that row j is the
@@ -674,14 +747,11 @@ def run_bank(configs: list[ExperimentConfig], workers: int = 1) -> tuple:
             start = stop
         traces += start
         cost += start * (n * max(r_max, 1) + _TRACE_COST)
-    work = partial(_bank_block, configs)
     processes = _processes(workers, traces, cost)
     if processes > 1:
-        chunk = max(1, len(tasks) // (4 * processes))
-        with Pool(processes) as pool:
-            outcomes = pool.map(work, tasks, chunksize=chunk)
+        outcomes = _sample_forked(configs, tasks, processes)
     else:
-        outcomes = [work(t) for t in tasks]
+        outcomes = [_bank_block(configs, t) for t in tasks]
     # the jump chain's work buffer lives for one bank
     release_scratch()
 

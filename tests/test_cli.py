@@ -9,6 +9,7 @@ import importlib.util
 import io
 import json
 import math
+import multiprocessing
 import os
 import re
 import resource
@@ -190,6 +191,56 @@ def test_failed_allocation_is_a_usage_error(tmp_path):
     assert not out.exists()
 
 
+FORKED_VERIFY = ("verify", "--kind", "erdos-renyi", "--c", "1", "--n", "1000",
+                 "--reps", "300", "--workers", "2")
+
+
+def test_helper_out_of_memory_is_a_usage_error(faults, capsys):
+    """A MemoryError in a forked helper ends the command as it would serially."""
+    def out_of_memory():
+        raise MemoryError
+
+    faults(helper=out_of_memory)
+    assert run_cli(*FORKED_VERIFY) == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == ["error: out of memory"]
+
+
+KILLED_HELPER = """
+import dataclasses, multiprocessing, os, signal
+from dixiecup import experiments
+from dixiecup.cli import main
+
+pid, claimed = os.getpid(), multiprocessing.get_context("fork").Event()
+kind = experiments.KINDS["erdos-renyi"]
+
+def extract(block, cfg):
+    if os.getpid() != pid:  # a helper, killed as the OOM killer would
+        claimed.set()
+        os.kill(os.getpid(), signal.SIGKILL)
+    assert claimed.wait(60)
+    return kind.extract(block, cfg)
+
+experiments.KINDS["erdos-renyi"] = dataclasses.replace(kind, extract=extract)
+experiments._POOL_MIN_COST = 0
+experiments._usable_cpus = lambda: 2
+print(main(["verify", "--kind", "erdos-renyi", "--c", "1", "--n", "1000", "--reps", "1000",
+            "--workers", "2"]))
+print(len(multiprocessing.active_children()))
+"""
+
+
+def test_killed_helper_fails_the_bank_and_leaves_no_process():
+    """A helper killed inside its block used to leave the bank waiting forever;
+    it runs in a child with a timeout, so a hang fails the test."""
+    src = os.path.dirname(os.path.dirname(dixiecup.__file__))
+    done = subprocess.run([sys.executable, "-c", KILLED_HELPER], capture_output=True,
+                          text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [str(EXIT_USAGE), "0"]
+    assert done.stderr.splitlines() == [
+        "error: a sampling helper ended with exit code -9 before sending its blocks"]
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -267,13 +318,17 @@ def test_verify_single_cell_count_test_fails_a_far_off_mean(argv, capsys):
 
 
 def test_verify_prints_the_processes_it_started(monkeypatch, capsys):
-    # pool even a bank this small, so the first run starts a real pool
+    # fork a helper even for a bank this small, so the first run starts one
     monkeypatch.setattr(experiments, "_POOL_MIN_COST", 0)
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
     argv = ("verify", "--kind", "chi2-law", "--r", "1", "--m", "1", "--n", "20", "--reps", "30")
     run_cli(*argv, "--workers", "5000")
     assert "(workers=2)" in capsys.readouterr().err
     run_cli(*argv, "--reps", "1", "--workers", "5000")
+    assert "(workers=1)" in capsys.readouterr().err
+    # where processes cannot be forked, every bank runs serially
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    run_cli(*argv, "--workers", "5000")
     assert "(workers=1)" in capsys.readouterr().err
 
 

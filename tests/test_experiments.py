@@ -4,8 +4,10 @@ import functools
 import importlib.util
 import json
 import math
+import multiprocessing
 import operator
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -131,13 +133,16 @@ def test_same_seed_gives_identical_report():
 
 
 def test_worker_count_does_not_change_the_report(monkeypatch):
-    # pool even a bank this small, so the parallel run starts a real pool
+    # fork helpers even for a bank this small, so the parallel runs start real ones
     monkeypatch.setattr(experiments, "_POOL_MIN_COST", 0)
-    # chi2-law samples whole traces, poissonized-marginal alone only their times
-    for fields in (dict(kind="chi2-law", r=1, m=1), dict(kind="poissonized-marginal", r=2)):
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 3)
+    # chi2-law samples whole traces, poissonized-marginal alone only their times;
+    # 600 replications at n = 20 and 30 are several blocks for the helpers to claim
+    for fields in (dict(kind="chi2-law", r=1, m=1), dict(kind="poissonized-marginal", r=2),
+                   dict(kind="chi2-law", r=2, m=1, n_grid=[20, 30], replications=600)):
         serial = run_one(small_config(**fields))
-        parallel = run_one(small_config(**fields), workers=2)
-        assert serial == parallel
+        for workers in (2, 3):
+            assert run_one(small_config(**fields), workers=workers) == serial
 
 
 def test_worker_count_below_one_is_rejected():
@@ -203,9 +208,14 @@ def test_bank_config_at_the_bank_r_max_sees_its_own_payloads(mixed_bank):
 
 def test_bank_worker_count_does_not_change_payloads(monkeypatch):
     monkeypatch.setattr(experiments, "_POOL_MIN_COST", 0)
-    serial = run_bank(bank_configs())
-    parallel = run_bank(bank_configs(), workers=2)
-    assert typed(serial[:3]) == typed(parallel[:3])
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 3)
+    # the second bank is several blocks at each n, for the helpers to claim
+    for shared in ({}, dict(n_grid=[15, 30], replications=600)):
+        serial = run_bank(bank_configs(**shared))
+        for workers in (2, 3):
+            parallel = run_bank(bank_configs(**shared), workers=workers)
+            assert parallel[3] == workers
+            assert typed(serial[:3]) == typed(parallel[:3])
 
 
 def test_marginal_reads_the_same_times_without_the_jump_chain(monkeypatch):
@@ -318,51 +328,87 @@ def test_readers_of_one_block_get_what_each_reads_alone():
         assert typed(payloads) == typed(alone)
 
 
-class RecordingPool:
-    """Stands in for ``multiprocessing.Pool``: records its size, starts no process."""
+def record_bank_sizes(monkeypatch) -> list[int]:
+    """Record the processes each parallel bank samples on, the parent and the
+    helpers it starts, one entry per bank; the helpers still run."""
+    sizes = []
 
-    sizes: list[int] = []
+    class Helper(multiprocessing.context.ForkProcess):
+        def start(self):
+            sizes[-1] += 1
+            super().start()
 
-    def __init__(self, processes):
-        self.sizes.append(processes)
+    class Context(multiprocessing.context.ForkContext):
+        Process = Helper
 
-    def __enter__(self):
-        return self
+    def get_context(method):
+        assert method == "fork"
+        sizes.append(1)
+        return Context()
 
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, func, iterable, chunksize=1):
-        return [func(item) for item in iterable]
+    monkeypatch.setattr(multiprocessing, "get_context", get_context)
+    return sizes
 
 
 def test_bank_starts_no_more_processes_than_tasks_or_cpus(monkeypatch):
     monkeypatch.setattr(experiments, "_POOL_MIN_COST", 0)
-    monkeypatch.setattr(experiments, "Pool", RecordingPool)
-    monkeypatch.setattr(RecordingPool, "sizes", [])
+    sizes = record_bank_sizes(monkeypatch)
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 3)
     configs = bank_configs()
     assert typed(run_bank(configs, workers=5000)[:3]) == typed(run_bank(configs)[:3])
     # one config of one replication is one task, which runs serially
     run_bank([small_config("erdos-renyi", replications=1)], workers=5000)
     run_bank(configs, workers=2)
-    assert RecordingPool.sizes == [3, 2]
+    assert sizes == [3, 2]
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
     run_bank(configs, workers=5000)
-    assert RecordingPool.sizes == [3, 2]
+    assert sizes == [3, 2]
 
 
 def test_small_bank_starts_no_pool(monkeypatch):
-    monkeypatch.setattr(experiments, "Pool", RecordingPool)
-    monkeypatch.setattr(RecordingPool, "sizes", [])
+    sizes = record_bank_sizes(monkeypatch)
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
-    # 4 configs reading 30 traces at n = 20: a bank far below the pool's cost
+    # 4 configs reading 30 traces at n = 20: a bank far below the helpers' cost
     *_, processes = run_bank(bank_configs(), workers=2)
-    assert RecordingPool.sizes == [] and processes == 1
-    # 300 traces of n * r_max = 2000 cost more than the pool's start-up
+    assert sizes == [] and processes == 1
+    # 300 traces of n * r_max = 2000 cost more than starting a helper
     *_, processes = run_bank([small_config("erdos-renyi", c=2, n_grid=[1000], replications=300)],
                              workers=2)
-    assert RecordingPool.sizes == [2] and processes == 2
+    assert sizes == [2] and processes == 2
+
+
+# 300 traces at n = 1000 are 19 blocks, enough for the parent and a helper
+FORKED_BANK = dict(n_grid=[1000], replications=300)
+
+
+class Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("not picklable")
+
+
+@pytest.mark.parametrize("error,raised,message", [
+    (KeyError("helper block"), KeyError, "helper block"),
+    (Unpicklable("helper block"), RuntimeError, r"Unpicklable\('helper block'\)"),
+], ids=["picklable", "unpicklable"])
+def test_helper_error_is_raised_in_the_parent(faults, error, raised, message):
+    def fail():
+        raise error
+
+    faults(helper=fail)
+    with pytest.raises(raised, match=message):
+        run_bank([small_config("erdos-renyi", **FORKED_BANK)], workers=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_parent_error_joins_every_helper(faults):
+    def fail():
+        raise ValueError("parent block")
+
+    # a helper still inside its block when the parent raises, unless joined
+    faults(parent=fail, helper=lambda: time.sleep(0.5))
+    with pytest.raises(ValueError, match="parent block"):
+        run_bank([small_config("erdos-renyi", **FORKED_BANK)], workers=2)
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("other", MIXED)
