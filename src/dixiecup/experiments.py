@@ -25,6 +25,7 @@ import sys
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from operator import attrgetter
 
 import numpy as np
@@ -589,14 +590,21 @@ def _bank_block(configs, task):
     return payloads, block.derived_draws()
 
 
-def _drain(configs, tasks, counter) -> dict:
+def _drain(configs, tasks, counter, check=None) -> dict:
     """Claim the next task index from the shared ``counter`` and run its block
-    until the tasks run out; returns ``{index: outcome}`` of the blocks run."""
+    until the tasks run out; returns ``{index: outcome}`` of the blocks run.
+    The parent passes ``check``, called each second it waits for the counter,
+    since a helper killed while holding its lock never releases it."""
     outcomes = {}
+    lock = counter.get_lock()
     while True:
-        with counter.get_lock():
+        while not lock.acquire(timeout=check and 1.0):
+            check()
+        try:
             index = counter.value
             counter.value = index + 1
+        finally:
+            lock.release()
         if index >= len(tasks):
             return outcomes
         outcomes[index] = _bank_block(configs, tasks[index])
@@ -608,18 +616,13 @@ def _helper(configs, tasks, counter, send) -> None:
     survive pickling is sent as a RuntimeError with its repr."""
     try:
         result = _drain(configs, tasks, counter)
-    except Exception as exc:  # everything goes to the parent, which re-raises it
+    except BaseException as exc:  # everything goes to the parent, which re-raises it
         result = exc
         try:
             pickle.loads(pickle.dumps(exc))
         except Exception:
             result = RuntimeError(f"a sampling helper raised {exc!r}")
-    try:
-        send.send(result)
-    except BrokenPipeError:  # the parent raised and stopped reading
-        pass
-    finally:
-        send.close()
+    send.send(result)
 
 
 def _sample_forked(configs, tasks, processes: int) -> list:
@@ -627,34 +630,48 @@ def _sample_forked(configs, tasks, processes: int) -> list:
     ``processes - 1`` forked helpers that claim blocks from one counter.
 
     A helper's exception is raised here; a helper that ends without sending
-    raises ChildProcessError.  Whatever happens, every helper has been joined
-    when this returns or raises."""
+    raises ChildProcessError.  On any exception here the helpers are ended,
+    since one may wait on a counter or a pipe that nobody serves any more;
+    every helper has been joined when this returns or raises."""
     context = multiprocessing.get_context("fork")
     counter = context.Value("q", 0)
-    helpers = []
+    helpers = {}  # the receiving end of each helper's pipe: the helper
+
+    def ended(helper):
+        helper.join()
+        return ChildProcessError(f"a sampling helper ended with exit code "
+                                 f"{helper.exitcode} before sending its blocks")
+
+    def check():
+        for helper in helpers.values():
+            if helper.exitcode:
+                raise ended(helper)
+
     try:
         for _ in range(processes - 1):
             receive, send = context.Pipe(duplex=False)
             helper = context.Process(target=_helper, args=(configs, tasks, counter, send))
             helper.start()
             send.close()
-            helpers.append((helper, receive))
-        outcomes = _drain(configs, tasks, counter)
-        for helper, receive in helpers:
-            try:
-                result = receive.recv()
-            except EOFError:
-                helper.join()
-                raise ChildProcessError(f"a sampling helper ended with exit code "
-                                        f"{helper.exitcode} before sending its blocks") from None
-            if isinstance(result, BaseException):
-                raise result
-            outcomes.update(result)
+            helpers[receive] = helper
+        outcomes = _drain(configs, tasks, counter, check)
+        pending = list(helpers)
+        while pending:  # in the order they send: a dead helper's pipe reads EOF
+            for receive in wait(pending):
+                pending.remove(receive)
+                try:
+                    result = receive.recv()
+                except EOFError:
+                    raise ended(helpers[receive]) from None
+                if isinstance(result, BaseException):
+                    raise result
+                outcomes.update(result)
+    except BaseException:
+        for helper in helpers.values():
+            helper.terminate()
+        raise
     finally:
-        # on an exception here, the helpers claim no new block
-        with counter.get_lock():
-            counter.value = len(tasks)
-        for helper, receive in helpers:
+        for receive, helper in helpers.items():
             receive.close()
             helper.join()
     return [outcomes[index] for index in range(len(tasks))]

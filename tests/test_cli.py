@@ -13,6 +13,7 @@ import multiprocessing
 import os
 import re
 import resource
+import signal
 import subprocess
 import sys
 import warnings
@@ -205,40 +206,80 @@ def test_helper_out_of_memory_is_a_usage_error(faults, capsys):
     assert capsys.readouterr().err.splitlines() == ["error: out of memory"]
 
 
-KILLED_HELPER = """
-import dataclasses, multiprocessing, os, signal
+FORKED_FAULT = """
+import dataclasses, multiprocessing, os, signal, sys
+import numpy as np
 from dixiecup import experiments
 from dixiecup.cli import main
 
-pid, claimed = os.getpid(), multiprocessing.get_context("fork").Event()
+scenario, workers = sys.argv[1], int(sys.argv[2])
+context = multiprocessing.get_context("fork")
+pid, first, ready = os.getpid(), [True], context.Semaphore(0)
 kind = experiments.KINDS["erdos-renyi"]
 
+def kill():  # as the OOM killer would
+    os.kill(os.getpid(), signal.SIGKILL)
+
 def extract(block, cfg):
-    if os.getpid() != pid:  # a helper, killed as the OOM killer would
-        claimed.set()
-        os.kill(os.getpid(), signal.SIGKILL)
-    assert claimed.wait(60)
+    if os.getpid() != pid:  # a helper
+        if first[0]:
+            first[0] = False
+            ready.release()
+        if scenario == "killed-in-block":
+            kill()
+        if scenario == "parent-fault":  # more than a pipe holds
+            return np.zeros(20_000)
+    elif first[0]:  # the parent's first block waits for every helper
+        first[0] = False
+        for _ in range(workers - 1):
+            assert ready.acquire(timeout=60)
+        if scenario == "parent-fault":
+            raise ValueError("parent block")
     return kind.extract(block, cfg)
 
+def holding_the_counter(configs, tasks, counter, send):
+    counter.get_lock().acquire()
+    ready.release()
+    kill()
+
 experiments.KINDS["erdos-renyi"] = dataclasses.replace(kind, extract=extract)
+if scenario == "killed-holding-the-counter":
+    experiments._helper = holding_the_counter
 experiments._POOL_MIN_COST = 0
-experiments._usable_cpus = lambda: 2
+experiments._usable_cpus = lambda: workers
 print(main(["verify", "--kind", "erdos-renyi", "--c", "1", "--n", "1000", "--reps", "1000",
-            "--workers", "2"]))
+            "--workers", str(workers)]))
 print(len(multiprocessing.active_children()))
 """
 
+KILLED = "error: a sampling helper ended with exit code -9 before sending its blocks"
 
-def test_killed_helper_fails_the_bank_and_leaves_no_process():
-    """A helper killed inside its block used to leave the bank waiting forever;
-    it runs in a child with a timeout, so a hang fails the test."""
+
+@pytest.mark.parametrize("scenario,workers,error", [
+    ("killed-in-block", 2, KILLED),
+    ("killed-in-block", 3, KILLED),
+    ("killed-holding-the-counter", 2, KILLED),
+    ("parent-fault", 3, "error: parent block"),
+], ids=["killed-in-block-2", "killed-in-block-3", "killed-holding-the-counter", "parent-fault-3"])
+def test_forked_bank_fault_fails_the_bank_and_leaves_no_process(scenario, workers, error):
+    """A helper killed inside its block, or while it holds the block counter,
+    or a parent that raises while its helpers still have blocks to send, used
+    to leave the bank waiting forever; each runs in a child with a timeout, so
+    a hang fails the test."""
     src = os.path.dirname(os.path.dirname(dixiecup.__file__))
-    done = subprocess.run([sys.executable, "-c", KILLED_HELPER], capture_output=True,
-                          text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == [str(EXIT_USAGE), "0"]
-    assert done.stderr.splitlines() == [
-        "error: a sampling helper ended with exit code -9 before sending its blocks"]
+    # a session of its own, so that a hang's helpers are ended with the child
+    with subprocess.Popen([sys.executable, "-c", FORKED_FAULT, scenario, str(workers)],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          env={**os.environ, "PYTHONPATH": src},
+                          start_new_session=True) as child:
+        try:
+            out, err = child.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            raise
+    assert child.returncode == 0, err
+    assert out.split() == [str(EXIT_USAGE), "0"]
+    assert err.splitlines() == [error]
 
 
 # ---------------------------------------------------------------------------
