@@ -598,7 +598,7 @@ def _drain(configs, tasks, counter, check=None) -> dict:
     outcomes = {}
     lock = counter.get_lock()
     while True:
-        while not lock.acquire(timeout=check and 1.0):
+        while not lock.acquire(timeout=None if check is None else 1.0):
             check()
         try:
             index = counter.value

@@ -22,22 +22,20 @@ def no_process_outlives_its_test():
 
 @pytest.fixture
 def faults(monkeypatch):
-    """``faults(parent=..., helper=...)`` has erdos-renyi's extraction call
-    ``parent()`` before each block it runs in the parent process, and
-    ``helper()`` before each block it runs in a forked helper.  The parent
-    runs no block until a helper has claimed one, so a bank that forks a
-    helper runs blocks on both sides; every bank of two or more workers does."""
+    """``faults(helper)`` has erdos-renyi's extraction call ``helper()`` before
+    each block it runs in a forked helper.  The parent runs no block until a
+    helper has claimed one, so a bank that forks a helper runs blocks on both
+    sides; every bank of two or more workers does."""
     monkeypatch.setattr(experiments, "_POOL_MIN_COST", 0)
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
 
-    def inject(parent=lambda: None, helper=lambda: None):
+    def inject(helper):
         kind = experiments.KINDS["erdos-renyi"]
         pid, claimed = os.getpid(), multiprocessing.get_context("fork").Event()
 
         def extract(block, cfg):
             if os.getpid() == pid:
                 assert claimed.wait(60), "no helper claimed a block"
-                parent()
             else:
                 claimed.set()
                 helper()

@@ -201,7 +201,7 @@ def test_helper_out_of_memory_is_a_usage_error(faults, capsys):
     def out_of_memory():
         raise MemoryError
 
-    faults(helper=out_of_memory)
+    faults(out_of_memory)
     assert run_cli(*FORKED_VERIFY) == EXIT_USAGE
     assert capsys.readouterr().err.splitlines() == ["error: out of memory"]
 

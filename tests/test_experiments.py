@@ -7,7 +7,6 @@ import math
 import multiprocessing
 import operator
 import re
-import time
 from pathlib import Path
 
 import numpy as np
@@ -394,19 +393,8 @@ def test_helper_error_is_raised_in_the_parent(faults, error, raised, message):
     def fail():
         raise error
 
-    faults(helper=fail)
+    faults(fail)
     with pytest.raises(raised, match=message):
-        run_bank([small_config("erdos-renyi", **FORKED_BANK)], workers=2)
-    assert multiprocessing.active_children() == []
-
-
-def test_parent_error_joins_every_helper(faults):
-    def fail():
-        raise ValueError("parent block")
-
-    # a helper still inside its block when the parent raises, unless joined
-    faults(parent=fail, helper=lambda: time.sleep(0.5))
-    with pytest.raises(ValueError, match="parent block"):
         run_bank([small_config("erdos-renyi", **FORKED_BANK)], workers=2)
     assert multiprocessing.active_children() == []
 
