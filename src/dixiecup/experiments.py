@@ -211,8 +211,9 @@ def check_report(d) -> dict:
             raise ConfigError("report mean_count_series is not a JSON list")
         for item in series:
             check_fields(item, SERIES_TYPES, "report series item")
-    if not all(type(v) is bool for v in d["verdicts"].values()):
-        raise ConfigError("report verdicts are not all true or false")
+    # every kind records a verdict, and the conjunction of none would pass
+    if not d["verdicts"] or not all(type(v) is bool for v in d["verdicts"].values()):
+        raise ConfigError("report verdicts are empty or not all true or false")
     if d["passed"] != all(d["verdicts"].values()):
         raise ConfigError("report passed disagrees with its verdicts")
     return d
@@ -221,6 +222,8 @@ def check_report(d) -> dict:
 def check_battery(d) -> list[dict]:
     """The experiment reports of a battery report, each checked like a single one."""
     check_fields(d, BATTERY_TYPES, "battery report")
+    if not d["experiments"]:
+        raise ConfigError("battery report has no experiments")
     reports = [check_report(e) for e in d["experiments"]]
     if d["passed"] != all(report["passed"] for report in reports):
         raise ConfigError("battery passed disagrees with its experiments")
@@ -590,15 +593,16 @@ def _bank_block(configs, task):
     return payloads, block.derived_draws()
 
 
-def _drain(configs, tasks, counter, check=None) -> dict:
+def _drain(configs, tasks, counter, check) -> dict:
     """Claim the next task index from the shared ``counter`` and run its block
     until the tasks run out; returns ``{index: outcome}`` of the blocks run.
-    The parent passes ``check``, called each second it waits for the counter,
-    since a helper killed while holding its lock never releases it."""
+    ``check`` runs before each claim and each second spent waiting for the
+    counter, since a process killed while holding its lock never releases it."""
     outcomes = {}
     lock = counter.get_lock()
     while True:
-        while not lock.acquire(timeout=None if check is None else 1.0):
+        check()
+        while not lock.acquire(timeout=1.0):
             check()
         try:
             index = counter.value
@@ -610,19 +614,31 @@ def _drain(configs, tasks, counter, check=None) -> dict:
         outcomes[index] = _bank_block(configs, tasks[index])
 
 
-def _helper(configs, tasks, counter, send) -> None:
+def _helper(configs, tasks, counter, send, parent, inherited) -> None:
     """A forked helper's work: drain the tasks, then send its outcomes, or the
     exception that stopped it, once, at the end.  An exception that does not
-    survive pickling is sent as a RuntimeError with its repr."""
+    survive pickling is sent as a RuntimeError with its repr.  It ends at once
+    when its ``parent`` does: it closes the receiving ends it ``inherited``,
+    so a send to a dead parent fails, and checks its parent before each claim."""
+    for receive in inherited:
+        receive.close()
+
+    def check():
+        if os.getppid() != parent:
+            os._exit(1)
+
     try:
-        result = _drain(configs, tasks, counter)
+        result = _drain(configs, tasks, counter, check)
     except BaseException as exc:  # everything goes to the parent, which re-raises it
         result = exc
         try:
             pickle.loads(pickle.dumps(exc))
         except Exception:
             result = RuntimeError(f"a sampling helper raised {exc!r}")
-    send.send(result)
+    try:
+        send.send(result)
+    except BrokenPipeError:  # the parent is gone
+        os._exit(1)
 
 
 def _sample_forked(configs, tasks, processes: int) -> list:
@@ -650,7 +666,8 @@ def _sample_forked(configs, tasks, processes: int) -> list:
     try:
         for _ in range(processes - 1):
             receive, send = context.Pipe(duplex=False)
-            helper = context.Process(target=_helper, args=(configs, tasks, counter, send))
+            helper = context.Process(target=_helper, args=(configs, tasks, counter, send,
+                                                           os.getpid(), [*helpers, receive]))
             helper.start()
             send.close()
             helpers[receive] = helper

@@ -13,9 +13,11 @@ import multiprocessing
 import os
 import re
 import resource
+import select
 import signal
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -220,6 +222,10 @@ kind = experiments.KINDS["erdos-renyi"]
 def kill():  # as the OOM killer would
     os.kill(os.getpid(), signal.SIGKILL)
 
+def killed_parent():  # names its helpers first, for the test to watch
+    print(*(helper.pid for helper in multiprocessing.active_children()), flush=True)
+    kill()
+
 def extract(block, cfg):
     if os.getpid() != pid:  # a helper
         if first[0]:
@@ -227,7 +233,7 @@ def extract(block, cfg):
             ready.release()
         if scenario == "killed-in-block":
             kill()
-        if scenario == "parent-fault":  # more than a pipe holds
+        if scenario in ("parent-fault", "parent-killed"):  # more than a pipe holds
             return np.zeros(20_000)
     elif first[0]:  # the parent's first block waits for every helper
         first[0] = False
@@ -235,16 +241,30 @@ def extract(block, cfg):
             assert ready.acquire(timeout=60)
         if scenario == "parent-fault":
             raise ValueError("parent block")
+        if scenario == "parent-killed":
+            killed_parent()
     return kind.extract(block, cfg)
 
-def holding_the_counter(configs, tasks, counter, send):
+def holding_the_counter(configs, tasks, counter, *_):
     counter.get_lock().acquire()
     ready.release()
     kill()
 
+drain = experiments._drain
+
+def parent_holding_the_counter(configs, tasks, counter, *args):
+    if os.getpid() == pid:  # once every helper has claimed a block
+        for _ in range(workers - 1):
+            assert ready.acquire(timeout=60)
+        counter.get_lock().acquire()
+        killed_parent()
+    return drain(configs, tasks, counter, *args)
+
 experiments.KINDS["erdos-renyi"] = dataclasses.replace(kind, extract=extract)
 if scenario == "killed-holding-the-counter":
     experiments._helper = holding_the_counter
+if scenario == "parent-killed-holding-the-counter":
+    experiments._drain = parent_holding_the_counter
 experiments._POOL_MIN_COST = 0
 experiments._usable_cpus = lambda: workers
 print(main(["verify", "--kind", "erdos-renyi", "--c", "1", "--n", "1000", "--reps", "1000",
@@ -255,28 +275,57 @@ print(len(multiprocessing.active_children()))
 KILLED = "error: a sampling helper ended with exit code -9 before sending its blocks"
 
 
+def gone(pid: int) -> bool:
+    """Whether process ``pid`` has ended: it no longer exists, or it is a
+    zombie that its new parent has not reaped."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
 @pytest.mark.parametrize("scenario,workers,error", [
     ("killed-in-block", 2, KILLED),
     ("killed-in-block", 3, KILLED),
     ("killed-holding-the-counter", 2, KILLED),
     ("parent-fault", 3, "error: parent block"),
-], ids=["killed-in-block-2", "killed-in-block-3", "killed-holding-the-counter", "parent-fault-3"])
+    ("parent-killed", 2, None),
+    ("parent-killed", 3, None),
+    ("parent-killed-holding-the-counter", 3, None),
+], ids=["killed-in-block-2", "killed-in-block-3", "killed-holding-the-counter", "parent-fault-3",
+        "parent-killed-2", "parent-killed-3", "parent-killed-holding-the-counter"])
 def test_forked_bank_fault_fails_the_bank_and_leaves_no_process(scenario, workers, error):
     """A helper killed inside its block, or while it holds the block counter,
     or a parent that raises while its helpers still have blocks to send, used
     to leave the bank waiting forever; each runs in a child with a timeout, so
-    a hang fails the test."""
+    a hang fails the test.  A parent killed in its block, or while it holds
+    the counter, used to leave its helpers running: each must be gone within
+    15 s."""
     src = os.path.dirname(os.path.dirname(dixiecup.__file__))
-    # a session of its own, so that a hang's helpers are ended with the child
+    # a session of its own, so that the child's helpers are ended with it
     with subprocess.Popen([sys.executable, "-c", FORKED_FAULT, scenario, str(workers)],
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
                           env={**os.environ, "PYTHONPATH": src},
                           start_new_session=True) as child:
         try:
+            if error is None:
+                assert child.wait(timeout=60) == -signal.SIGKILL
+                # it printed before it died, and a helper may still hold stdout open
+                assert select.select([child.stdout], [], [], 5)[0], "no helper pids printed"
+                helpers = [int(pid) for pid in child.stdout.readline().split()]
+                assert len(helpers) == workers - 1
+                deadline = time.monotonic() + 15
+                while not all(map(gone, helpers)) and time.monotonic() < deadline:
+                    time.sleep(0.1)
+                assert all(map(gone, helpers)), "a helper outlived its killed parent"
+                return
             out, err = child.communicate(timeout=60)
-        except subprocess.TimeoutExpired:
-            os.killpg(child.pid, signal.SIGKILL)
-            raise
+        finally:
+            try:
+                os.killpg(child.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
     assert child.returncode == 0, err
     assert out.split() == [str(EXIT_USAGE), "0"]
     assert err.splitlines() == [error]
@@ -726,10 +775,13 @@ def test_report_bad_schema_is_usage_error(tmp_path, capsys):
                             "passed": not report["passed"]}
     series_of_numbers = dict(report, summaries={"mean_count_series": [1, 2]})
     series_missing_keys = dict(report, summaries={"mean_count_series": [{"n": 100}]})
+    # an empty conjunction would pass, but run_experiments writes neither
+    no_verdicts = dict(report, verdicts={}, passed=True)
+    no_experiments = {"master_seed": 1, "scale": 1.0, "experiments": [], "passed": True}
     cases = [missing, unknown, bad_row, bad_config, battery_missing,
              battery_unknown, battery_bad_entry, [report], "text", bad_value,
              passed_text, passed_wrong, battery_passed_wrong, series_of_numbers,
-             series_missing_keys]
+             series_missing_keys, no_verdicts, no_experiments]
     capsys.readouterr()
     for k, case in enumerate(cases):
         path = tmp_path / f"bad{k}.json"
@@ -804,6 +856,20 @@ def test_cli_runs_never_import_scipy_stats(tmp_path):
     assert done.returncode == 0, done.stderr
     assert "poisson_counts[0.0,inf]" in done.stdout
     assert done.stdout.splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("module", ["dixiecup.samplers", "dixiecup.discrete",
+                                    "dixiecup.pointprocess"])
+def test_sampler_modules_import_without_the_verifier(module):
+    """The package imports nothing itself, so a sampler module loads only
+    the modules below it: no scipy, and no experiment layer."""
+    src = os.path.dirname(os.path.dirname(dixiecup.__file__))
+    probe = (f"import sys, {module}\n"
+             "print(sorted(m for m in ('scipy', 'dixiecup.experiments') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["[]"]
 
 
 def test_benchmark_harness_imports_resolve():
