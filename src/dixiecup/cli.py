@@ -127,6 +127,7 @@ def _cmd_simulate(args) -> int:
                              f"below 2**32 in a stream index; got {value}")
     if not 0 <= args.seed < SEED_LIMIT:
         raise ValueError(f"--seed must lie in [0, 2**64), got {args.seed}")
+    _check_out_dir(args.out)
     if args.n < 3:
         print(f"warning: n={args.n} is below the recommended minimum of 3; "
               "the centering uses ln ln n", file=sys.stderr)
@@ -230,6 +231,8 @@ def _verify_config(args) -> ExperimentConfig:
 def _check_out_dir(path: str) -> None:
     """Raise unless ``path`` names a file in a directory that exists, so a
     run fails before it samples rather than after."""
+    if not path:
+        raise ConfigError("cannot write '': the path is empty")
     directory = os.path.dirname(path) or "."
     if not os.path.isdir(directory):
         raise ConfigError(f"cannot write {path!r}: no directory {directory!r}")
@@ -239,7 +242,7 @@ def _check_out_dir(path: str) -> None:
 
 def _cmd_verify(args) -> int:
     config = _verify_config(args)
-    if args.out:
+    if args.out is not None:
         _check_out_dir(args.out)
     if 0 < min(config.grid) < 3:
         print("warning: n below 3 makes the ln ln n centering negative",
@@ -248,7 +251,7 @@ def _cmd_verify(args) -> int:
     (report,) = run_experiments([config], args.workers)
     for name, ok in sorted(report["verdicts"].items()):
         print(f"{'PASS' if ok else 'FAIL'}  {config.kind}: {name}")
-    if args.out:
+    if args.out is not None:
         write_json(report, args.out)
         print(f"report written to {args.out}")
     return EXIT_PASS if report["passed"] else EXIT_STAT_FAIL

@@ -1,9 +1,17 @@
 """The one trace of both coupon schemes and its block sampler."""
 from __future__ import annotations
 
+import ctypes
+import hashlib
+import os
+import subprocess
+import sys
+import sysconfig
+import tempfile
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from pathlib import Path
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -16,6 +24,7 @@ __all__ = [
     "block_size",
     "keyed",
     "release_scratch",
+    "row_sampler",
     "run_discrete",
 ]
 
@@ -105,17 +114,153 @@ def keyed(streams: Sequence[SeedSpec]) -> Iterator[Generator]:
         yield _SCRATCH
 
 
+class _NumpyRows:
+    """The draws of a block's rows on the scratch generator, through numpy's
+    ``Generator``, a row at a time: the reference of the compiled sampler,
+    and the one row sampler wherever that cannot be built, loaded or verified."""
+
+    name = "numpy"
+
+    def exponentials(self, streams: Sequence[SeedSpec], times: np.ndarray) -> list[dict]:
+        """Fill row i of ``times`` with the first standard exponentials of
+        ``streams[i]``; returns the generator state after each row."""
+        states = []
+        for row, rng in zip(times, keyed(streams)):
+            rng.standard_exponential(out=row)
+            states.append(rng.bit_generator.state)
+        return states
+
+    def poisson(self, states: list[dict], lam: np.ndarray, draws: np.ndarray) -> None:
+        """From ``states[i]``, fill row i of ``draws`` but its first column
+        with Poisson draws of the means in row i of ``lam``."""
+        for state, row_lam, row in zip(states, lam, draws):
+            _SCRATCH.bit_generator.state = state
+            row[1:] = _SCRATCH.poisson(row_lam)
+
+
+def _address(array: np.ndarray, dtype, shape: tuple) -> int:
+    """The address of ``array``, which must be C-contiguous ``dtype`` values of ``shape``."""
+    if array.dtype != dtype or array.shape != shape or not array.flags.c_contiguous:
+        raise ValueError(f"the compiled sampler needs a C-contiguous {np.dtype(dtype)} "
+                         f"array of shape {shape}")
+    return array.ctypes.data
+
+
+class _CompiledRows:
+    """The draws of :class:`_NumpyRows`, to the bit, a whole block in one call
+    of ``_sampler.c``: its Philox draws what numpy's does, and numpy's own
+    distribution functions run on it.  A row's state is a row of uint64 words."""
+
+    name = "compiled"
+
+    def __init__(self, library: ctypes.CDLL) -> None:
+        address, size = ctypes.c_void_p, ctypes.c_int64
+        self._exponentials = library.dixie_exponentials
+        self._exponentials.argtypes = [size, size, address, address, address]
+        self._exponentials.restype = None
+        self._poisson = library.dixie_poisson
+        self._poisson.argtypes = [size, size, address, address, address]
+        self._poisson.restype = size
+        library.dixie_state_words.restype = size
+        self._words = library.dixie_state_words()
+
+    def exponentials(self, streams: Sequence[SeedSpec], times: np.ndarray) -> np.ndarray:
+        rows = len(streams)
+        keys = philox_keys(streams)
+        states = np.empty((rows, self._words), dtype=np.uint64)
+        self._exponentials(rows, times[0].size, _address(keys, np.uint64, (rows, 2)),
+                           _address(times, np.float64, (rows, *times.shape[1:])),
+                           _address(states, np.uint64, states.shape))
+        return states
+
+    def poisson(self, states: np.ndarray, lam: np.ndarray, draws: np.ndarray) -> None:
+        rows, count = lam.shape
+        if self._poisson(rows, count, _address(states, np.uint64, (rows, self._words)),
+                         _address(lam, np.float64, lam.shape),
+                         _address(draws, np.int64, (rows, count + 1))):
+            raise ValueError("lam < 0, lam is NaN or lam value too large")
+
+
+_NUMPY = _NumpyRows()
+
+# The compiled row sampler is _sampler.c beside this file, built once per
+# source, numpy version and interpreter into the package's __pycache__ by the
+# C compiler _CC, against the static libnpyrandom that numpy ships.
+_SOURCE = Path(__file__).with_name("_sampler.c")
+_CACHE = _SOURCE.parent / "__pycache__"
+_CC = "cc"
+
+# The row sampler of this process, chosen by the first call of row_sampler.
+_rows: _NumpyRows | _CompiledRows | None = None
+
+
+def row_sampler() -> _NumpyRows | _CompiledRows:
+    """The row sampler of this process: the compiled one if it can be built
+    or found in the cache, loaded and verified against numpy's, else numpy's.
+
+    It is chosen once, at the first call, and forked helpers inherit it.
+    Both give the same bytes; ``name`` says which draws.
+    """
+    global _rows
+    if _rows is None:
+        _rows = _compiled() or _NUMPY
+    return _rows
+
+
+def _compiled() -> _CompiledRows | None:
+    """The compiled row sampler, built into the cache unless it is there, or
+    None if it cannot be built, loaded or verified."""
+    try:
+        tag = hashlib.sha256(_SOURCE.read_bytes())
+        tag.update(f"{np.__version__} {sys.implementation.cache_tag}".encode())
+        path = _CACHE / f"_sampler.{tag.hexdigest()[:16]}.so"
+        if not path.exists():
+            _build(path)
+        rows = _CompiledRows(ctypes.CDLL(str(path)))
+    except (OSError, subprocess.SubprocessError, AttributeError):
+        return None
+    return rows if _verified(rows) else None
+
+
+def _build(path: Path) -> None:
+    """Compile ``_SOURCE`` into the shared library ``path``."""
+    path.parent.mkdir(exist_ok=True)
+    random_lib = Path(np.__file__).parent / "random" / "lib"
+    with tempfile.TemporaryDirectory(dir=path.parent) as scratch:
+        built = Path(scratch) / path.name
+        subprocess.run([_CC, "-O3", "-fPIC", "-shared", "-o", built, _SOURCE,
+                        "-I", np.get_include(), "-I", sysconfig.get_paths()["include"],
+                        "-L", random_lib, "-lnpyrandom", "-lm"],
+                       check=True, capture_output=True, timeout=120)
+        # a rename is atomic, so a process building beside this one loads a whole file
+        os.replace(built, path)
+
+
+def _verified(rows: _CompiledRows) -> bool:
+    """Whether ``rows`` draws the bytes of numpy's row sampler on a block whose
+    key words lie on both sides of 2**63 and whose Poisson means lie on both
+    sides of 10, where numpy's sampler switches method."""
+    streams = [SeedSpec(0), SeedSpec(7, 1 << 40)]
+    lam = np.tile(np.geomspace(0.5, 3000.0, 40), (len(streams), 1))
+    drawn = []
+    for sampler in (rows, _NUMPY):
+        times = np.empty((len(streams), 100))
+        draws = np.zeros((len(streams), lam.shape[1] + 1), dtype=np.int64)
+        sampler.poisson(sampler.exponentials(streams, times), lam, draws)
+        drawn.append(times.tobytes() + draws.tobytes())
+    return drawn[0] == drawn[1]
+
+
 class TraceBlock:
     """Traces of one ``(n, r_max)`` on their own streams, sampled as one array.
 
     ``times`` and ``arrivals`` have one row of shape ``(n, r_max)`` per
     stream, and row i is what a trace of ``streams[i]`` alone samples, to the
     byte: every generator call and its arguments are the ones the trace makes,
-    and each array pass runs row by row.  Each stream is a :class:`SeedSpec`:
-    on the one scratch generator, set to its key at counter 0 by
-    :func:`keyed`, it draws its exponentials into its row of ``times``,
-    and its state is saved until the first read of ``arrivals`` derives the
-    jump chain of the whole block.
+    and each array pass runs row by row.  Each stream is a :class:`SeedSpec`
+    keyed at counter 0: the :func:`row_sampler` draws its exponentials into
+    its row of ``times``, and its state is saved until the first read of
+    ``arrivals`` derives the jump chain of the whole block.
     """
 
     def __init__(self, n: int, r_max: int, streams: list[SeedSpec]) -> None:
@@ -134,10 +279,9 @@ class TraceBlock:
         if r_max < 1:
             raise ValueError(f"need r_max >= 1, got r_max={r_max}")
         times = np.empty((len(self.streams), n, r_max))
-        self._states = []
-        for row, rng in zip(times, keyed(self.streams)):
-            rng.standard_exponential(out=row)
-            self._states.append(rng.bit_generator.state)
+        rows = row_sampler()
+        # the untracked draws of the jump chain, from each row's state after its times
+        self._poisson = partial(rows.poisson, rows.exponentials(self.streams, times))
         # the row sums np.cumsum(axis=-1) forms, a column at a time: it loops per row
         for k in range(1, r_max):
             times[:, :, k] += times[:, :, k - 1]
@@ -147,7 +291,7 @@ class TraceBlock:
     @cached_property
     def arrivals(self) -> np.ndarray:
         times = self.times
-        return _jump_chain(self._states, times)
+        return _jump_chain(self._poisson, times)
 
     def derived_draws(self) -> int:
         """The draws of its traces' jump chains if the block derived them, else 0."""
@@ -157,9 +301,11 @@ class TraceBlock:
         return int(self.arrivals[:, :, -1].max(axis=1).sum())
 
 
-def _jump_chain(states: list[dict], times: np.ndarray) -> np.ndarray:
+def _jump_chain(poisson, times: np.ndarray) -> np.ndarray:
     """The draw number of every tracked arrival, given the poissonized ``times``
-    of a block and the scratch generator's state after each row's times.
+    of a block and ``poisson(lam, draws)``, which fills row i of ``draws`` but
+    its first column with Poisson draws of means ``lam[i]`` on stream i,
+    from its state after its times.
 
     The discrete scheme is the jump chain of the poissonized one.  Only the
     n * r_max tracked times are sampled.  A type's arrivals past its r_max-th
@@ -168,10 +314,10 @@ def _jump_chain(states: list[dict], times: np.ndarray) -> np.ndarray:
     event's draw number is its rank plus the untracked draws before it.
 
     Each pass runs on the whole block, row by row, and writes into the work
-    buffer, so only the argsort order, each row's Poisson draws and the
-    returned arrivals are allocated.  The generator calls and their arguments
-    are fixed, so a stream always gives the same trace.  A type's times strictly increase unless two of them
-    are an exact float tie, which shows as a zero gap between sorted times.
+    buffer, so only the argsort order, each row's Poisson draws on the numpy
+    row sampler, and the returned arrivals are allocated.  The generator calls
+    and their arguments are fixed, so a stream always gives the same trace.
+    A type's times strictly increase unless two of them are an exact float tie, which shows as a zero gap between sorted times.
     Only then can a tie break the wrong way in ``argsort`` and reverse two
     ranks of a row, so only then are the rows checked.
     """
@@ -210,9 +356,7 @@ def _jump_chain(states: list[dict], times: np.ndarray) -> np.ndarray:
     # untracked draws plus one after the event before it
     index = ranked.view(np.int64)
     index[:, 0] = 1
-    for row, (state, lam) in enumerate(zip(states, gaps)):
-        _SCRATCH.bit_generator.state = state
-        index[row, 1:] = _SCRATCH.poisson(lam)
+    poisson(gaps, index)
     index[:, 1:] += 1
     np.cumsum(index, axis=1, out=index)
     arrivals = np.empty(traces * size, dtype=np.int64)

@@ -31,7 +31,7 @@ from operator import attrgetter
 import numpy as np
 
 from . import calibration
-from .discrete import TraceBlock, block_size, keyed, release_scratch
+from .discrete import TraceBlock, block_size, keyed, release_scratch, row_sampler
 from .gof import increment_test, ks_statistic, ks_test, poisson_count_test
 from .limitlaws import (
     ChiSqLog,
@@ -517,7 +517,9 @@ class Kind:
     a counting kind Poisson-tests against their limit mass, as ``(what, a, b,
     row name, verdict key)``: ``what`` names the window in errors and the key
     is a format string of ``n``.  Column k of its count payload is the count
-    in window k.
+    in window k.  ``reads_chain`` is False for a kind whose extraction never
+    reads ``arrivals``: a bank only such kinds read derives no jump chain,
+    and is priced by its exponential draws alone.
     """
 
     description: str
@@ -526,6 +528,7 @@ class Kind:
     aggregate: Callable
     battery: tuple[dict, ...]
     windows: Callable[[ExperimentConfig], list[tuple]] = lambda cfg: []
+    reads_chain: bool = True
 
 
 _r, _c = attrgetter("r"), attrgetter("c")
@@ -534,7 +537,8 @@ KINDS = {
     "poissonized-marginal": Kind(
         "exact finite-n law of the normalized poissonized arrival times",
         _r, _extract_marginal, _aggregate_marginal,
-        tuple(dict(n_grid=[100], r=r, replications=100) for r in (1, 2, 3))),
+        tuple(dict(n_grid=[100], r=r, replications=100) for r in (1, 2, 3)),
+        reads_chain=False),
     "theorem1-counts": Kind(
         "Poisson limit of interval counts of the normalized arrival pattern",
         _r, _extract_counts, _aggregate_counts,
@@ -569,7 +573,7 @@ KINDS = {
     "limit-consistency": Kind(
         "null calibration of the battery against its own limit laws",
         lambda cfg: 0, _extract_null_p_values, _aggregate_null,
-        (dict(r=1, m=0, replications=200),)),
+        (dict(r=1, m=0, replications=200),), reads_chain=False),
 }
 
 
@@ -651,6 +655,7 @@ def _sample_forked(configs, tasks, processes: int) -> list:
     every helper has been joined when this returns or raises."""
     context = multiprocessing.get_context("fork")
     counter = context.Value("q", 0)
+    row_sampler()  # chosen here, so that no helper builds it again
     helpers = {}  # the receiving end of each helper's pipe: the helper
 
     def ended(helper):
@@ -705,9 +710,16 @@ def _usable_cpus() -> int:
 # The cost model of a bank: a trace of n * r_max tracked arrivals costs
 # about what sampling n * r_max + _TRACE_COST arrivals would, and a bank of
 # total cost at most _POOL_MIN_COST runs faster serially than with forked
-# helpers.  Measured on 2 vCPUs, with extraction from whole blocks: in a
-# serial bank a trace costs about 25 us plus 0.12-0.14 us per tracked
-# arrival, so its fixed part is nearer 200 arrivals than 300.  Forking a
+# helpers.  A trace whose jump chain no reader derives costs its n * r_max
+# exponential draws, 11.7 ns each against 0.12-0.14 us per chain arrival,
+# so it is priced at n * r_max // _CHAIN_PER_DRAW + _TRACE_COST.  Measured
+# on 2 vCPUs, with extraction from whole blocks: in a serial bank on numpy's
+# row sampler a trace costs about 25 us plus 0.12-0.14 us per tracked
+# arrival, so its fixed part is nearer 200 arrivals than 300; on the
+# compiled row sampler an erdos-renyi trace costs about 5 us plus 0.11 us
+# per arrival (medians of 9 banks of 1000 traces at n = 100 and 1000), a
+# fixed part of about 50 arrivals.  _TRACE_COST stays 300 so that every
+# bank keeps the process count it was measured at.  Forking a
 # helper, reading its pipe and joining it costs about 5 ms, against about
 # 11 ms to start, map and exit a 2-process pool, which broke even near cost
 # 600000, about 50-75 ms of serial work.  The cheaper start did not move the
@@ -717,6 +729,7 @@ def _usable_cpus() -> int:
 # parent and one helper, each taking over 1000 faults.
 _TRACE_COST = 300
 _POOL_MIN_COST = 600_000
+_CHAIN_PER_DRAW = 10
 
 
 def _processes(workers: int, traces: int, cost: int) -> int:
@@ -727,6 +740,32 @@ def _processes(workers: int, traces: int, cost: int) -> int:
     if cost <= _POOL_MIN_COST or "fork" not in multiprocessing.get_all_start_methods():
         return 1
     return min(workers, traces, _usable_cpus())
+
+
+def _plan(configs: list[ExperimentConfig], workers: int) -> tuple[list, int, int]:
+    """The tasks of a bank of valid ``configs``, one per block, the number of
+    traces they sample and the processes they sample on."""
+    readers: dict[tuple[int, int], list[int]] = {}
+    for k, cfg in enumerate(configs):
+        for n in cfg.grid:
+            readers.setdefault((cfg.master_seed, n), []).append(k)
+    tasks, traces, cost = [], 0, 0
+    for (seed, n), ks in readers.items():
+        r_max = max(KINDS[configs[k].kind].r_max(configs[k]) for k in ks)
+        size = block_size(n, r_max)
+        start = 0
+        # j in [start, stop) is read by the configs of at least stop replications
+        for stop in sorted({configs[k].replications for k in ks}):
+            reading = [k for k in ks if configs[k].replications >= stop]
+            tasks += [(seed, n, j, min(size, stop - j), r_max, reading)
+                      for j in range(start, stop, size)]
+            tracked = n * max(r_max, 1)
+            if not any(KINDS[configs[k].kind].reads_chain for k in reading):
+                tracked //= _CHAIN_PER_DRAW
+            cost += (stop - start) * (tracked + _TRACE_COST)
+            start = stop
+        traces += start
+    return tasks, traces, _processes(workers, traces, cost)
 
 
 def run_bank(configs: list[ExperimentConfig], workers: int = 1) -> tuple:
@@ -764,24 +803,7 @@ def run_bank(configs: list[ExperimentConfig], workers: int = 1) -> tuple:
         raise ConfigError(f"need workers >= 1, got {workers}")
     for cfg in configs:
         cfg.validate()
-    readers: dict[tuple[int, int], list[int]] = {}
-    for k, cfg in enumerate(configs):
-        for n in cfg.grid:
-            readers.setdefault((cfg.master_seed, n), []).append(k)
-    tasks, traces, cost = [], 0, 0
-    for (seed, n), ks in readers.items():
-        r_max = max(KINDS[configs[k].kind].r_max(configs[k]) for k in ks)
-        size = block_size(n, r_max)
-        start = 0
-        # j in [start, stop) is read by the configs of at least stop replications
-        for stop in sorted({configs[k].replications for k in ks}):
-            reading = [k for k in ks if configs[k].replications >= stop]
-            tasks += [(seed, n, j, min(size, stop - j), r_max, reading)
-                      for j in range(start, stop, size)]
-            start = stop
-        traces += start
-        cost += start * (n * max(r_max, 1) + _TRACE_COST)
-    processes = _processes(workers, traces, cost)
+    tasks, traces, processes = _plan(configs, workers)
     if processes > 1:
         outcomes = _sample_forked(configs, tasks, processes)
     else:
@@ -824,8 +846,8 @@ def run_experiments(configs: list[ExperimentConfig], workers: int = 1) -> list[d
     # wall-clock goes to stderr, not the reports, so reruns are byte-identical
     replications = sum(cfg.replications * len(cfg.grid) for cfg in configs)
     print(f"{replications} replications from {traces} traces in "
-          f"{time.perf_counter() - start:.2f}s (workers={processes})",
-          file=sys.stderr, flush=True)
+          f"{time.perf_counter() - start:.2f}s (workers={processes}) "
+          f"(sampler={row_sampler().name})", file=sys.stderr, flush=True)
     return reports
 
 

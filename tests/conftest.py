@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from dixiecup import experiments
+from dixiecup import discrete, experiments
 
 
 @pytest.fixture(autouse=True)
@@ -45,3 +45,10 @@ def faults(monkeypatch):
                             dataclasses.replace(kind, extract=extract))
 
     return inject
+
+
+@pytest.fixture
+def numpy_path(monkeypatch):
+    """Sample on numpy's row sampler, as where the compiled one cannot be
+    built: every row a loop of ``Generator`` calls on the scratch generator."""
+    monkeypatch.setattr(discrete, "_rows", discrete._NUMPY)

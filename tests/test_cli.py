@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dixiecup
-from dixiecup import experiments
+from dixiecup import cli, discrete, experiments
 from dixiecup.cli import (
     EXIT_PASS,
     EXIT_STAT_FAIL,
@@ -570,10 +570,18 @@ def test_verify_ini_value_that_does_not_parse_names_its_file_and_key(tmp_path, c
 @pytest.mark.parametrize("argv", [
     ["verify", "--kind", "erdos-renyi", "--n", "100", "--reps", "5"],
     ["battery", "--scale", "0.01"],
-], ids=["verify", "battery"])
-def test_missing_out_directory_fails_before_sampling(tmp_path, capsys, argv):
-    # a file in a directory that does not exist, and a path that is a directory
-    for out, why in ((tmp_path / "missing" / "x.json", "missing"), (tmp_path, "is a directory")):
+    ["simulate", "--n", "100", "--reps", "5"],
+], ids=["verify", "battery", "simulate"])
+def test_missing_out_directory_fails_before_sampling(tmp_path, capsys, monkeypatch, argv):
+    def sampled(*args):
+        raise AssertionError("a block was sampled")
+
+    for module in (cli, experiments):
+        monkeypatch.setattr(module, "replication_block", sampled)
+    # a file in a directory that does not exist, a path that is a directory,
+    # and an empty path
+    for out, why in ((tmp_path / "missing" / "x.json", "missing"), (tmp_path, "is a directory"),
+                     ("", "empty")):
         code = run_cli(*argv, "--out", str(out))
         captured = capsys.readouterr()
         assert code == EXIT_USAGE
@@ -693,6 +701,36 @@ def test_battery_report_bytes_are_pinned(tmp_path):
     assert run_cli("report", str(out), "--format", "csv") == code
     assert sha256_of(tmp_path.glob("*.csv")) == {
         "battery.csv": "f66a45a8c0c3c300eedd4e648d16b17063dfffc4dd97013862321c541e4d32ee"}
+
+
+def test_battery_report_bytes_are_pinned_on_numpys_row_sampler(tmp_path, numpy_path, capsys):
+    out = tmp_path / "battery.json"
+    code = run_cli("battery", "--seed", "42", "--scale", "0.02", "--workers", "1",
+                   "--out", str(out))
+    assert code in (EXIT_PASS, EXIT_STAT_FAIL)
+    assert sha256_of([out]) == {"battery.json": BATTERY_002_SHA256}
+    assert "(sampler=numpy)" in capsys.readouterr().err
+
+
+def test_a_failed_build_samples_on_numpy_in_the_same_bytes(tmp_path, monkeypatch, capsys):
+    """Where the compiled sampler cannot be built, the numpy row sampler draws
+    the same report, and the command says so only in its timing line."""
+    argv = ("verify", "--kind", "coupling-decay", "--n", "100,1000", "--reps", "300",
+            "--seed", "5", "--out")
+    run_cli(*argv, str(tmp_path / "default.json"))
+    assert f"(sampler={discrete.row_sampler().name})" in capsys.readouterr().err
+    # a compiler that is not there, and a cache that holds no library
+    monkeypatch.setattr(discrete, "_rows", None)
+    monkeypatch.setattr(discrete, "_CC", str(tmp_path / "no-such-compiler"))
+    monkeypatch.setattr(discrete, "_CACHE", tmp_path / "cache")
+    code = run_cli(*argv, str(tmp_path / "numpy.json"))
+    captured = capsys.readouterr()
+    assert code in (EXIT_PASS, EXIT_STAT_FAIL)
+    assert discrete.row_sampler().name == "numpy"
+    assert list((tmp_path / "cache").iterdir()) == []
+    assert TIMING.search(captured.err) and "(sampler=numpy)" in captured.err
+    assert "error" not in captured.err.lower() and "warning" not in captured.err.lower()
+    assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "default.json").read_bytes()
 
 
 def test_verify_report_bytes_are_pinned(tmp_path):

@@ -2,6 +2,8 @@
 import ast
 import functools
 import math
+import shutil
+import sysconfig
 import tracemalloc
 from pathlib import Path
 
@@ -17,7 +19,7 @@ from dixiecup.discrete import (
     run_discrete,
 )
 from dixiecup.poissonized import run_coupled
-from dixiecup.samplers import SeedSpec
+from dixiecup.samplers import SeedSpec, philox_keys
 
 from oracles import (
     block_traces,
@@ -123,8 +125,9 @@ class TiedScratch(TiedExponentials):
 
 
 @pytest.fixture
-def tied_scratch(monkeypatch):
-    """Sample every stream on a :class:`TiedScratch`."""
+def tied_scratch(monkeypatch, numpy_path):
+    """Sample every stream on a :class:`TiedScratch`, which only numpy's row
+    sampler reads."""
     monkeypatch.setattr(discrete, "_SCRATCH", TiedScratch())
 
 
@@ -313,6 +316,47 @@ def test_blocks_key_streams_without_their_own_generators():
                           if alias.name in ("SeedSequence", "default_rng")]
     # the two calls of _SCRATCH = Generator(Philox(0))
     assert sorted(found) == [("discrete.py", "Generator"), ("discrete.py", "Philox")]
+
+
+def test_the_compiled_sampler_loads_wherever_it_can_be_built():
+    """A C compiler, Python's headers and numpy's static libnpyrandom build
+    the compiled row sampler; with them, a numpy-only run is a broken build."""
+    needs = [Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a",
+             Path(sysconfig.get_paths()["include"]) / "Python.h"]
+    if shutil.which(discrete._CC) is None or not all(path.is_file() for path in needs):
+        pytest.skip("no C compiler, Python.h or libnpyrandom.a to build the sampler with")
+    assert discrete.row_sampler().name == "compiled"
+
+
+def test_compiled_rows_are_numpys_bytes(monkeypatch):
+    """Blocks of one row and of ``block_size`` rows have the same ``times``
+    and ``arrivals`` on both row samplers, over key words on both sides of
+    2**63 and Poisson means on both sides of 10, where numpy switches method."""
+    compiled = discrete.row_sampler()
+    if compiled.name != "compiled":
+        pytest.skip("the compiled row sampler is not built here")
+    means = []
+
+    def poisson(states, lam, draws):
+        means.append((lam.min(), lam.max()))
+        type(compiled).poisson(compiled, states, lam, draws)
+
+    monkeypatch.setattr(compiled, "poisson", poisson)
+    keys = []
+    for n, r_max in ((2, 1), (3, 2), (10, 4), (100, 1), (100, 3), (1000, 2), (10_000, 1),
+                     (100_000, 3)):
+        for rows in sorted({1, block_size(n, r_max)}):
+            streams = [SeedSpec(2**64 - 1 - j, (n << 32) | j) for j in range(rows)]
+            keys.append(philox_keys(streams))
+            sampled = []
+            for sampler in (compiled, discrete._NUMPY):
+                monkeypatch.setattr(discrete, "_rows", sampler)
+                block = TraceBlock(n, r_max, streams)
+                sampled.append((block.times, block.arrivals))
+            assert_same_bytes(*sampled)
+    keys = np.concatenate(keys)
+    assert (keys >= 2**63).any() and (keys < 2**63).any()
+    assert min(low for low, _ in means) < 10 <= max(high for _, high in means)
 
 
 def test_collection_time_is_max_of_column():

@@ -7,13 +7,14 @@ import math
 import multiprocessing
 import operator
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dixiecup import discrete, experiments
-from dixiecup.cli import battery_configs
+from dixiecup.cli import _verify_config, battery_configs, build_parser
 from dixiecup.discrete import CollectorTrace, block_size, run_discrete
 from dixiecup.experiments import (
     CSV_COLUMNS,
@@ -303,6 +304,42 @@ def test_bank_builds_no_trace_objects(monkeypatch):
     per_config, *_ = run_bank(configs)
     assert [sum(map(len, per_n.values())) for per_n in per_config] == [
         cfg.replications * len(cfg.grid) for cfg in configs]
+
+
+def test_a_bank_that_derives_no_jump_chain_is_priced_by_its_exponentials(monkeypatch):
+    """Priced as jump chains, this bank costs 991800, above _POOL_MIN_COST;
+    its exponential draws cost a tenth of that, so it samples serially."""
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    marginal = small_config("poissonized-marginal", r=3, n_grid=[10_000, 100_000],
+                            replications=3)
+    _, draws, _, processes = run_bank([marginal], workers=2)
+    assert processes == 1 and draws == [0]
+    # no kind marked as reading no jump chain derives one
+    for kind, entry in KINDS.items():
+        if not entry.reads_chain:
+            assert run_bank([small_config(kind)])[1] == [0]
+
+
+def test_benchmark_banks_keep_their_process_counts(monkeypatch):
+    """The banks of the benchmark's workloads, at their own worker counts,
+    sample on the processes they did before times-only banks were priced
+    by their exponential draws."""
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while they are built
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    spec.loader.exec_module(workloads)
+    processes = {}
+    for name, workload in workloads.WORKLOADS.items():
+        for command in workload.commands(1, "reports", None):
+            args = build_parser().parse_args(command.argv)
+            configs = (battery_configs(args.seed, args.scale) if args.command == "battery"
+                       else [_verify_config(args)])
+            processes.setdefault(name, []).append(experiments._plan(configs, args.workers)[2])
+    assert processes == {"battery-slice": [1], "small-n-pool": [1, 1, 1, 2, 2, 2, 1, 1, 1],
+                         "coupled-large-n": [1, 1, 1, 1]}
 
 
 def test_run_bank_returns_with_the_work_buffer_empty():
