@@ -1,5 +1,6 @@
 /*
- * The trace sampler's generator calls for a whole block in one call each.
+ * The trace sampler's generator calls for a whole block in one call each:
+ * its exponentials, and the jump chain with its Poisson draws.
  *
  * A Philox4x64-10 bit generator that draws what numpy's Philox draws, bit for
  * bit, behind numpy's bitgen_t, so numpy's own distribution functions
@@ -107,26 +108,86 @@ void dixie_exponentials(int64_t rows, int64_t count, const uint64_t *keys, doubl
     }
 }
 
-/* From states[i], draw out[i * (count + 1) + k + 1] = Poisson(lam[i * count + k])
- * for k < count, in order, for each row i; the states advance, and column 0
- * of out is left as it is.  Returns 0, or -1 before any draw if some lam is
- * negative, NaN or above numpy's limit. */
-int64_t dixie_poisson(int64_t rows, int64_t count, philox_state *states, const double *lam,
-                      int64_t *out) {
-    /* numpy's POISSON_LAM_MAX: the largest int64 less 10 standard deviations */
-    const double lam_max = (double)INT64_MAX - sqrt((double)INT64_MAX) * 10;
-    for (int64_t k = 0; k < rows * count; k++) {
-        if (!(lam[k] >= 0 && lam[k] <= lam_max)) {
-            return -1;
+/* A Poisson draw of mean lam, as numpy's random_poisson draws it: numpy's own
+ * function for lam >= 10; for 0 < lam < 10 its multiplication method, inlined
+ * on the inlined Philox, which draws the same uniforms as its next_double;
+ * nothing for lam == 0. */
+static inline int64_t poisson(philox_state *s, bitgen_t *bitgen, double lam) {
+    if (lam >= 10) {
+        return random_poisson(bitgen, lam);
+    }
+    if (lam == 0) {
+        return 0;
+    }
+    const double enlam = exp(-lam);
+    double prod = 1.0;
+    int64_t x = 0;
+    while (1) {
+        prod *= (philox_next64(s) >> 11) * (1.0 / 9007199254740992.0);
+        if (prod > enlam) {
+            x += 1;
+        } else {
+            return x;
+        }
+    }
+}
+
+/* The jump chain of each row of a block of `rows` traces of n types and
+ * r_max tracked arrivals each, from states[i], as discrete.py's _jump_chain
+ * derives it with numpy's draws.  times holds each row's n * r_max
+ * poissonized times, type-major; keys holds each row's arrivals in time
+ * order, each as a uint64 whose low `bits` bits are its position in the row.
+ * The untracked draws in the gap before the k-th event in time order are
+ * Poisson with mean (gap * completed) / n, with completed the types whose
+ * last tracked arrival came before it; each event's draw number, written to
+ * arrivals at its position, is the one before it plus one plus those draws.
+ *
+ * With `checked`, each key is the time's bits with the low `bits` replaced
+ * by the position: if the high parts of some row do not strictly increase,
+ * two of its times may be out of order or tied, and it returns 1 before any
+ * draw.  Else it returns 2 if two consecutive events of some row are at one
+ * time, an exact tie, and 0 if none are.  The means stay far below numpy's
+ * limit, since times are sums of r_max exponentials times n < 2**32. */
+int64_t dixie_chain(int64_t rows, int64_t n, int64_t r_max, philox_state *states,
+                    const uint64_t *keys, int64_t bits, int64_t checked, const double *times,
+                    int64_t *arrivals) {
+    const int64_t size = n * r_max;
+    const uint64_t mask = ((uint64_t)1 << bits) - 1;
+    int64_t tied = 0;
+    for (int64_t i = 0; checked && i < rows; i++) {
+        for (int64_t k = i * size + 1; k < (i + 1) * size; k++) {
+            if ((keys[k] >> bits) <= (keys[k - 1] >> bits)) {
+                return 1;
+            }
         }
     }
     for (int64_t i = 0; i < rows; i++) {
-        bitgen_t bitgen = bitgen_of(&states[i]);
-        const double *row_lam = lam + i * count;
-        int64_t *row_out = out + i * (count + 1) + 1;
-        for (int64_t k = 0; k < count; k++) {
-            row_out[k] = random_poisson(&bitgen, row_lam[k]);
+        philox_state *s = &states[i];
+        bitgen_t bitgen = bitgen_of(s);
+        const uint64_t *row_keys = keys + i * size;
+        const double *row_times = times + i * size;
+        int64_t *row_arrivals = arrivals + i * size;
+        uint64_t at = row_keys[0] & mask;
+        double last = row_times[at];
+        double completed = at % r_max == r_max - 1;
+        int64_t draw = 1;
+        row_arrivals[at] = draw;
+        for (int64_t k = 1; k < size; k++) {
+            /* an event's time and arrival lie anywhere in its row: fetched 16
+             * events early, the chain at n = 1e5 took 20% less time */
+            if (k + 16 < size) {
+                __builtin_prefetch(&row_times[row_keys[k + 16] & mask]);
+                __builtin_prefetch(&row_arrivals[row_keys[k + 16] & mask], 1);
+            }
+            at = row_keys[k] & mask;
+            const double gap = row_times[at] - last;
+            const double lam = gap * completed / n;
+            tied |= gap == 0;
+            last = row_times[at];
+            draw += 1 + poisson(s, &bitgen, lam);
+            row_arrivals[at] = draw;
+            completed += at % r_max == r_max - 1;
         }
     }
-    return 0;
+    return tied ? 2 : 0;
 }

@@ -31,8 +31,8 @@ from operator import attrgetter
 import numpy as np
 
 from . import calibration
-from .discrete import TraceBlock, block_size, keyed, release_scratch, row_sampler
-from .gof import increment_test, ks_statistic, ks_test, poisson_count_test
+from .discrete import TraceBlock, block_size, release_scratch, row_sampler
+from .gof import increment_test, ks_p_value, ks_statistic, ks_test, poisson_count_test
 from .limitlaws import (
     ChiSqLog,
     GumbelType,
@@ -41,7 +41,7 @@ from .limitlaws import (
     intensity_mass,
 )
 from .pointprocess import Normalization, h_transform
-from .samplers import SeedSpec
+from .samplers import stream_keys
 
 __all__ = [
     "ConfigError",
@@ -50,6 +50,7 @@ __all__ = [
     "check_battery",
     "check_report",
     "replication_block",
+    "replication_keys",
     "run_bank",
     "run_experiments",
     "write_csv",
@@ -289,13 +290,13 @@ def _count_tests(out, n, counts) -> None:
 
 
 class _SharedBlock(TraceBlock):
-    """A block as the bank hands it to its readers: the traces of ``block``,
-    and the statistics that several kinds read from them, each computed once
-    per r and then shared.  ``depth`` is one more than the largest m among
-    the readers."""
+    """A block as the bank hands it to its readers: its traces, and the
+    statistics that several kinds read from them, each computed once per r
+    and then shared.  ``depth`` is one more than the largest m among the
+    readers."""
 
-    def __init__(self, block: TraceBlock, depth: int) -> None:
-        super().__init__(block.n, block.r_max, block.streams)
+    def __init__(self, n: int, r_max: int, keys: np.ndarray, depth: int) -> None:
+        super().__init__(n, r_max, keys)
         self.depth = depth
         self._patterns: dict[int, np.ndarray] = {}
         self._largest: dict[int, np.ndarray] = {}
@@ -477,10 +478,20 @@ def _aggregate_mismatch(out, per_n):
 
 
 def _extract_null_p_values(block, cfg):
-    law = LogGamma(cfg.r, cfg.m)
-    # drawn and reduced a stream at a time, so one stream's draws are held at once
-    sums = (rng.exponential(1.0, (1000, cfg.m + 1)).sum(axis=1) for rng in keyed(block.streams))
-    return np.array([ks_test(h_transform(s, cfg.r), law.cdf).p_value for s in sums])
+    """Per row, the KS p-value of 1000 sums of m+1 standard exponentials,
+    the first draws of its stream, against their law under h.  The rows are
+    drawn and tested a few at a time, as many as a block of 1000 types and
+    m+1 arrivals holds: a whole block of 200 rows at once raised a process's
+    peak resident memory by 7 MB."""
+    law, rows = LogGamma(cfg.r, cfg.m), block_size(1000, cfg.m + 1)
+    p_values = []
+    for start in range(0, len(block.keys), rows):
+        keys = block.keys[start:start + rows]
+        draws = np.empty((len(keys), 1000, cfg.m + 1))
+        row_sampler().exponentials(keys, draws)
+        samples = h_transform(draws.sum(axis=2), cfg.r)
+        p_values.append(ks_p_value(ks_statistic(samples, law.cdf), 1000))
+    return np.concatenate(p_values)
 
 
 def _aggregate_null(out, per_n):
@@ -505,7 +516,7 @@ class Kind:
     that several kinds share, the normalized pattern and the largest r-th
     arrival draws, from the block's ``pattern`` and ``largest``.  A block
     samples only what is read: a kind that reads only ``times`` costs no jump
-    chain, and one of r_max 0 reads only ``block.streams``.  Row i is the
+    chain, and one of r_max 0 reads only ``block.keys``.  Row i is the
     bytes of the trace of ``streams[i]`` alone, so a payload does not depend
     on the block it was read from.  ``aggregate(out, per_n)`` reads the
     payload array at each n, one row per replication, and records its rows,
@@ -580,19 +591,24 @@ KINDS = {
 # ---------------------------------------------------------------------------
 # the trace bank
 
+def replication_keys(seed: int, n: int, start: int, stop: int) -> np.ndarray:
+    """The Philox keys of replications ``start..stop-1`` of ``(seed, n)``:
+    replication j reads the stream of ``seed`` whose index holds n in its
+    high 32 bits and j in its low 32."""
+    return stream_keys(seed, np.uint64(n << 32) | np.arange(start, stop, dtype=np.uint64))
+
+
 def replication_block(seed: int, n: int, r_max: int, start: int, stop: int) -> TraceBlock:
     """The traces of replications ``start..stop-1`` of ``(seed, n)``, tracking
-    ``r_max`` arrivals per type: replication j reads the stream of ``seed``
-    whose index holds n in its high 32 bits and j in its low 32."""
-    return TraceBlock(n, r_max, [SeedSpec(seed, (n << 32) | j) for j in range(start, stop)])
+    ``r_max`` arrivals per type, on the streams of :func:`replication_keys`."""
+    return TraceBlock(n, r_max, replication_keys(seed, n, start, stop))
 
 
 def _bank_block(configs, task):
     """One block of traces: per config reading it, the payload of each trace,
     then the draws of the jump chains (0 unless a reader derived them)."""
-    seed, n, start, count, r_max, readers = task
-    block = _SharedBlock(replication_block(seed, n, r_max, start, start + count),
-                         max(configs[k].m for k in readers) + 1)
+    n, keys, r_max, readers = task
+    block = _SharedBlock(n, r_max, keys, max(configs[k].m for k in readers) + 1)
     payloads = [KINDS[configs[k].kind].extract(block, configs[k]) for k in readers]
     return payloads, block.derived_draws()
 
@@ -711,18 +727,21 @@ def _usable_cpus() -> int:
 # about what sampling n * r_max + _TRACE_COST arrivals would, and a bank of
 # total cost at most _POOL_MIN_COST runs faster serially than with forked
 # helpers.  A trace whose jump chain no reader derives costs its n * r_max
-# exponential draws, 11.7 ns each against 0.12-0.14 us per chain arrival,
-# so it is priced at n * r_max // _CHAIN_PER_DRAW + _TRACE_COST.  Measured
-# on 2 vCPUs, with extraction from whole blocks: in a serial bank on numpy's
-# row sampler a trace costs about 25 us plus 0.12-0.14 us per tracked
-# arrival, so its fixed part is nearer 200 arrivals than 300; on the
-# compiled row sampler an erdos-renyi trace costs about 5 us plus 0.11 us
-# per arrival (medians of 9 banks of 1000 traces at n = 100 and 1000), a
-# fixed part of about 50 arrivals.  _TRACE_COST stays 300 so that every
-# bank keeps the process count it was measured at.  Forking a
-# helper, reading its pipe and joining it costs about 5 ms, against about
-# 11 ms to start, map and exit a 2-process pool, which broke even near cost
-# 600000, about 50-75 ms of serial work.  The cheaper start did not move the
+# exponential draws, so it is priced at n * r_max // _CHAIN_PER_DRAW +
+# _TRACE_COST.  Measured on 2 vCPUs, with extraction from whole blocks: in a
+# serial bank on numpy's row sampler a trace costs about 25 us plus
+# 0.12-0.14 us per tracked arrival, so its fixed part is nearer 200 arrivals
+# than 300.  On the compiled row sampler, with its one-pass jump chain, an
+# exponential draw costs 8-15 ns and a chain arrival 50-63 ns (n = 1e3,
+# r_max = 1 and n = 1e4, r_max = 3), so a draw is a fourth to a sixth of a
+# chain arrival; an erdos-renyi trace costs at most about 3 us plus
+# 0.06-0.08 us per arrival (medians of 9 banks of 1000 traces at n = 100
+# and 1000, over 3 runs), a fixed part below 40 arrivals.  _TRACE_COST and
+# _CHAIN_PER_DRAW stay 300 and 10 so that every bank keeps the process count
+# it was measured at.  Forking a helper, reading its pipe and joining it
+# costs about 5 ms, against about 11 ms to start, map and exit a 2-process
+# pool, which broke even near cost 600000, then about 50-75 ms of serial
+# work (36-48 ms at the per-arrival cost above).  The cheaper start did not move the
 # threshold: right after a fork both processes run slower, copying the pages
 # they write, so an n = 100 erdos-renyi bank of 1000 replications (cost
 # 400000) took a median 41 ms and 36 minor faults serially, but 58 ms on the
@@ -742,6 +761,11 @@ def _processes(workers: int, traces: int, cost: int) -> int:
     return min(workers, traces, _usable_cpus())
 
 
+# The streams a bank's plan keys in one hash call: the hash's temporaries hold
+# about six times the keys it makes.
+_KEY_CHUNK = 1 << 16
+
+
 def _plan(configs: list[ExperimentConfig], workers: int) -> tuple[list, int, int]:
     """The tasks of a bank of valid ``configs``, one per block, the number of
     traces they sample and the processes they sample on."""
@@ -753,11 +777,17 @@ def _plan(configs: list[ExperimentConfig], workers: int) -> tuple[list, int, int
     for (seed, n), ks in readers.items():
         r_max = max(KINDS[configs[k].kind].r_max(configs[k]) for k in ks)
         size = block_size(n, r_max)
+        stops = sorted({configs[k].replications for k in ks})
+        # keyed before any block is sampled or helper forked: a block's keys
+        # are a slice of its (seed, n)'s
+        keys = np.empty((stops[-1], 2), dtype=np.uint64)
+        for j in range(0, stops[-1], _KEY_CHUNK):
+            keys[j:j + _KEY_CHUNK] = replication_keys(seed, n, j, min(j + _KEY_CHUNK, stops[-1]))
         start = 0
         # j in [start, stop) is read by the configs of at least stop replications
-        for stop in sorted({configs[k].replications for k in ks}):
+        for stop in stops:
             reading = [k for k in ks if configs[k].replications >= stop]
-            tasks += [(seed, n, j, min(size, stop - j), r_max, reading)
+            tasks += [(n, keys[j:min(j + size, stop)], r_max, reading)
                       for j in range(start, stop, size)]
             tracked = n * max(r_max, 1)
             if not any(KINDS[configs[k].kind].reads_chain for k in reading):
@@ -813,7 +843,7 @@ def run_bank(configs: list[ExperimentConfig], workers: int = 1) -> tuple:
 
     parts = [{n: [] for n in cfg.grid} for cfg in configs]
     draws = [0] * len(configs)
-    for (_, n, _, _, _, ks), (block_payloads, block_draws) in zip(tasks, outcomes):
+    for (n, _, _, ks), (block_payloads, block_draws) in zip(tasks, outcomes):
         for k, payloads in zip(ks, block_payloads):
             parts[k][n].append(payloads)
             draws[k] += block_draws
@@ -845,9 +875,10 @@ def run_experiments(configs: list[ExperimentConfig], workers: int = 1) -> list[d
         })
     # wall-clock goes to stderr, not the reports, so reruns are byte-identical
     replications = sum(cfg.replications * len(cfg.grid) for cfg in configs)
+    rows = row_sampler()
     print(f"{replications} replications from {traces} traces in "
-          f"{time.perf_counter() - start:.2f}s (workers={processes}) "
-          f"(sampler={row_sampler().name})", file=sys.stderr, flush=True)
+          f"{time.perf_counter() - start:.2f}s (workers={processes}) (sampler={rows.name})"
+          + (f" ({rows.why})" if rows.why else ""), file=sys.stderr, flush=True)
     return reports
 
 

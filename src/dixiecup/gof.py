@@ -38,7 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-__all__ = ["GofResult", "ks_test", "ks_statistic", "poisson_count_test", "increment_test"]
+__all__ = ["GofResult", "ks_test", "ks_statistic", "ks_p_value", "poisson_count_test",
+           "increment_test"]
 
 # Minimum expected cell count after merging in the chi-square test.
 _MIN_EXPECTED = 5.0
@@ -77,31 +78,43 @@ def _distances(points, ranks, size, cdf):
     return ref, grid - ref, ref - (grid - 1.0 / size)
 
 
-def ks_statistic(sample, cdf) -> float:
+def ks_statistic(sample, cdf):
     """Two-sided sup-distance between the empirical CDF and the callable ``cdf``.
 
     ``cdf`` must be nondecreasing and act elementwise.  It is evaluated only
     where the supremum can lie (see the module docstring); the result is the
-    float that evaluating it at every point gives.
+    float that evaluating it at every point gives.  A 2-D ``sample`` is one
+    sample per row, all of one size, and gives an array of one statistic per
+    row, each the float its row alone gives: a 1-D sample is the one-row case.
     """
-    sample = np.sort(np.asarray(sample, dtype=np.float64))
-    size = len(sample)
+    sample = np.sort(np.asarray(sample, dtype=np.float64), axis=-1)
+    size = sample.shape[-1]
     if size == 0:
         raise ValueError("KS test needs a nonempty sample")
+    rows = sample.reshape(-1, size)
     block = _block_size(size)
     knots = np.arange(1, size + block, block)  # ranks 1, 1 + block, ...
     knots[-1] = size  # ... and the last
-    ref, d_plus, d_minus = _distances(sample[knots - 1], knots, size, cdf)
-    best = max(np.max(d_plus), np.max(d_minus), 0.0)
+    ref, d_plus, d_minus = _distances(rows[:, knots - 1], knots, size, cdf)
+    best = np.maximum(np.maximum(d_plus.max(axis=1), d_minus.max(axis=1)), 0.0)
     # bound the distances at the ranks strictly between two consecutive knots
     lo, hi = knots[:-1], knots[1:]
-    bound = np.maximum((hi - 1) / size - ref[:-1], ref[1:] - ((lo + 1) / size - 1.0 / size))
-    ranks = (lo[bound >= best - _SLACK, None] + np.arange(1, block)).ravel()
-    ranks = ranks[ranks < size]
-    if len(ranks) == 0:
-        return float(best)
-    _, d_plus, d_minus = _distances(sample[ranks - 1], ranks, size, cdf)
-    return float(max(best, np.max(d_plus), np.max(d_minus)))
+    bound = np.maximum((hi - 1) / size - ref[:, :-1], ref[:, 1:] - ((lo + 1) / size - 1.0 / size))
+    row, at = np.nonzero(bound >= best[:, None] - _SLACK)
+    ranks = lo[at, None] + np.arange(1, block)
+    inside = ranks < size
+    row, ranks = np.broadcast_to(row[:, None], ranks.shape)[inside], ranks[inside]
+    if len(ranks):
+        _, d_plus, d_minus = _distances(rows[row, ranks - 1], ranks, size, cdf)
+        np.maximum.at(best, row, np.maximum(d_plus, d_minus))
+    return float(best[0]) if sample.ndim == 1 else best
+
+
+def ks_p_value(statistic, size: int):
+    """The asymptotic Kolmogorov p-value of a KS statistic, or an array of
+    them, of samples of ``size`` points: the tail of the limit law of
+    ``sqrt(size) * statistic``."""
+    return special.kolmogorov(math.sqrt(size) * statistic)
 
 
 def ks_test(sample, cdf) -> GofResult:
@@ -115,8 +128,7 @@ def ks_test(sample, cdf) -> GofResult:
     """
     statistic = ks_statistic(sample, cdf)
     size = len(np.asarray(sample))
-    p_value = float(special.kolmogorov(math.sqrt(size) * statistic))
-    return GofResult(statistic, p_value, size)
+    return GofResult(statistic, float(ks_p_value(statistic, size)), size)
 
 
 def _poisson_probs(k_max: int, mean: float) -> np.ndarray:

@@ -9,10 +9,11 @@ workers in any order.
 A Philox stream is its 128-bit key at counter 0 (Salmon et al. 2011,
 "Parallel random numbers: as easy as 1, 2, 3").  The key of a spec is what
 numpy's seed sequence derives from the pair by a fixed uint32 hash
-(O'Neill's ``seed_seq`` design).  :func:`philox_keys` runs that hash on many
-specs at once as array arithmetic, so a block of streams is keyed for about
-the cost of one, and :func:`dixiecup.discrete.keyed` sets one scratch
-generator to each key in turn: every stream is drawn there.
+(O'Neill's ``seed_seq`` design).  :func:`stream_keys` runs that hash on many
+pairs at once as array arithmetic, so a bank's streams are keyed for about
+the cost of one, with no spec per stream, and :func:`philox_keys` keys a
+list of specs.  The row samplers of :mod:`dixiecup.discrete` draw every
+stream from its key.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SeedSpec", "philox_keys"]
+__all__ = ["SeedSpec", "philox_keys", "stream_keys"]
 
 _UINT64_MAX = 2**64 - 1
 
@@ -81,16 +82,25 @@ def _hash(words: np.ndarray, constants: tuple[np.ndarray, np.ndarray]) -> np.nda
 
 
 def philox_keys(specs: Sequence[SeedSpec]) -> np.ndarray:
-    """The Philox key of each spec's stream, one row of two uint64 words each.
+    """The Philox key of each spec's stream: :func:`stream_keys` of their
+    seeds and indices."""
+    return stream_keys([s.master_seed for s in specs], [s.stream_index for s in specs])
+
+
+def stream_keys(seeds, indices) -> np.ndarray:
+    """The Philox key of each stream ``(seeds[i], indices[i])``, one row of
+    two uint64 words each; a lone seed or index serves every stream.
 
     Row i is, bit for bit, the two uint64 words that numpy's seed sequence
-    over ``(master_seed, stream_index)`` of ``specs[i]`` generates.  The
-    entropy is the seed's uint32 words, low first (one word below 2**32,
-    else two), then the index's; it fits the pool of 4 words, where missing
-    words hash as 0.
+    over ``(seeds[i], indices[i])`` generates.  The entropy is the seed's
+    uint32 words, low first (one word below 2**32, else two), then the
+    index's; it fits the pool of 4 words, where missing words hash as 0.
     """
-    values = np.array([(s.master_seed, s.stream_index) for s in specs], dtype="<u8")
-    # one row per pool word, one column per spec: seed low, seed high, index
+    seeds, indices = np.broadcast_arrays(np.asarray(seeds, dtype=np.uint64),
+                                         np.asarray(indices, dtype=np.uint64))
+    values = np.empty((indices.size, 2), dtype="<u8")
+    values[:, 0], values[:, 1] = seeds.ravel(), indices.ravel()
+    # one row per pool word, one column per stream: seed low, seed high, index
     # low, index high, or with a one-word seed its high word, 0, comes last
     halves = values.view("<u4").T
     pool = _hash(np.where(halves[1] != 0, halves, halves[[0, 2, 3, 1]]), _FILL)

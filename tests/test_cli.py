@@ -5,6 +5,7 @@ import copy
 import csv
 import dataclasses
 import hashlib
+import importlib.metadata
 import importlib.util
 import io
 import json
@@ -14,6 +15,7 @@ import os
 import re
 import resource
 import select
+import shutil
 import signal
 import subprocess
 import sys
@@ -576,8 +578,9 @@ def test_missing_out_directory_fails_before_sampling(tmp_path, capsys, monkeypat
     def sampled(*args):
         raise AssertionError("a block was sampled")
 
-    for module in (cli, experiments):
-        monkeypatch.setattr(module, "replication_block", sampled)
+    # simulate samples through replication_block, a bank through _bank_block
+    monkeypatch.setattr(cli, "replication_block", sampled)
+    monkeypatch.setattr(experiments, "_bank_block", sampled)
     # a file in a directory that does not exist, a path that is a directory,
     # and an empty path
     for out, why in ((tmp_path / "missing" / "x.json", "missing"), (tmp_path, "is a directory"),
@@ -686,6 +689,11 @@ def test_battery_bad_arguments_are_usage_errors(argv, tmp_path, capsys):
 # change meant to alter the report bytes updates it there too
 BATTERY_002_SHA256 = "f6ba9b0924d75ba2dce4b9b9152cbfcc7ad011ff8a7c697724f9f3a4da71cbca"
 
+# the failure message of every pinned digest: numpy does not promise the same
+# draws across feature releases (NEP 19), so a digest names what it holds for
+PINNED_ON = (f"digests measured on numpy 2.4.6 and scipy 1.17.1; installed: numpy "
+             f"{importlib.metadata.version('numpy')}, scipy {importlib.metadata.version('scipy')}")
+
 
 def sha256_of(paths) -> dict:
     return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in paths}
@@ -696,11 +704,12 @@ def test_battery_report_bytes_are_pinned(tmp_path):
     code = run_cli("battery", "--seed", "42", "--scale", "0.02", "--workers", "1",
                    "--out", str(out))
     assert code in (EXIT_PASS, EXIT_STAT_FAIL)
-    assert sha256_of([out]) == {"battery.json": BATTERY_002_SHA256}
+    assert sha256_of([out]) == {"battery.json": BATTERY_002_SHA256}, PINNED_ON
     # its CSV rendering: the rows of every experiment, and no series sidecar
     assert run_cli("report", str(out), "--format", "csv") == code
     assert sha256_of(tmp_path.glob("*.csv")) == {
-        "battery.csv": "f66a45a8c0c3c300eedd4e648d16b17063dfffc4dd97013862321c541e4d32ee"}
+        "battery.csv": "f66a45a8c0c3c300eedd4e648d16b17063dfffc4dd97013862321c541e4d32ee",
+    }, PINNED_ON
 
 
 def test_battery_report_bytes_are_pinned_on_numpys_row_sampler(tmp_path, numpy_path, capsys):
@@ -708,13 +717,14 @@ def test_battery_report_bytes_are_pinned_on_numpys_row_sampler(tmp_path, numpy_p
     code = run_cli("battery", "--seed", "42", "--scale", "0.02", "--workers", "1",
                    "--out", str(out))
     assert code in (EXIT_PASS, EXIT_STAT_FAIL)
-    assert sha256_of([out]) == {"battery.json": BATTERY_002_SHA256}
+    assert sha256_of([out]) == {"battery.json": BATTERY_002_SHA256}, PINNED_ON
     assert "(sampler=numpy)" in capsys.readouterr().err
 
 
 def test_a_failed_build_samples_on_numpy_in_the_same_bytes(tmp_path, monkeypatch, capsys):
     """Where the compiled sampler cannot be built, the numpy row sampler draws
-    the same report, and the command says so only in its timing line."""
+    the same report, and the command says so, and why, only in its timing
+    line."""
     argv = ("verify", "--kind", "coupling-decay", "--n", "100,1000", "--reps", "300",
             "--seed", "5", "--out")
     run_cli(*argv, str(tmp_path / "default.json"))
@@ -728,9 +738,75 @@ def test_a_failed_build_samples_on_numpy_in_the_same_bytes(tmp_path, monkeypatch
     assert code in (EXIT_PASS, EXIT_STAT_FAIL)
     assert discrete.row_sampler().name == "numpy"
     assert list((tmp_path / "cache").iterdir()) == []
-    assert TIMING.search(captured.err) and "(sampler=numpy)" in captured.err
+    why = f"no C compiler {tmp_path / 'no-such-compiler'}"
+    assert TIMING.search(captured.err) and f"(sampler=numpy) ({why})" in captured.err
     assert "error" not in captured.err.lower() and "warning" not in captured.err.lower()
     assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "default.json").read_bytes()
+
+
+def can_build_the_sampler():
+    return (shutil.which(discrete._CC) is not None
+            and (discrete._RANDOM_LIB / "libnpyrandom.a").is_file())
+
+
+@pytest.mark.parametrize("case", ["no-compiler", "no-library", "unwritable-cache",
+                                  "check-mismatch"])
+def test_the_bank_line_says_why_numpy_drew(case, tmp_path, monkeypatch, capsys):
+    """Each reason the compiled sampler cannot draw is named on the bank's
+    timing line; only a check mismatch, which means numpy's generator changed
+    under the package, is also a warning."""
+    monkeypatch.setattr(discrete, "_rows", None)
+    monkeypatch.setattr(discrete, "_CACHE", tmp_path / "cache")
+    if case == "no-compiler":
+        monkeypatch.setattr(discrete, "_CC", str(tmp_path / "no-cc"))
+        why = f"no C compiler {tmp_path / 'no-cc'}"
+    elif case == "no-library":
+        monkeypatch.setattr(discrete, "_RANDOM_LIB", tmp_path)
+        why = f"no libnpyrandom.a in {tmp_path}"
+    elif case == "unwritable-cache":
+        (tmp_path / "file").write_text("")
+        monkeypatch.setattr(discrete, "_CACHE", tmp_path / "file" / "cache")
+        why = f"unwritable cache {tmp_path / 'file' / 'cache'}: Not a directory"
+    else:
+        if not can_build_the_sampler():
+            pytest.skip("no C compiler or libnpyrandom.a to build the sampler with")
+        monkeypatch.setattr(discrete, "_verified", lambda rows: False)
+        why = "check mismatch"
+    code = run_cli("verify", "--kind", "erdos-renyi", "--n", "20", "--reps", "5")
+    err = capsys.readouterr().err
+    assert code in (EXIT_PASS, EXIT_STAT_FAIL)
+    assert discrete.row_sampler().name == "numpy"
+    assert TIMING.search(err) and f"(sampler=numpy) ({why})" in err
+    assert ("warning: the compiled row sampler draws other values than numpy" in err) == (
+        case == "check-mismatch")
+
+
+def test_a_failed_compile_is_not_run_again(tmp_path, monkeypatch, capsys):
+    """A compile that fails leaves its reason in the cache, under the build's
+    tag: a later process samples on numpy for that reason and builds nothing."""
+    if not (discrete._RANDOM_LIB / "libnpyrandom.a").is_file():
+        pytest.skip("no libnpyrandom.a, so no compile is tried")
+    compiler = tmp_path / "failing-cc"
+    compiler.write_text("#!/bin/sh\necho 'fatal: no such header' >&2\nexit 1\n")
+    compiler.chmod(0o755)
+    monkeypatch.setattr(discrete, "_rows", None)
+    monkeypatch.setattr(discrete, "_CACHE", tmp_path / "cache")
+    monkeypatch.setattr(discrete, "_CC", str(compiler))
+    why = discrete.row_sampler().why
+    assert why == f"{compiler} failed: fatal: no such header"
+    assert [path.suffix for path in (tmp_path / "cache").iterdir()] == [".failed"]
+    assert run_cli("verify", "--kind", "erdos-renyi", "--n", "20", "--reps", "5") in (
+        EXIT_PASS, EXIT_STAT_FAIL)
+    assert f"(sampler=numpy) ({why})" in capsys.readouterr().err
+    # as in a new process, with a compiler that would build the sampler
+    monkeypatch.setattr(discrete, "_rows", None)
+    monkeypatch.setattr(discrete, "_CC", "cc")
+
+    def build(path):
+        raise AssertionError("the failed build was tried again")
+
+    monkeypatch.setattr(discrete, "_build", build)
+    assert discrete.row_sampler().why == why
 
 
 def test_verify_report_bytes_are_pinned(tmp_path):
@@ -739,7 +815,7 @@ def test_verify_report_bytes_are_pinned(tmp_path):
                    "--reps", "60", "--seed", "3", "--out", str(out))
     assert code in (EXIT_PASS, EXIT_STAT_FAIL)
     assert sha256_of([out]) == {
-        "lc.json": "b5fa3af992afac4dc77b42240ec78bd84f081d22711ed9e52628bf37a2a349f8"}
+        "lc.json": "b5fa3af992afac4dc77b42240ec78bd84f081d22711ed9e52628bf37a2a349f8"}, PINNED_ON
 
 
 def test_report_csv_of_a_single_report_is_pinned(tmp_path):
@@ -752,7 +828,7 @@ def test_report_csv_of_a_single_report_is_pinned(tmp_path):
         "rare.json": "3a0c3204ebcfc0bb2ef375dac224796cacaf39ab56edb5afb5e758e234c0588b",
         "rare.csv": "10decb29de88ccea1d1f234eea202919c82b660ca83fb455d3f20718a2648752",
         "rare.series.csv": "f33e8ed4dd1b7ddeffb7325bfc4823e93be5a58a73ba0b43aa2d80baaa6d2b5f",
-    }
+    }, PINNED_ON
 
 
 def test_report_rendering_round_trip(tmp_path, capsys):

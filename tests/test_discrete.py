@@ -236,9 +236,11 @@ def test_block_rows_restore_row_order_after_float_ties(n, r_max, tied_scratch):
 
 @pytest.mark.parametrize("r_max", [3, 1])
 def test_warmed_jump_chain_allocates_below_four_arrival_arrays(r_max):
-    """The chain's temporaries live in the work buffer: once it has grown, a
-    chain allocates only the argsort order, a row's Poisson draws and the
-    arrivals it returns, each n * r_max int64s (fresh temporaries were six)."""
+    """The numpy chain's temporaries live in the work buffer: once it has
+    grown, a chain allocates only the argsort order, a row's Poisson draws and
+    the arrivals it returns, each n * r_max int64s (fresh temporaries were
+    six); the compiled chain allocates the packed keys, their positions and
+    the arrivals."""
     n = 10_000
     TraceBlock(n, r_max, [SeedSpec(3, 0)]).arrivals  # grows the work buffer
     block = TraceBlock(n, r_max, [SeedSpec(3, 1)])
@@ -328,20 +330,34 @@ def test_the_compiled_sampler_loads_wherever_it_can_be_built():
     assert discrete.row_sampler().name == "compiled"
 
 
+def chain_means(times):
+    """The Poisson means of the untracked draws of a block's jump chains: per
+    row, each gap between sorted times, times the types whose last tracked
+    arrival came before it, over n."""
+    traces, n, r_max = times.shape
+    flat = times.reshape(traces, n * r_max)
+    order = np.argsort(flat, axis=1)
+    completed = np.cumsum(order % r_max == r_max - 1, axis=1)[:, :-1]
+    return np.diff(np.take_along_axis(flat, order, axis=1), axis=1) * completed / n
+
+
 def test_compiled_rows_are_numpys_bytes(monkeypatch):
     """Blocks of one row and of ``block_size`` rows have the same ``times``
     and ``arrivals`` on both row samplers, over key words on both sides of
-    2**63 and Poisson means on both sides of 10, where numpy switches method."""
+    2**63 and Poisson means on both sides of 10, where numpy switches method,
+    and of 0, where it draws nothing."""
     compiled = discrete.row_sampler()
     if compiled.name != "compiled":
         pytest.skip("the compiled row sampler is not built here")
     means = []
 
-    def poisson(states, lam, draws):
+    def chain(states, times):
+        lam = chain_means(times)
         means.append((lam.min(), lam.max()))
-        type(compiled).poisson(compiled, states, lam, draws)
+        return type(compiled).chain(compiled, states, times)
 
-    monkeypatch.setattr(compiled, "poisson", poisson)
+    # every block's chain, on either path of the compiled sampler, comes through here
+    monkeypatch.setattr(compiled, "chain", chain)
     keys = []
     for n, r_max in ((2, 1), (3, 2), (10, 4), (100, 1), (100, 3), (1000, 2), (10_000, 1),
                      (100_000, 3)):
@@ -356,7 +372,60 @@ def test_compiled_rows_are_numpys_bytes(monkeypatch):
             assert_same_bytes(*sampled)
     keys = np.concatenate(keys)
     assert (keys >= 2**63).any() and (keys < 2**63).any()
-    assert min(low for low, _ in means) < 10 <= max(high for _, high in means)
+    assert min(low for low, _ in means) == 0 and max(high for _, high in means) >= 10
+    assert any(0 < low < 10 or 0 < high < 10 for low, high in means)
+
+
+def adjacent_times(block, rng):
+    """``block``'s times, with two arrivals of each row moved to one time and
+    the next float above it: their keys tie but for the position bits, so
+    the keys may order them otherwise than ``np.argsort``."""
+    times = block.times.copy()
+    flat = times.reshape(len(times), -1)
+    for row in flat:
+        a, b = rng.choice(len(row), 2, replace=False)
+        # the lowest bit cleared, so that the next float differs in it alone
+        row[a] = (row[a:a + 1].view(np.uint64) & np.uint64(2**64 - 2)).view(np.float64)[0]
+        row[b] = np.nextafter(row[a], np.inf)
+    return times
+
+
+def tied_times(block, rng):
+    """``block``'s times, with one arrival of each row moved to another's time."""
+    times = block.times.copy()
+    flat = times.reshape(len(times), -1)
+    for row in flat:
+        a, b = rng.choice(len(row), 2, replace=False)
+        row[a] = row[b]
+    return times
+
+
+@pytest.mark.parametrize("n,r_max", [(2, 1), (3, 2), (10, 4), (40, 3), (100, 1), (1000, 2)])
+@pytest.mark.parametrize("perturb", [adjacent_times, tied_times])
+def test_compiled_chain_is_numpys_on_ties_and_key_collisions(n, r_max, perturb, monkeypatch):
+    """Where two times of a row agree but for the bits a packed key replaces
+    with the position, or tie, the compiled chain takes its order from
+    ``np.argsort`` and gives the numpy chain's bytes, ties repaired alike."""
+    compiled = discrete.row_sampler()
+    if compiled.name != "compiled":
+        pytest.skip("the compiled row sampler is not built here")
+    codes = []
+
+    def derive(*args):
+        codes.append(type(compiled)._derive(compiled, *args))
+        return codes[-1]
+
+    monkeypatch.setattr(compiled, "_derive", derive)
+    rng = generator(SeedSpec(12, (n << 8) | r_max))
+    block = TraceBlock(n, r_max, [SeedSpec(11, (n << 32) | j) for j in range(block_size(n, r_max))])
+    for _ in range(3):
+        times = perturb(block, rng)
+        chains = [rows.chain(rows.exponentials(block.keys, np.empty_like(times)), times)
+                  for rows in (compiled, discrete._NUMPY)]
+        assert_same_bytes(chains[:1], chains[1:])
+        # the keys failed the check before any draw, and the chain ran on argsort's order
+        assert codes[0] == 1 and len(codes) == 2
+        codes.clear()
 
 
 def test_collection_time_is_max_of_column():

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dixiecup import discrete, experiments
+from dixiecup import discrete, experiments, samplers
 from dixiecup.cli import _verify_config, battery_configs, build_parser
 from dixiecup.discrete import CollectorTrace, block_size, run_discrete
 from dixiecup.experiments import (
@@ -222,11 +222,13 @@ def test_marginal_reads_the_same_times_without_the_jump_chain(monkeypatch):
     marginal = small_config("poissonized-marginal", r=2, n_grid=[15, 30])
     shared_per_config, shared_draws, traces, _ = run_bank(
         [marginal, small_config("chi2-law", r=2, m=0, n_grid=[15, 30])])
-    # alone, no reader reads the jump chain, so none is derived
-    def no_chain(rng, times):
+    # alone, no reader reads the jump chain, so none is derived: every block
+    # derives its chain through its row sampler's chain, on either sampler
+    def no_chain(self, states, times):
         raise AssertionError("the jump chain was derived")
 
-    monkeypatch.setattr(discrete, "_jump_chain", no_chain)
+    for rows in (discrete._NumpyRows, discrete._CompiledRows):
+        monkeypatch.setattr(rows, "chain", no_chain)
     (alone,), draws, alone_traces, _ = run_bank([marginal])
     assert draws == [0] < shared_draws[:1] and alone_traces == traces
     assert typed(alone) == typed(shared_per_config[0])
@@ -306,6 +308,31 @@ def test_bank_builds_no_trace_objects(monkeypatch):
         cfg.replications * len(cfg.grid) for cfg in configs]
 
 
+def test_a_bank_keys_each_seed_and_n_once(monkeypatch):
+    """A bank keys the streams of each ``(seed, n)`` it reads in one hash
+    call, before it samples any block, and builds no SeedSpec per replication."""
+    discrete.row_sampler()  # its load check keys streams of its own
+    calls = []
+
+    def stream_keys(seeds, indices):
+        calls.append(len(indices))
+        return samplers.stream_keys(seeds, indices)
+
+    def no_spec(self):
+        raise AssertionError("the bank built a SeedSpec")
+
+    monkeypatch.setattr(experiments, "stream_keys", stream_keys)
+    monkeypatch.setattr(SeedSpec, "__post_init__", no_spec)
+    configs = battery_configs(7, 0.01) + [small_config("erdos-renyi", master_seed=8,
+                                                       n_grid=[100], replications=300)]
+    reads = {}
+    for cfg in configs:
+        for n in cfg.grid:
+            reads[cfg.master_seed, n] = max(reads.get((cfg.master_seed, n), 0), cfg.replications)
+    run_bank(configs)
+    assert sorted(calls) == sorted(reads.values())
+
+
 def test_a_bank_that_derives_no_jump_chain_is_priced_by_its_exponentials(monkeypatch):
     """Priced as jump chains, this bank costs 991800, above _POOL_MIN_COST;
     its exponential draws cost a tenth of that, so it samples serially."""
@@ -356,7 +383,7 @@ def test_readers_of_one_block_get_what_each_reads_alone():
     for cfg in configs:
         cfg.n_grid = [60]
     r_max = max(KINDS[cfg.kind].r_max(cfg) for cfg in configs)
-    task = (7, 60, 0, block_size(60, r_max), r_max)
+    task = (60, experiments.replication_keys(7, 60, 0, block_size(60, r_max)), r_max)
     together, _ = experiments._bank_block(configs, (*task, list(range(len(configs)))))
     assert len(together) == len(configs)
     for k, payloads in enumerate(together):

@@ -155,8 +155,12 @@ def test_ks_statistic_equals_full_evaluation(name, cdf, draw):
     for size in KS_SIZES:
         null = draw(rng, size)
         # the law itself, a near miss, a gross miss and a rescaled sample
-        for sample in (null, null + 0.01, null - 0.5, 1.05 * null):
-            assert ks_statistic(sample, cdf) == reference_ks_statistic(sample, cdf), size
+        samples = (null, null + 0.01, null - 0.5, 1.05 * null)
+        full = [reference_ks_statistic(sample, cdf) for sample in samples]
+        assert [ks_statistic(sample, cdf) for sample in samples] == full, size
+        # the samples as the rows of one 2-D sample: one statistic per row
+        rows = ks_statistic(np.stack(samples), cdf)
+        assert rows.dtype == np.float64 and rows.tolist() == full, size
 
 
 def positioned_uniform_samples(rng, size):

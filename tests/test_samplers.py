@@ -72,7 +72,7 @@ def test_distinct_streams_differ_and_are_uncorrelated():
     """Two streams keyed on the scratch generator draw what their own
     generators would, and their draws differ and are uncorrelated."""
     streams = [SeedSpec(5, 0), SeedSpec(5, 1)]
-    x, y = (rng.exponential(1.0, 100_000) for rng in keyed(streams))
+    x, y = (rng.exponential(1.0, 100_000) for rng in keyed(philox_keys(streams)))
     for draws, stream in zip((x, y), streams):
         assert np.array_equal(draws, generator(stream).exponential(1.0, 100_000))
     assert not np.array_equal(x[:100], y[:100])
