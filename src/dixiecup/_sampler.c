@@ -133,10 +133,11 @@ static inline int64_t poisson(philox_state *s, bitgen_t *bitgen, double lam) {
 }
 
 /* The jump chain of each row of a block of `rows` traces of n types and
- * r_max tracked arrivals each, from states[i], as discrete.py's _jump_chain
- * derives it with numpy's draws.  times holds each row's n * r_max
- * poissonized times, type-major; keys holds each row's arrivals in time
- * order, each as a uint64 whose low `bits` bits are its position in the row.
+ * r_max tracked arrivals each, from states[i], as discrete.py's
+ * _NumpyRows.chain derives it with numpy's draws.  times holds each row's
+ * n * r_max poissonized times, type-major; keys holds each row's arrivals
+ * in time order, each as a uint64 whose low `bits` bits are its position in
+ * the row.
  * The untracked draws in the gap before the k-th event in time order are
  * Poisson with mean (gap * completed) / n, with completed the types whose
  * last tracked arrival came before it; each event's draw number, written to

@@ -307,7 +307,7 @@ def _cmd_report(args) -> int:
     passed = all(report["passed"] for report in reports)
     if args.format == "csv":
         out = args.out or os.path.splitext(args.input)[0] + ".csv"
-        write_csv(reports, out)
+        write_csv(reports, out, source=args.input)
         print(f"CSV written to {out}")
     else:
         for report in reports:

@@ -11,7 +11,7 @@ import sysconfig
 import tempfile
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,6 @@ __all__ = [
     "TraceBlock",
     "block_size",
     "keyed",
-    "release_scratch",
     "row_sampler",
     "run_discrete",
 ]
@@ -75,28 +74,6 @@ def block_size(n: int, r_max: int) -> int:
 _SCRATCH = Generator(Philox(0))
 
 
-# The numpy jump chain's temporaries, one buffer per process beside
-# _SCRATCH: it grows on demand, every pass writes it with ``out=``, and
-# release_scratch empties it.  Only temporaries live in it: ``times`` and
-# ``arrivals`` leave their block, so they are fresh arrays.
-_WORK = np.empty(0)
-
-
-def _work(*sizes: int) -> list[np.ndarray]:
-    """Consecutive float64 runs of ``sizes`` in the work buffer, grown to hold them."""
-    global _WORK
-    if _WORK.size < sum(sizes):
-        _WORK = np.empty(sum(sizes))
-    ends = np.cumsum(sizes)
-    return [_WORK[end - size:end] for size, end in zip(sizes, ends)]
-
-
-def release_scratch() -> None:
-    """Free the numpy jump chain's work buffer; the next chain allocates it anew."""
-    global _WORK
-    _WORK = np.empty(0)
-
-
 def keyed(keys: np.ndarray) -> Iterator[Generator]:
     """The scratch generator set to each row of ``keys`` at counter 0, in turn.
 
@@ -137,16 +114,40 @@ class _NumpyRows:
         return states
 
     def chain(self, states: list[dict], times: np.ndarray) -> np.ndarray:
-        """The jump chain of a block of ``times``, each row's Poisson draws
-        from its state in ``states``."""
-        return _jump_chain(partial(self.poisson, states), times)
+        """The draw number of every tracked arrival of a block of ``times``,
+        each row's Poisson draws from its state in ``states``.
 
-    def poisson(self, states: list[dict], lam: np.ndarray, draws: np.ndarray) -> None:
-        """From ``states[i]``, fill row i of ``draws`` but its first column
-        with Poisson draws of the means in row i of ``lam``."""
-        for state, row_lam, row in zip(states, lam, draws):
+        The discrete scheme is the jump chain of the poissonized one.  Only
+        the n * r_max tracked times are sampled.  A type's arrivals past its
+        r_max-th are independent of them, so the untracked draws between two
+        consecutive tracked events are Poisson with mean
+        (#types past r_max) * gap / n.  An event's draw number is its rank
+        plus the untracked draws before it.  A type's times strictly increase
+        unless two of them are an exact float tie, which shows as a zero gap
+        between sorted times; only then can ``argsort`` reverse two ranks of
+        a row, so only then are the rows repaired.
+        """
+        traces, n, r_max = times.shape
+        size = n * r_max
+        order = np.argsort(times.reshape(traces, size), axis=1)
+        # flat positions in the block, so that one take and one put serve all
+        # rows; a row's offset is a multiple of r_max, so order % r_max holds
+        order += np.arange(0, traces * size, size)[:, None]
+        gaps = np.diff(times.take(order), axis=1)
+        # types past r_max before each gap
+        completed = np.cumsum(order[:, :-1] % r_max == r_max - 1, axis=1)
+        lam = completed * gaps / n
+        # the first event is draw 1, and each later one comes its untracked
+        # draws plus one after the event before it
+        index = np.ones((traces, size), dtype=np.int64)
+        for state, row_lam, row in zip(states, lam, index):
             _SCRATCH.bit_generator.state = state
-            row[1:] = _SCRATCH.poisson(row_lam)
+            row[1:] += _SCRATCH.poisson(row_lam)
+        arrivals = np.empty(times.shape, dtype=np.int64)
+        arrivals.put(order, index.cumsum(axis=1))
+        if not gaps.all():
+            _repair_ties(arrivals)
+        return arrivals
 
 
 def _address(array: np.ndarray, dtype, shape: tuple) -> int:
@@ -186,8 +187,8 @@ class _CompiledRows:
         return states
 
     def chain(self, states: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """The jump chain of :func:`_jump_chain`, to the bit, in one pass per row
-        over its arrivals in time order.
+        """The jump chain of :meth:`_NumpyRows.chain`, to the bit, in one
+        pass per row over its arrivals in time order.
 
         The order is one numpy ``sort`` of packed keys: a positive double
         orders like its bits, so a key is the time's bits with the low
@@ -388,72 +389,6 @@ class TraceBlock:
         if "arrivals" not in vars(self):
             return 0
         return int(self.arrivals[:, :, -1].max(axis=1).sum())
-
-
-def _jump_chain(poisson, times: np.ndarray) -> np.ndarray:
-    """The draw number of every tracked arrival, given the poissonized ``times``
-    of a block and ``poisson(lam, draws)``, which fills row i of ``draws`` but
-    its first column with Poisson draws of means ``lam[i]`` on stream i,
-    from its state after its times.
-
-    The discrete scheme is the jump chain of the poissonized one.  Only the
-    n * r_max tracked times are sampled.  A type's arrivals past its r_max-th
-    are independent of them, so the untracked draws between two consecutive
-    tracked events are Poisson with mean (#types past r_max) * gap / n.  An
-    event's draw number is its rank plus the untracked draws before it.
-
-    Each pass runs on the whole block, row by row, and writes into the work
-    buffer, so only the argsort order, each row's Poisson draws on the numpy
-    row sampler, and the returned arrivals are allocated.  The generator calls
-    and their arguments are fixed, so a stream always gives the same trace.
-    A type's times strictly increase unless two of them are an exact float tie, which shows as a zero gap between sorted times.
-    Only then can a tie break the wrong way in ``argsort`` and reverse two
-    ranks of a row, so only then are the rows checked.
-    """
-    traces, n, r_max = times.shape
-    size = n * r_max
-    cells = traces * size
-    order = np.argsort(times.reshape(traces, size), axis=1)
-    # flat positions in the block, so that one gather and one scatter serve all rows
-    order += np.arange(0, cells, size)[:, None]
-    # the work buffer: the times in rank order, whose run then holds the
-    # running counts and at last the draw numbers; the gaps; and the marks of
-    # last-column positions
-    ranked, gaps, marks = _work(cells, cells - traces, cells if r_max > 1 else 0)
-    ranked = ranked.reshape(traces, size)
-    # mode="clip" gathers straight into out=; order is in range, so it clips nothing
-    times.take(order, out=ranked, mode="clip")
-    gaps = gaps.reshape(traces, size - 1)
-    np.subtract(ranked[:, 1:], ranked[:, :-1], out=gaps)
-    tied = r_max > 1 and not gaps.all()
-    # types past r_max before each gap
-    if r_max == 1:
-        completed = ranked.ravel()[:n - 1]  # 1..n-1, the same in every row
-        completed.fill(1.0)
-        np.cumsum(completed, out=completed)
-    else:
-        # the number of last-column events so far
-        marks.fill(0.0)  # a contiguous fill is several times faster than a strided one
-        marks = marks.reshape(traces * n, r_max)
-        marks[:, -1] = 1.0
-        completed = ranked.ravel()[:cells - traces].reshape(traces, size - 1)
-        marks.take(order[:, :-1], out=completed, mode="clip")
-        np.cumsum(completed, axis=1, out=completed)
-    gaps *= completed
-    gaps /= n
-    # draw numbers: the first event is draw 1, and each later one comes its
-    # untracked draws plus one after the event before it
-    index = ranked.view(np.int64)
-    index[:, 0] = 1
-    poisson(gaps, index)
-    index[:, 1:] += 1
-    np.cumsum(index, axis=1, out=index)
-    arrivals = np.empty(traces * size, dtype=np.int64)
-    arrivals[order] = index
-    arrivals = arrivals.reshape(traces, n, r_max)
-    if tied:
-        _repair_ties(arrivals)
-    return arrivals
 
 
 def _repair_ties(arrivals: np.ndarray) -> None:

@@ -31,7 +31,7 @@ from operator import attrgetter
 import numpy as np
 
 from . import calibration
-from .discrete import TraceBlock, block_size, release_scratch, row_sampler
+from .discrete import TraceBlock, block_size, row_sampler
 from .gof import increment_test, ks_p_value, ks_statistic, ks_test, poisson_count_test
 from .limitlaws import (
     ChiSqLog,
@@ -825,7 +825,6 @@ def run_bank(configs: list[ExperimentConfig], workers: int = 1) -> tuple:
     payload of replication j; the draws of the jump chains derived for the
     traces each config read; the number of traces simulated; and the
     processes sampled on (1 when serially), on which the rest do not depend.
-    The jump chain's work buffer is empty when it returns.
     """
     if not configs:
         raise ConfigError("a bank needs at least one config")
@@ -838,8 +837,6 @@ def run_bank(configs: list[ExperimentConfig], workers: int = 1) -> tuple:
         outcomes = _sample_forked(configs, tasks, processes)
     else:
         outcomes = [_bank_block(configs, t) for t in tasks]
-    # the jump chain's work buffer lives for one bank
-    release_scratch()
 
     parts = [{n: [] for n in cfg.grid} for cfg in configs]
     draws = [0] * len(configs)
@@ -892,19 +889,23 @@ def write_json(data: dict, path: str) -> None:
         fh.write("\n")
 
 
-def write_csv(reports: list[dict], path: str) -> None:
+def write_csv(reports: list[dict], path: str, source: str | None = None) -> None:
     """Write the result rows of ``reports`` as flat CSV, a missing p-value as
     the empty cell csv makes of None, and beside them the mean-count series of
-    a lone report."""
+    a lone report.  Raises ConfigError, before it writes anything, if a file
+    it would write is the file ``source``, which the reports were read from."""
+    series = reports[0]["summaries"].get("mean_count_series") if len(reports) == 1 else None
+    sidecar = os.path.splitext(path)[0] + ".series.csv"
+    for out in [path, sidecar] if series else [path]:
+        if source is not None and os.path.exists(out) and os.path.samefile(out, source):
+            raise ConfigError(f"cannot write {out!r}: it is the input {source!r}")
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         writer.writeheader()
         for report in reports:
             writer.writerows(report["results"])
-    series = reports[0]["summaries"].get("mean_count_series") if len(reports) == 1 else None
     if series:
-        base, _ = os.path.splitext(path)
-        with open(base + ".series.csv", "w", newline="") as fh:
+        with open(sidecar, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(SERIES_TYPES))
             writer.writeheader()
             writer.writerows(series)

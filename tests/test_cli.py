@@ -809,6 +809,32 @@ def test_a_failed_compile_is_not_run_again(tmp_path, monkeypatch, capsys):
     assert discrete.row_sampler().why == why
 
 
+def test_an_installed_copy_whose_cache_cannot_be_written_samples_on_numpy(tmp_path):
+    """A copy of the package whose ``__pycache__`` cannot be written, as in a
+    read-only site-packages, samples on numpy's row sampler, says why, and
+    writes the bytes of the same command run from the source tree.  A regular
+    file stands in for a read-only directory, since a test run as root
+    ignores permission bits."""
+    source = Path(discrete.__file__).parent
+    installed = tmp_path / "site" / "dixiecup"
+    installed.mkdir(parents=True)
+    for path in [*source.glob("*.py"), source / "_sampler.c"]:
+        shutil.copy(path, installed)
+    (installed / "__pycache__").write_text("")
+    runs = {}
+    for name, root in (("installed", installed.parent), ("source", source.parent)):
+        path = os.pathsep.join(filter(None, [str(root), os.environ.get("PYTHONPATH")]))
+        runs[name] = subprocess.run(
+            [sys.executable, "-m", "dixiecup.cli", "verify", "--kind", "coupling-decay",
+             "--n", "100,1000", "--reps", "300", "--seed", "5", "--out", f"{name}.json"],
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+            text=True, timeout=300)
+        assert runs[name].returncode in (EXIT_PASS, EXIT_STAT_FAIL), runs[name].stderr
+    why = f"unwritable cache {installed / '__pycache__'}: File exists"
+    assert f"(sampler=numpy) ({why})" in runs["installed"].stderr
+    assert (tmp_path / "installed.json").read_bytes() == (tmp_path / "source.json").read_bytes()
+
+
 def test_verify_report_bytes_are_pinned(tmp_path):
     out = tmp_path / "lc.json"
     code = run_cli("verify", "--kind", "limit-consistency", "--r", "2", "--m", "3",
@@ -906,6 +932,24 @@ def test_report_bad_schema_is_usage_error(tmp_path, capsys):
 
 def test_report_missing_file_is_usage_error():
     assert run_cli("report", "/nonexistent/report.json") == EXIT_USAGE
+
+
+@pytest.mark.parametrize("name,out", [("rep.csv", None), ("rep.json", "rep.json"),
+                                      ("rep.series.csv", "rep.csv")])
+def test_report_refuses_to_write_over_its_input(name, out, tmp_path, monkeypatch, capsys):
+    """The CSV (by default the input's stem plus ``.csv``), or its series
+    sidecar, that would be the input report is refused before anything is
+    written, so the report survives."""
+    monkeypatch.chdir(tmp_path)
+    run_cli("verify", "--kind", "rare-path", "--n", "15", "--reps", "25", "--seed", "4",
+            "--out", name)
+    report = (tmp_path / name).read_bytes()
+    capsys.readouterr()
+    argv = ["report", name, "--format", "csv"] + (["--out", out] if out else [])
+    assert run_cli(*argv) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: cannot write '{name}'")
+    assert sorted(path.name for path in tmp_path.iterdir()) == [name]
+    assert (tmp_path / name).read_bytes() == report
 
 
 @pytest.fixture(scope="module")

@@ -189,6 +189,15 @@ def test_embed_matches_reference_bytes(n, r_max):
                           reference_embed(generator(stream), n, r_max))
 
 
+@pytest.mark.parametrize("n", [2, 3, 10, 100, 1000, 10_000])
+@pytest.mark.parametrize("r_max", [1, 2, 3, 4])
+def test_numpys_chain_matches_reference_bytes(n, r_max, numpy_path):
+    """The test above on numpy's row sampler, which it does not reach where
+    the compiled one draws: the reference checks the numpy chain at every
+    shape, and not only on tied times."""
+    test_embed_matches_reference_bytes(n, r_max)
+
+
 @pytest.mark.parametrize("n,r_max", [(40, 3), (2, 2), (10, 4), (1000, 2)])
 def test_embed_matches_reference_bytes_after_float_ties(n, r_max, tied_scratch):
     for seed in range(4):
@@ -236,13 +245,13 @@ def test_block_rows_restore_row_order_after_float_ties(n, r_max, tied_scratch):
 
 @pytest.mark.parametrize("r_max", [3, 1])
 def test_warmed_jump_chain_allocates_below_four_arrival_arrays(r_max):
-    """The numpy chain's temporaries live in the work buffer: once it has
-    grown, a chain allocates only the argsort order, a row's Poisson draws and
-    the arrivals it returns, each n * r_max int64s (fresh temporaries were
-    six); the compiled chain allocates the packed keys, their positions and
-    the arrivals."""
+    """Once a chain has run, the compiled chain allocates only the packed
+    keys, their positions and the arrivals it returns, each n * r_max
+    8-byte words."""
+    if discrete.row_sampler().name != "compiled":
+        pytest.skip("the compiled row sampler is not built here")
     n = 10_000
-    TraceBlock(n, r_max, [SeedSpec(3, 0)]).arrivals  # grows the work buffer
+    TraceBlock(n, r_max, [SeedSpec(3, 0)]).arrivals
     block = TraceBlock(n, r_max, [SeedSpec(3, 1)])
     block.times
     tracemalloc.start()

@@ -369,12 +369,6 @@ def test_benchmark_banks_keep_their_process_counts(monkeypatch):
                          "coupled-large-n": [1, 1, 1, 1]}
 
 
-def test_run_bank_returns_with_the_work_buffer_empty():
-    (_,), (draws,), _, _ = run_bank([small_config("chi2-law", r=2, m=1)])
-    assert draws > 0  # its traces derived their jump chains
-    assert discrete._WORK.size == 0
-
-
 def test_readers_of_one_block_get_what_each_reads_alone():
     """The battery configs of every kind that reads traces all read one
     block: the statistics they share, computed once per r for the largest m
