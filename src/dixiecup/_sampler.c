@@ -135,39 +135,37 @@ static inline int64_t poisson(philox_state *s, bitgen_t *bitgen, double lam) {
 /* The jump chain of each row of a block of `rows` traces of n types and
  * r_max tracked arrivals each, from states[i], as discrete.py's
  * _NumpyRows.chain derives it with numpy's draws.  times holds each row's
- * n * r_max poissonized times, type-major; keys holds each row's arrivals
- * in time order, each as a uint64 whose low `bits` bits are its position in
- * the row.
+ * n * r_max poissonized times, type-major; keys holds each row's sorted
+ * keys, each the time's bits with the low `bits` bits replaced by its
+ * position in the row.  Keys of equal high parts are in position order, so
+ * a stable insertion of each such run by time puts the row in order of time,
+ * an exact tie in order of position.
  * The untracked draws in the gap before the k-th event in time order are
  * Poisson with mean (gap * completed) / n, with completed the types whose
  * last tracked arrival came before it; each event's draw number, written to
  * arrivals at its position, is the one before it plus one plus those draws.
- *
- * With `checked`, each key is the time's bits with the low `bits` replaced
- * by the position: if the high parts of some row do not strictly increase,
- * two of its times may be out of order or tied, and it returns 1 before any
- * draw.  Else it returns 2 if two consecutive events of some row are at one
- * time, an exact tie, and 0 if none are.  The means stay far below numpy's
- * limit, since times are sums of r_max exponentials times n < 2**32. */
-int64_t dixie_chain(int64_t rows, int64_t n, int64_t r_max, philox_state *states,
-                    const uint64_t *keys, int64_t bits, int64_t checked, const double *times,
-                    int64_t *arrivals) {
+ * The means stay far below numpy's limit, since times are sums of r_max
+ * exponentials times n < 2**32. */
+void dixie_chain(int64_t rows, int64_t n, int64_t r_max, philox_state *states, uint64_t *keys,
+                 int64_t bits, const double *times, int64_t *arrivals) {
     const int64_t size = n * r_max;
     const uint64_t mask = ((uint64_t)1 << bits) - 1;
-    int64_t tied = 0;
-    for (int64_t i = 0; checked && i < rows; i++) {
-        for (int64_t k = i * size + 1; k < (i + 1) * size; k++) {
-            if ((keys[k] >> bits) <= (keys[k - 1] >> bits)) {
-                return 1;
-            }
-        }
-    }
     for (int64_t i = 0; i < rows; i++) {
         philox_state *s = &states[i];
         bitgen_t bitgen = bitgen_of(s);
-        const uint64_t *row_keys = keys + i * size;
+        uint64_t *row_keys = keys + i * size;
         const double *row_times = times + i * size;
         int64_t *row_arrivals = arrivals + i * size;
+        for (int64_t k = 1; k < size; k++) {
+            const uint64_t key = row_keys[k];
+            int64_t j = k;
+            for (; j > 0 && (row_keys[j - 1] >> bits) == (key >> bits) &&
+                   row_times[row_keys[j - 1] & mask] > row_times[key & mask];
+                 j--) {
+                row_keys[j] = row_keys[j - 1];
+            }
+            row_keys[j] = key;
+        }
         uint64_t at = row_keys[0] & mask;
         double last = row_times[at];
         double completed = at % r_max == r_max - 1;
@@ -183,12 +181,10 @@ int64_t dixie_chain(int64_t rows, int64_t n, int64_t r_max, philox_state *states
             at = row_keys[k] & mask;
             const double gap = row_times[at] - last;
             const double lam = gap * completed / n;
-            tied |= gap == 0;
             last = row_times[at];
             draw += 1 + poisson(s, &bitgen, lam);
             row_arrivals[at] = draw;
             completed += at % r_max == r_max - 1;
         }
     }
-    return tied ? 2 : 0;
 }

@@ -301,7 +301,10 @@ def _cmd_battery(args) -> int:
 
 def _cmd_report(args) -> int:
     with open(args.input) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{args.input}: JSON nested too deeply to read") from None
     battery = isinstance(data, dict) and "experiments" in data
     reports = check_battery(data) if battery else [check_report(data)]
     passed = all(report["passed"] for report in reports)

@@ -122,18 +122,24 @@ class _NumpyRows:
         r_max-th are independent of them, so the untracked draws between two
         consecutive tracked events are Poisson with mean
         (#types past r_max) * gap / n.  An event's draw number is its rank
-        plus the untracked draws before it.  A type's times strictly increase
-        unless two of them are an exact float tie, which shows as a zero gap
-        between sorted times; only then can ``argsort`` reverse two ranks of
-        a row, so only then are the rows repaired.
+        plus the untracked draws before it.  Events are in order of time, an
+        exact tie in order of position in the row: a zero gap between sorted
+        times is the only way a tie shows, and only its rows take numpy's
+        stable ``argsort``, whose tie order, unlike the default one's, does not
+        depend on the CPU.  The gaps are the same in either order.
         """
         traces, n, r_max = times.shape
         size = n * r_max
-        order = np.argsort(times.reshape(traces, size), axis=1)
+        flat = times.reshape(traces, size)
         # flat positions in the block, so that one take and one put serve all
         # rows; a row's offset is a multiple of r_max, so order % r_max holds
-        order += np.arange(0, traces * size, size)[:, None]
+        offsets = np.arange(0, traces * size, size)[:, None]
+        order = np.argsort(flat, axis=1)
+        order += offsets
         gaps = np.diff(times.take(order), axis=1)
+        tied = ~gaps.all(axis=1)
+        if tied.any():
+            order[tied] = np.argsort(flat[tied], axis=1, kind="stable") + offsets[tied]
         # types past r_max before each gap
         completed = np.cumsum(order[:, :-1] % r_max == r_max - 1, axis=1)
         lam = completed * gaps / n
@@ -145,8 +151,6 @@ class _NumpyRows:
             row[1:] += _SCRATCH.poisson(row_lam)
         arrivals = np.empty(times.shape, dtype=np.int64)
         arrivals.put(order, index.cumsum(axis=1))
-        if not gaps.all():
-            _repair_ties(arrivals)
         return arrivals
 
 
@@ -173,8 +177,8 @@ class _CompiledRows:
         self._exponentials.argtypes = [size, size, address, address, address]
         self._exponentials.restype = None
         self._chain = library.dixie_chain
-        self._chain.argtypes = [size, size, size, address, address, size, size, address, address]
-        self._chain.restype = size
+        self._chain.argtypes = [size, size, size, address, address, size, address, address]
+        self._chain.restype = None
         library.dixie_state_words.restype = size
         self._words = library.dixie_state_words()
 
@@ -188,36 +192,26 @@ class _CompiledRows:
 
     def chain(self, states: np.ndarray, times: np.ndarray) -> np.ndarray:
         """The jump chain of :meth:`_NumpyRows.chain`, to the bit, in one
-        pass per row over its arrivals in time order.
+        pass per row over its arrivals in the same order.
 
         The order is one numpy ``sort`` of packed keys: a positive double
         orders like its bits, so a key is the time's bits with the low
-        ``bits`` replaced by the arrival's position in its row.  Where the
-        high parts of a sorted row do not strictly increase, two of its times
-        agree but for those bits, or are tied, and the keys may order them
-        otherwise than ``np.argsort``; the block then takes its order from
-        ``np.argsort``, as the numpy chain does, and repairs its ties if a
-        gap between sorted times is 0."""
+        ``bits`` replaced by the arrival's position in its row.  Keys whose
+        high parts are equal, two times that agree but for those bits or
+        tie, are in position order; the pass puts each such run in order of
+        time first, ties staying in position order."""
         traces, n, r_max = times.shape
         size = n * r_max
-        flat = times.reshape(traces, size)
         bits = (size - 1).bit_length()
-        keys = flat.view(np.uint64) & np.uint64(2**64 - 2**bits)
+        keys = times.reshape(traces, size).view(np.uint64) & np.uint64(2**64 - 2**bits)
         keys |= np.arange(size, dtype=np.uint64)
         keys.sort(axis=1)
         arrivals = np.empty(times.shape, dtype=np.int64)
-        if self._derive(states, keys, bits, True, times, arrivals) == 1:
-            order = np.argsort(flat, axis=1).view(np.uint64)
-            if self._derive(states, order, bits, False, times, arrivals) == 2:
-                _repair_ties(arrivals)
+        self._chain(traces, n, r_max, _address(states, np.uint64, (traces, self._words)),
+                    _address(keys, np.uint64, keys.shape), bits,
+                    _address(times, np.float64, times.shape),
+                    _address(arrivals, np.int64, times.shape))
         return arrivals
-
-    def _derive(self, states, keys, bits, checked, times, arrivals) -> int:
-        traces, n, r_max = times.shape
-        return self._chain(traces, n, r_max, _address(states, np.uint64, (traces, self._words)),
-                           _address(keys, np.uint64, (traces, n * r_max)), bits, checked,
-                           _address(times, np.float64, times.shape),
-                           _address(arrivals, np.int64, times.shape))
 
 
 _NUMPY = _NumpyRows()
@@ -322,19 +316,22 @@ def _build(path: Path) -> None:
 def _verified(rows: _CompiledRows) -> bool:
     """Whether ``rows`` draws the bytes of numpy's row sampler: on a block
     whose key words lie on both sides of 2**63 and whose Poisson means lie on
-    both sides of 10, where numpy's sampler switches method, and on its times
-    rounded down to integers, which tie, so that the chain takes its order
-    from ``np.argsort`` and repairs its ties."""
+    both sides of 10, where numpy's sampler switches method; on its times
+    rounded down to integers, which tie; and on those with each type's first
+    arrival one float later, whose packed keys collide but for the position."""
     keys = philox_keys([SeedSpec(0), SeedSpec(7, 1 << 40)])
     drawn = []
     for sampler in (rows, _NUMPY):
         times = np.empty((len(keys), 100, 2))
-        states = sampler.exponentials(keys, times)
+        sampler.exponentials(keys, times)
         times = 100 * times.cumsum(axis=2)
-        arrivals = sampler.chain(states, times)
-        # the same streams anew, from their states after their exponentials
-        tied = sampler.chain(sampler.exponentials(keys, np.empty_like(times)), np.floor(times))
-        drawn.append(b"".join(a.tobytes() for a in (times, arrivals, tied)))
+        tied = np.floor(times)
+        adjacent = tied.copy()
+        adjacent[:, :, 0] = np.nextafter(adjacent[:, :, 0], np.inf)
+        # each chain draws its streams anew, from their states after their exponentials
+        drawn.append(times.tobytes() + b"".join(
+            sampler.chain(sampler.exponentials(keys, np.empty_like(t)), t).tobytes()
+            for t in (times, tied, adjacent)))
     return drawn[0] == drawn[1]
 
 
@@ -389,16 +386,6 @@ class TraceBlock:
         if "arrivals" not in vars(self):
             return 0
         return int(self.arrivals[:, :, -1].max(axis=1).sum())
-
-
-def _repair_ties(arrivals: np.ndarray) -> None:
-    """Sort each type's arrivals where a tie broke the wrong way in
-    ``np.argsort`` and reversed two of them: tied arrivals of one type are
-    exchangeable, so restoring row order is exact."""
-    descents = arrivals[:, :, 1:] < arrivals[:, :, :-1]
-    if descents.any():
-        rows = descents.any(axis=2)
-        arrivals[rows] = np.sort(arrivals[rows], axis=1)
 
 
 def run_discrete(n: int, r_max: int, stream: SeedSpec) -> CollectorTrace:

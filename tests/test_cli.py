@@ -934,6 +934,14 @@ def test_report_missing_file_is_usage_error():
     assert run_cli("report", "/nonexistent/report.json") == EXIT_USAGE
 
 
+def test_report_of_deeply_nested_json_is_usage_error(tmp_path, capsys):
+    """JSON nested deeper than the parser can recurse is refused, not a traceback."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    assert run_cli("report", str(path)) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: {path}: JSON nested too deeply")
+
+
 @pytest.mark.parametrize("name,out", [("rep.csv", None), ("rep.json", "rep.json"),
                                       ("rep.series.csv", "rep.csv")])
 def test_report_refuses_to_write_over_its_input(name, out, tmp_path, monkeypatch, capsys):

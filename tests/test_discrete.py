@@ -2,7 +2,10 @@
 import ast
 import functools
 import math
+import os
 import shutil
+import subprocess
+import sys
 import sysconfig
 import tracemalloc
 from pathlib import Path
@@ -140,12 +143,12 @@ def embed(stream, n, r_max):
 def test_embed_restores_row_order_after_float_ties(tied_scratch):
     n, r_max = 40, 3
     arrivals, times = embed(SeedSpec(5, 0), n, r_max)
-    # the default argsort reverses some tied pair, so the row repair runs
+    # the default argsort reverses some tied pair, so it is not the chain's order
     stable_argsort = functools.partial(np.argsort, kind="stable")
     assert not np.array_equal(np.argsort(times, axis=None),
                               stable_argsort(times, axis=None))
-    # a stable argsort keeps tied arrivals in row order, so its rows need no
-    # repair: each repaired row must strictly increase and hold those draws
+    # a stable argsort keeps tied arrivals in row order: each row must
+    # strictly increase and hold the draws it gives
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(np, "argsort", stable_argsort)
         reference, _ = embed(SeedSpec(5, 0), n, r_max)
@@ -231,11 +234,11 @@ def test_block_rows_are_the_traces_alone(n, r_max):
 
 @pytest.mark.parametrize("n,r_max", [(40, 3), (2, 2), (10, 4)])
 def test_block_rows_restore_row_order_after_float_ties(n, r_max, tied_scratch):
-    """Rows that hold an exact float tie are repaired as in a trace alone."""
+    """Rows that hold an exact float tie are ordered as in a trace alone."""
     size = block_size(n, r_max)
     block = TraceBlock(n, r_max, [SeedSpec(seed, 0) for seed in range(size)])
     stable_argsort = functools.partial(np.argsort, kind="stable")
-    # some row's argsort reverses a tied pair, so its repair runs
+    # some row's default argsort reverses a tied pair, which the chain keeps in row order
     assert any(not np.array_equal(np.argsort(times, axis=None), stable_argsort(times, axis=None))
                for times in block.times)
     for seed, trace in enumerate(block_traces(block)):
@@ -264,8 +267,8 @@ def test_warmed_jump_chain_allocates_below_four_arrival_arrays(r_max):
 
 
 def test_blocks_of_alternating_shapes_match_the_reference(request):
-    """The work buffer holds the last, larger block's data when a smaller or
-    differently shaped one reuses it; no row may read any of it."""
+    """Blocks of other shapes, larger and smaller, between them change no
+    block's bytes: no chain reads what an earlier one left."""
     shapes = [(10_000, 3), (100, 1), (10_000, 1), (100, 2)]
     for n, r_max in shapes:
         streams = [SeedSpec(2025, (n << 8) | j) for j in range(3)]
@@ -279,7 +282,7 @@ def test_blocks_of_alternating_shapes_match_the_reference(request):
 
 def test_a_trace_keeps_its_bytes_after_later_blocks():
     """``times`` and ``arrivals`` leave their block, so no later block may
-    write them: they are never the work buffer."""
+    write them."""
     trace = run_discrete(1000, 2, SeedSpec(8, 0))
     saved = trace.arrivals.copy(), trace.times.copy()
     for n, r_max in ((1000, 2), (10_000, 3), (100, 1)):
@@ -409,32 +412,108 @@ def tied_times(block, rng):
     return times
 
 
+def keys_collide(times):
+    """Whether some row of a block of ``times`` has two packed keys of equal
+    high parts, as the compiled chain packs them."""
+    traces, n, r_max = times.shape
+    bits = np.uint64((n * r_max - 1).bit_length())
+    high = np.sort(times.reshape(traces, -1).view(np.uint64) >> bits, axis=1)
+    return bool((np.diff(high, axis=1) == 0).any())
+
+
 @pytest.mark.parametrize("n,r_max", [(2, 1), (3, 2), (10, 4), (40, 3), (100, 1), (1000, 2)])
 @pytest.mark.parametrize("perturb", [adjacent_times, tied_times])
-def test_compiled_chain_is_numpys_on_ties_and_key_collisions(n, r_max, perturb, monkeypatch):
+def test_compiled_chain_is_numpys_on_ties_and_key_collisions(n, r_max, perturb):
     """Where two times of a row agree but for the bits a packed key replaces
-    with the position, or tie, the compiled chain takes its order from
-    ``np.argsort`` and gives the numpy chain's bytes, ties repaired alike."""
+    with the position, or tie, the compiled chain orders them by time, ties
+    by position, and gives the numpy chain's bytes."""
     compiled = discrete.row_sampler()
     if compiled.name != "compiled":
         pytest.skip("the compiled row sampler is not built here")
-    codes = []
-
-    def derive(*args):
-        codes.append(type(compiled)._derive(compiled, *args))
-        return codes[-1]
-
-    monkeypatch.setattr(compiled, "_derive", derive)
     rng = generator(SeedSpec(12, (n << 8) | r_max))
     block = TraceBlock(n, r_max, [SeedSpec(11, (n << 32) | j) for j in range(block_size(n, r_max))])
     for _ in range(3):
         times = perturb(block, rng)
+        assert keys_collide(times)
         chains = [rows.chain(rows.exponentials(block.keys, np.empty_like(times)), times)
                   for rows in (compiled, discrete._NUMPY)]
         assert_same_bytes(chains[:1], chains[1:])
-        # the keys failed the check before any draw, and the chain ran on argsort's order
-        assert codes[0] == 1 and len(codes) == 2
-        codes.clear()
+
+
+def ties_between_types(times):
+    """Whether some row of a block of ``times`` ties arrivals of two types."""
+    traces, n, r_max = times.shape
+    flat = times.reshape(traces, -1)
+    order = np.argsort(flat, axis=1, kind="stable")
+    tied = np.diff(np.take_along_axis(flat, order, axis=1), axis=1) == 0
+    types = order // r_max
+    return bool((tied & (types[:, 1:] != types[:, :-1])).any())
+
+
+def stable_chain(rng, times):
+    """The jump chain of ``times`` in ``np.argsort(kind="stable")`` order,
+    with no repair: events in order of time, an exact tie in order of
+    position in the row.  ``rng`` draws the Poisson draws."""
+    n, r_max = times.shape
+    order = np.argsort(times, axis=None, kind="stable")
+    completed = np.cumsum(order % r_max == r_max - 1)
+    untracked = rng.poisson(completed[:-1] * np.diff(times.ravel()[order]) / n)
+    index = np.arange(1, n * r_max + 1, dtype=np.int64)
+    index[1:] += np.cumsum(untracked)
+    arrivals = np.empty(n * r_max, dtype=np.int64)
+    arrivals[order] = index
+    return arrivals.reshape(n, r_max)
+
+
+@pytest.mark.parametrize("n,r_max", [(2, 1), (3, 2), (10, 4), (40, 3), (100, 1), (1000, 2)])
+def test_both_row_samplers_break_ties_between_types_by_position(n, r_max):
+    """On blocks whose rows each tie two arrivals, mostly of two types, both
+    row samplers give the stable-order chain of each row's own stream."""
+    streams = [SeedSpec(13, (n << 32) | j) for j in range(block_size(n, r_max))]
+    block = TraceBlock(n, r_max, streams)
+    times = tied_times(block, generator(SeedSpec(14, (n << 8) | r_max)))
+    assert ties_between_types(times)
+    wanted = []
+    for stream, row in zip(streams, times):
+        rng = generator(stream)
+        rng.standard_exponential((n, r_max))  # the chain draws after the times
+        wanted.append(stable_chain(rng, row))
+    for rows in (discrete.row_sampler(), discrete._NUMPY):
+        chain = rows.chain(rows.exponentials(block.keys, np.empty_like(times)), times)
+        assert_same_bytes([chain], [np.stack(wanted)])
+
+
+TIED_DIGESTS = """
+import hashlib
+import numpy as np
+from dixiecup import discrete
+from dixiecup.discrete import TraceBlock
+from dixiecup.samplers import SeedSpec
+
+block = TraceBlock(1000, 2, [SeedSpec(42, j) for j in range(8)])
+tied = np.floor(block.times)
+for rows in (discrete.row_sampler(), discrete._NUMPY):
+    chain = rows.chain(rows.exponentials(block.keys, np.empty_like(tied)), tied)
+    print(rows.name, hashlib.sha256(chain.tobytes()).hexdigest())
+"""
+
+
+def test_tie_bytes_do_not_depend_on_numpys_cpu_dispatch():
+    """A block with many ties between types, its times rounded down, has one
+    chain on both row samplers under every level of numpy's CPU dispatch,
+    whose sorts break ties otherwise at each level."""
+    source = str(Path(discrete.__file__).parents[1])
+    digests = {}
+    for disabled in ("", "X86_V4 AVX512_ICL AVX512_SPR", "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"):
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled, PYTHONPATH=source)
+        if subprocess.run([sys.executable, "-c", "import numpy"], env=env,
+                          capture_output=True, timeout=120).returncode:
+            continue  # numpy does not run at this level here
+        run = subprocess.run([sys.executable, "-c", TIED_DIGESTS], env=env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        digests[disabled] = run.stdout.split()[1::2]
+    assert "" in digests
+    assert len({digest for pair in digests.values() for digest in pair}) == 1, digests
 
 
 def test_collection_time_is_max_of_column():
