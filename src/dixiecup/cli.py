@@ -17,7 +17,7 @@ import math
 import os
 import sys
 
-from .discrete import block_size
+from .discrete import TraceBlock, block_size
 from .experiments import (
     KEY_LIMIT,
     KINDS,
@@ -26,7 +26,7 @@ from .experiments import (
     ExperimentConfig,
     check_battery,
     check_report,
-    replication_block,
+    replication_keys,
     run_experiments,
     write_csv,
     write_json,
@@ -137,8 +137,8 @@ def _cmd_simulate(args) -> int:
     def block_columns(start):
         """The csv cells of each column of the block from replication start:
         the bank's traces (seed, n, j), which verify --seed reads."""
-        block = replication_block(args.seed, args.n, args.rmax,
-                                  start, min(start + size, args.reps))
+        keys = replication_keys(args.seed, args.n, start, min(start + size, args.reps))
+        block = TraceBlock(args.n, args.rmax, keys)
         columns = [_csv_cells(block.arrivals)]
         if coupled:
             columns.append(_csv_cells(block.times))
@@ -272,7 +272,12 @@ def battery_configs(seed: int, scale: float) -> list[ExperimentConfig]:
     for kind, entry in KINDS.items():
         for fields in entry.battery:
             cfg = ExperimentConfig(kind, master_seed=seed, **copy.deepcopy(fields))
-            cfg.replications = max(20, int(round(cfg.replications * scale)))
+            scaled = cfg.replications * scale
+            # replication j reads stream (n << 32) | j, so j must fit in 32 bits
+            if scaled > KEY_LIMIT:
+                raise ConfigError(f"scale {scale} gives {kind} {scaled:.4g} replications; "
+                                  f"at most 2**32 fit a stream index")
+            cfg.replications = max(20, round(scaled))
             configs.append(cfg)
     return configs
 
@@ -300,6 +305,8 @@ def _cmd_battery(args) -> int:
 # report
 
 def _cmd_report(args) -> int:
+    if args.out is not None and args.format != "csv":
+        raise ConfigError("--out names the CSV file; give it with --format csv")
     with open(args.input) as fh:
         try:
             data = json.load(fh)

@@ -9,7 +9,7 @@ import subprocess
 import sys
 import sysconfig
 import tempfile
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .samplers import SeedSpec, philox_keys
+from .samplers import SeedSpec, stream_keys
 
 __all__ = [
     "CollectorTrace",
@@ -319,7 +319,7 @@ def _verified(rows: _CompiledRows) -> bool:
     both sides of 10, where numpy's sampler switches method; on its times
     rounded down to integers, which tie; and on those with each type's first
     arrival one float later, whose packed keys collide but for the position."""
-    keys = philox_keys([SeedSpec(0), SeedSpec(7, 1 << 40)])
+    keys = stream_keys([0, 7], [0, 1 << 40])
     drawn = []
     for sampler in (rows, _NUMPY):
         times = np.empty((len(keys), 100, 2))
@@ -336,22 +336,21 @@ def _verified(rows: _CompiledRows) -> bool:
 
 
 class TraceBlock:
-    """Traces of one ``(n, r_max)`` on their own streams, sampled as one array.
+    """Traces of one ``(n, r_max)``, one per Philox key, sampled as one array.
 
-    ``times`` and ``arrivals`` have one row of shape ``(n, r_max)`` per
-    stream, and row i is what a trace of ``streams[i]`` alone samples, to the
-    byte: every generator call and its arguments are the ones the trace makes,
-    and each array pass runs row by row.  The streams are :class:`SeedSpec`
-    or, as ``keys`` holds them, their Philox keys, one row each, as
-    :func:`~dixiecup.samplers.stream_keys` gives them.  Each is keyed at
-    counter 0: the :func:`row_sampler` draws its exponentials into its row of
-    ``times``, and its state is saved until the first read of ``arrivals``
-    derives the jump chain of the whole block.
+    ``keys`` holds one key per trace, a row of two uint64 words each, as
+    :func:`~dixiecup.samplers.stream_keys` gives them.  ``times`` and
+    ``arrivals`` have one row of shape ``(n, r_max)`` per key, and row i is
+    what a block of ``keys[i]`` alone samples, to the byte: every generator
+    call and its arguments are the ones that block makes, and each array
+    pass runs row by row.  Each key is set at counter 0: the
+    :func:`row_sampler` draws its exponentials into its row of ``times``,
+    and its state is saved until the first read of ``arrivals`` derives the
+    jump chain of the whole block.
     """
 
-    def __init__(self, n: int, r_max: int, streams: Sequence[SeedSpec] | np.ndarray) -> None:
-        self.n, self.r_max = n, r_max
-        self.keys = streams if isinstance(streams, np.ndarray) else philox_keys(streams)
+    def __init__(self, n: int, r_max: int, keys: np.ndarray) -> None:
+        self.n, self.r_max, self.keys = n, r_max, keys
 
     @cached_property
     def times(self) -> np.ndarray:
@@ -390,5 +389,5 @@ class TraceBlock:
 
 def run_discrete(n: int, r_max: int, stream: SeedSpec) -> CollectorTrace:
     """Simulate both schemes until every type has ``r_max`` arrivals: a whole trace."""
-    block = TraceBlock(n, r_max, [stream])
+    block = TraceBlock(n, r_max, stream_keys(stream.master_seed, stream.stream_index))
     return CollectorTrace(n, r_max, block.times[0], block.arrivals[0])

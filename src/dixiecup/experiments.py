@@ -8,10 +8,11 @@ verdicts.  :func:`run_bank` simulates each trace once, sampling consecutive
 replications in blocks, and hands each block to the extraction of every
 config that reads it, with the statistics several of them read computed once.
 A trace is keyed by ``(master_seed, n, j)`` alone: replication ``j`` at ``n``
-reads the stream :func:`replication_block` gives it, with the largest r_max any config reading
-that ``(master_seed, n)`` needs, so configs sharing a seed share their traces
-and the numbers are independent of the worker count.  :func:`run_experiments` runs
-any list of configs on one bank, and ``verify`` and ``battery`` both use it.
+reads the stream keyed by :func:`replication_keys`, tracking the largest
+r_max any config reading that ``(master_seed, n)`` needs, so configs sharing
+a seed share their traces and the numbers are independent of the worker
+count.  :func:`run_experiments` runs any list of configs on one bank, and
+``verify`` and ``battery`` both use it.
 """
 from __future__ import annotations
 
@@ -49,7 +50,6 @@ __all__ = [
     "KINDS",
     "check_battery",
     "check_report",
-    "replication_block",
     "replication_keys",
     "run_bank",
     "run_experiments",
@@ -323,12 +323,6 @@ def _within(points, a, b):
     return np.count_nonzero((points >= a) & (points <= b), axis=1)
 
 
-def _last_but(block, r, m):
-    """Per row of ``block``, for j = 0..m, the first draw at which all but j
-    types have r arrivals: the (n-j)-th smallest r-th arrival draw."""
-    return block.largest(r)[:, :m + 1]
-
-
 def _extract_marginal(block, cfg):
     return Normalization(block.n, cfg.r).apply(block.times[:, :, cfg.r - 1])
 
@@ -396,7 +390,8 @@ def _aggregate_collection(out, per_n):
 
 
 def _extract_lastbut(block, cfg):
-    return Normalization(block.n, cfg.r).apply(_last_but(block, cfg.r, cfg.m))
+    # for j = 0..m, the first draw at which all but j types have r arrivals
+    return Normalization(block.n, cfg.r).apply(block.largest(cfg.r)[:, :cfg.m + 1])
 
 
 def _aggregate_lastbut(out, per_n):
@@ -410,7 +405,7 @@ def _aggregate_lastbut(out, per_n):
 
 
 def _extract_partial(block, cfg):
-    t_rm, n = _last_but(block, cfg.r, cfg.m)[:, -1], block.n
+    t_rm, n = block.largest(cfg.r)[:, cfg.m], block.n
     if cfg.r == 1:
         return math.log(2 * n) - t_rm / n
     return Normalization(n, cfg.r).apply(t_rm)
@@ -455,7 +450,7 @@ def _extract_mismatch(block, cfg):
     """Per row, 1 if its discrete and poissonized normalized patterns hold
     different numbers of points in the first interval, else 0."""
     a, b = cfg.intervals[0]
-    poissonized = Normalization(block.n, cfg.r).apply(block.times[:, :, cfg.r - 1])
+    poissonized = _extract_marginal(block, cfg)
     return (_within(block.pattern(cfg.r), a, b) != _within(poissonized, a, b)).astype(np.int64)
 
 
@@ -517,7 +512,7 @@ class Kind:
     arrival draws, from the block's ``pattern`` and ``largest``.  A block
     samples only what is read: a kind that reads only ``times`` costs no jump
     chain, and one of r_max 0 reads only ``block.keys``.  Row i is the
-    bytes of the trace of ``streams[i]`` alone, so a payload does not depend
+    bytes of the trace of ``block.keys[i]`` alone, so a payload does not depend
     on the block it was read from.  ``aggregate(out, per_n)`` reads the
     payload array at each n, one row per replication, and records its rows,
     summaries and verdicts in ``out``, the :class:`_Checks` of the config
@@ -596,12 +591,6 @@ def replication_keys(seed: int, n: int, start: int, stop: int) -> np.ndarray:
     replication j reads the stream of ``seed`` whose index holds n in its
     high 32 bits and j in its low 32."""
     return stream_keys(seed, np.uint64(n << 32) | np.arange(start, stop, dtype=np.uint64))
-
-
-def replication_block(seed: int, n: int, r_max: int, start: int, stop: int) -> TraceBlock:
-    """The traces of replications ``start..stop-1`` of ``(seed, n)``, tracking
-    ``r_max`` arrivals per type, on the streams of :func:`replication_keys`."""
-    return TraceBlock(n, r_max, replication_keys(seed, n, start, stop))
 
 
 def _bank_block(configs, task):
@@ -802,13 +791,14 @@ def run_bank(configs: list[ExperimentConfig], workers: int = 1) -> tuple:
     """Simulate each trace once and apply the extraction of every config that reads it.
 
     A trace is identified by ``(master_seed, n, j)`` alone: it is replication
-    j of :func:`replication_block` at ``(master_seed, n, r_max)``, where
-    r_max is the largest that any config reading that ``(master_seed, n)``
-    needs (0 for limit-consistency, at n = 0).  Each config reading a trace
-    gets the one trace, which samples only what they read, in the same bytes
-    in any order.  A config reads the traces with its seed, an n in its grid
-    and a j below its replication count, so a config whose r_max is the
-    bank's at each of its ``(seed, n)`` sees the payloads it would alone.
+    j of ``(master_seed, n)``, keyed by :func:`replication_keys` and
+    tracking r_max arrivals per type, where r_max is the largest that any
+    config reading that ``(master_seed, n)`` needs (0 for limit-consistency,
+    at n = 0).  Each config reading a trace gets the one trace, which
+    samples only what they read, in the same bytes in any order.  A config
+    reads the traces with its seed, an n in its grid and a j below its
+    replication count, so a config whose r_max is the bank's at each of its
+    ``(seed, n)`` sees the payloads it would alone.
 
     The unit of work is a block: consecutive j of one ``(seed, n)`` that the
     same configs read, at most :func:`~dixiecup.discrete.block_size` of them,

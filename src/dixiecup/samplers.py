@@ -1,28 +1,25 @@
 """Seeded random streams: one independent stream per (seed, stream) pair.
 
-All randomness in the package flows through :class:`SeedSpec`.  A spec is a
-(master_seed, stream_index) pair naming one stream of the counter-based
-Philox generator, which gives bit-reproducible, mutually independent streams
-without sequential skipping, so replications can run on any number of
-workers in any order.
+A (master_seed, stream_index) pair, which :class:`SeedSpec` validates, names
+one stream of the counter-based Philox generator, which gives
+bit-reproducible, mutually independent streams without sequential skipping,
+so replications can run on any number of workers in any order.
 
 A Philox stream is its 128-bit key at counter 0 (Salmon et al. 2011,
-"Parallel random numbers: as easy as 1, 2, 3").  The key of a spec is what
-numpy's seed sequence derives from the pair by a fixed uint32 hash
-(O'Neill's ``seed_seq`` design).  :func:`stream_keys` runs that hash on many
-pairs at once as array arithmetic, so a bank's streams are keyed for about
-the cost of one, with no spec per stream, and :func:`philox_keys` keys a
-list of specs.  The row samplers of :mod:`dixiecup.discrete` draw every
-stream from its key.
+"Parallel random numbers: as easy as 1, 2, 3").  The key of a pair is what
+numpy's seed sequence derives from it by a fixed uint32 hash (O'Neill's
+``seed_seq`` design).  :func:`stream_keys` runs that hash on many pairs at
+once as array arithmetic, so a bank's streams are keyed for about the cost
+of one.  The row samplers of :mod:`dixiecup.discrete` draw every stream
+from its key.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SeedSpec", "philox_keys", "stream_keys"]
+__all__ = ["SeedSpec", "stream_keys"]
 
 _UINT64_MAX = 2**64 - 1
 
@@ -79,12 +76,6 @@ def _hash(words: np.ndarray, constants: tuple[np.ndarray, np.ndarray]) -> np.nda
     words *= mult
     words ^= words >> _SHIFT
     return words
-
-
-def philox_keys(specs: Sequence[SeedSpec]) -> np.ndarray:
-    """The Philox key of each spec's stream: :func:`stream_keys` of their
-    seeds and indices."""
-    return stream_keys([s.master_seed for s in specs], [s.stream_index for s in specs])
 
 
 def stream_keys(seeds, indices) -> np.ndarray:

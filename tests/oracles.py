@@ -10,9 +10,9 @@ directly, and ``last_but`` reads the largest points of a pattern by sorting.
 ``count_mismatch`` read one trace's statistics, and ``EXTRACT`` holds, per
 experiment kind, the payload row of one trace built from them: the block
 extraction of :data:`dixiecup.experiments.KINDS` must give it for every row.
-``block_traces`` and ``seeded_traces`` are no oracles but the tests' ways to
-read the rows of a block, and to loop over the lone traces of consecutive
-streams, as traces.
+``spec_keys``, ``block_traces`` and ``seeded_traces`` are no oracles but the
+tests' ways to key a block by a list of streams, to read the rows of a block,
+and to loop over the lone traces of consecutive streams, as traces.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from dixiecup.discrete import CollectorTrace, TraceBlock, block_size
 from dixiecup.gof import ks_test
 from dixiecup.limitlaws import LogGamma
 from dixiecup.pointprocess import Normalization, PointPattern, h_transform
-from dixiecup.samplers import SeedSpec
+from dixiecup.samplers import SeedSpec, stream_keys
 
 
 def generator(stream: SeedSpec) -> Generator:
@@ -60,6 +60,11 @@ def trace_from_sequence(types, n: int, r_max: int) -> CollectorTrace:
     return CollectorTrace(n, r_max, None, arrivals)
 
 
+def spec_keys(streams: list[SeedSpec]) -> np.ndarray:
+    """The Philox keys of ``streams``, a row each, as a block takes them."""
+    return stream_keys([s.master_seed for s in streams], [s.stream_index for s in streams])
+
+
 def block_traces(block: TraceBlock) -> list[CollectorTrace]:
     """One trace per stream of ``block``, each a row of it."""
     return [CollectorTrace(block.n, block.r_max, times, arrivals)
@@ -72,8 +77,8 @@ def seeded_traces(n: int, r_max: int, reps: int, seed: int) -> Iterator[Collecto
     blocks, which cost a fraction of a lone trace each at small n."""
     size = block_size(n, r_max)
     for start in range(0, reps, size):
-        streams = [SeedSpec(seed, j) for j in range(start, min(start + size, reps))]
-        yield from block_traces(TraceBlock(n, r_max, streams))
+        keys = stream_keys(seed, np.arange(start, min(start + size, reps)))
+        yield from block_traces(TraceBlock(n, r_max, keys))
 
 
 def _column(trace: CollectorTrace, r: int) -> int:

@@ -578,8 +578,8 @@ def test_missing_out_directory_fails_before_sampling(tmp_path, capsys, monkeypat
     def sampled(*args):
         raise AssertionError("a block was sampled")
 
-    # simulate samples through replication_block, a bank through _bank_block
-    monkeypatch.setattr(cli, "replication_block", sampled)
+    # simulate samples through TraceBlock, a bank through _bank_block
+    monkeypatch.setattr(cli, "TraceBlock", sampled)
     monkeypatch.setattr(experiments, "_bank_block", sampled)
     # a file in a directory that does not exist, a path that is a directory,
     # and an empty path
@@ -678,7 +678,10 @@ def test_battery_scale_floors_replications():
     ("--scale", "nan"),
     ("--scale", "0"),
     ("--scale", "-1"),
-], ids=["workers-0", "scale-inf", "scale-nan", "scale-0", "scale-negative"])
+    ("--scale", "1e306"),
+    ("--scale", repr(sys.float_info.max)),
+], ids=["workers-0", "scale-inf", "scale-nan", "scale-0", "scale-negative", "scale-1e306",
+        "scale-float-max"])
 def test_battery_bad_arguments_are_usage_errors(argv, tmp_path, capsys):
     code = run_cli("battery", *argv, "--out", str(tmp_path / "battery.json"))
     assert code == EXIT_USAGE
@@ -958,6 +961,19 @@ def test_report_refuses_to_write_over_its_input(name, out, tmp_path, monkeypatch
     assert capsys.readouterr().err.startswith(f"error: cannot write '{name}'")
     assert sorted(path.name for path in tmp_path.iterdir()) == [name]
     assert (tmp_path / name).read_bytes() == report
+
+
+def test_report_out_with_the_text_format_is_usage_error(small_report, tmp_path, capsys):
+    """``--out`` names the CSV file, so with the text format, given or by
+    default, it is refused before anything is printed or written."""
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(small_report))
+    for argv in ([], ["--format", "text"]):
+        assert run_cli("report", str(path), *argv, "--out", str(tmp_path / "o.txt")) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "--out" in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rep.json"]
 
 
 @pytest.fixture(scope="module")

@@ -22,7 +22,7 @@ from dixiecup.discrete import (
     run_discrete,
 )
 from dixiecup.poissonized import run_coupled
-from dixiecup.samplers import SeedSpec, philox_keys
+from dixiecup.samplers import SeedSpec, stream_keys
 
 from oracles import (
     block_traces,
@@ -30,6 +30,7 @@ from oracles import (
     generator,
     partial_collection_time,
     seeded_traces,
+    spec_keys,
     trace_from_sequence,
 )
 
@@ -143,10 +144,9 @@ def embed(stream, n, r_max):
 def test_embed_restores_row_order_after_float_ties(tied_scratch):
     n, r_max = 40, 3
     arrivals, times = embed(SeedSpec(5, 0), n, r_max)
-    # the default argsort reverses some tied pair, so it is not the chain's order
+    # an exact tie, a zero gap between sorted times, so the stable re-sort runs
+    assert (np.diff(np.sort(times, axis=None)) == 0).any()
     stable_argsort = functools.partial(np.argsort, kind="stable")
-    assert not np.array_equal(np.argsort(times, axis=None),
-                              stable_argsort(times, axis=None))
     # a stable argsort keeps tied arrivals in row order: each row must
     # strictly increase and hold the draws it gives
     with pytest.MonkeyPatch.context() as patch:
@@ -222,13 +222,13 @@ def test_block_rows_are_the_traces_alone(n, r_max):
     to the byte, whichever of times and arrivals is read first."""
     size = block_size(n, r_max)
     streams = [SeedSpec(2024, (n << 32) | j) for j in range(size)]
-    block = TraceBlock(n, r_max, streams)
+    block = TraceBlock(n, r_max, spec_keys(streams))
     for trace, stream in zip(block_traces(block), streams):
         assert_same_bytes((trace.arrivals, trace.times), embed(stream, n, r_max))
-    times_first = TraceBlock(n, r_max, streams)
+    times_first = TraceBlock(n, r_max, spec_keys(streams))
     times = times_first.times.copy()
     # another block samples on the shared generator between its times and its chain
-    TraceBlock(n, r_max, streams[::-1]).arrivals
+    TraceBlock(n, r_max, spec_keys(streams[::-1])).arrivals
     assert_same_bytes([times_first.arrivals, times], [block.arrivals, block.times])
 
 
@@ -236,11 +236,9 @@ def test_block_rows_are_the_traces_alone(n, r_max):
 def test_block_rows_restore_row_order_after_float_ties(n, r_max, tied_scratch):
     """Rows that hold an exact float tie are ordered as in a trace alone."""
     size = block_size(n, r_max)
-    block = TraceBlock(n, r_max, [SeedSpec(seed, 0) for seed in range(size)])
-    stable_argsort = functools.partial(np.argsort, kind="stable")
-    # some row's default argsort reverses a tied pair, which the chain keeps in row order
-    assert any(not np.array_equal(np.argsort(times, axis=None), stable_argsort(times, axis=None))
-               for times in block.times)
+    block = TraceBlock(n, r_max, stream_keys(np.arange(size), 0))
+    # some row has an exact tie, a zero gap between sorted times, so the stable re-sort runs
+    assert any((np.diff(np.sort(times, axis=None)) == 0).any() for times in block.times)
     for seed, trace in enumerate(block_traces(block)):
         assert_same_bytes((trace.arrivals, trace.times), embed(SeedSpec(seed, 0), n, r_max))
         assert np.all(np.diff(trace.arrivals, axis=1) > 0)
@@ -254,8 +252,8 @@ def test_warmed_jump_chain_allocates_below_four_arrival_arrays(r_max):
     if discrete.row_sampler().name != "compiled":
         pytest.skip("the compiled row sampler is not built here")
     n = 10_000
-    TraceBlock(n, r_max, [SeedSpec(3, 0)]).arrivals
-    block = TraceBlock(n, r_max, [SeedSpec(3, 1)])
+    TraceBlock(n, r_max, stream_keys(3, 0)).arrivals
+    block = TraceBlock(n, r_max, stream_keys(3, 1))
     block.times
     tracemalloc.start()
     try:
@@ -272,10 +270,10 @@ def test_blocks_of_alternating_shapes_match_the_reference(request):
     shapes = [(10_000, 3), (100, 1), (10_000, 1), (100, 2)]
     for n, r_max in shapes:
         streams = [SeedSpec(2025, (n << 8) | j) for j in range(3)]
-        for trace, stream in zip(block_traces(TraceBlock(n, r_max, streams)), streams):
+        for trace, stream in zip(block_traces(TraceBlock(n, r_max, spec_keys(streams))), streams):
             assert_same_bytes((trace.arrivals, trace.times),
                               reference_embed(generator(stream), n, r_max))
-    TraceBlock(10_000, 3, [SeedSpec(2025, 0)]).arrivals
+    TraceBlock(10_000, 3, stream_keys(2025, 0)).arrivals
     request.getfixturevalue("tied_scratch")
     assert_same_bytes(embed(SeedSpec(1, 0), 40, 3), reference_embed(TiedExponentials(1), 40, 3))
 
@@ -286,7 +284,7 @@ def test_a_trace_keeps_its_bytes_after_later_blocks():
     trace = run_discrete(1000, 2, SeedSpec(8, 0))
     saved = trace.arrivals.copy(), trace.times.copy()
     for n, r_max in ((1000, 2), (10_000, 3), (100, 1)):
-        TraceBlock(n, r_max, [SeedSpec(8, 1), SeedSpec(8, 2)]).arrivals
+        TraceBlock(n, r_max, stream_keys(8, [1, 2])).arrivals
     assert_same_bytes((trace.arrivals, trace.times), saved)
 
 
@@ -305,7 +303,7 @@ def test_poissonized_times_are_the_coupled_times(n, r_max, request):
         coupled = run_coupled(n, r_max, stream).times
         assert_same_bytes([first_draw_times(generator(stream), n, r_max)], [coupled])
         # a block whose arrivals are never read has the same times
-        assert_same_bytes([TraceBlock(n, r_max, [stream]).times[0]], [coupled])
+        assert_same_bytes([TraceBlock(n, r_max, spec_keys([stream])).times[0]], [coupled])
     if r_max > 1:  # TiedExponentials ties the second and the last column
         request.getfixturevalue("tied_scratch")
         for j in range(3):
@@ -374,12 +372,11 @@ def test_compiled_rows_are_numpys_bytes(monkeypatch):
     for n, r_max in ((2, 1), (3, 2), (10, 4), (100, 1), (100, 3), (1000, 2), (10_000, 1),
                      (100_000, 3)):
         for rows in sorted({1, block_size(n, r_max)}):
-            streams = [SeedSpec(2**64 - 1 - j, (n << 32) | j) for j in range(rows)]
-            keys.append(philox_keys(streams))
+            keys.append(spec_keys([SeedSpec(2**64 - 1 - j, (n << 32) | j) for j in range(rows)]))
             sampled = []
             for sampler in (compiled, discrete._NUMPY):
                 monkeypatch.setattr(discrete, "_rows", sampler)
-                block = TraceBlock(n, r_max, streams)
+                block = TraceBlock(n, r_max, keys[-1])
                 sampled.append((block.times, block.arrivals))
             assert_same_bytes(*sampled)
     keys = np.concatenate(keys)
@@ -431,7 +428,7 @@ def test_compiled_chain_is_numpys_on_ties_and_key_collisions(n, r_max, perturb):
     if compiled.name != "compiled":
         pytest.skip("the compiled row sampler is not built here")
     rng = generator(SeedSpec(12, (n << 8) | r_max))
-    block = TraceBlock(n, r_max, [SeedSpec(11, (n << 32) | j) for j in range(block_size(n, r_max))])
+    block = TraceBlock(n, r_max, stream_keys(11, (n << 32) | np.arange(block_size(n, r_max))))
     for _ in range(3):
         times = perturb(block, rng)
         assert keys_collide(times)
@@ -470,7 +467,7 @@ def test_both_row_samplers_break_ties_between_types_by_position(n, r_max):
     """On blocks whose rows each tie two arrivals, mostly of two types, both
     row samplers give the stable-order chain of each row's own stream."""
     streams = [SeedSpec(13, (n << 32) | j) for j in range(block_size(n, r_max))]
-    block = TraceBlock(n, r_max, streams)
+    block = TraceBlock(n, r_max, spec_keys(streams))
     times = tied_times(block, generator(SeedSpec(14, (n << 8) | r_max)))
     assert ties_between_types(times)
     wanted = []
@@ -488,9 +485,9 @@ import hashlib
 import numpy as np
 from dixiecup import discrete
 from dixiecup.discrete import TraceBlock
-from dixiecup.samplers import SeedSpec
+from dixiecup.samplers import stream_keys
 
-block = TraceBlock(1000, 2, [SeedSpec(42, j) for j in range(8)])
+block = TraceBlock(1000, 2, stream_keys(42, np.arange(8)))
 tied = np.floor(block.times)
 for rows in (discrete.row_sampler(), discrete._NUMPY):
     chain = rows.chain(rows.exponentials(block.keys, np.empty_like(tied)), tied)

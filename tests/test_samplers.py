@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from dixiecup.discrete import keyed
-from dixiecup.samplers import SeedSpec, philox_keys
+from dixiecup.samplers import SeedSpec, stream_keys
 
 from oracles import generator, seeded_traces, time_column
 
@@ -59,20 +59,20 @@ def test_philox_keys_are_the_seed_sequence_keys(seed):
     ns = [2, 3, 100, 2**16, 2**31 - 1, 2**31]
     indices = [0, 1, 2**31, 2**32 - 1, 2**32, 2**64 - 1]
     indices += [(n << 32) | j for n in ns for j in (0, 1, 2**32 - 1)]
-    specs = [SeedSpec(seed, index) for index in indices]
-    keys = philox_keys(specs)
-    assert keys.dtype == np.uint64 and keys.shape == (len(specs), 2)
-    for spec, key in zip(specs, keys):
-        assert np.array_equal(key, generator(spec).bit_generator.state["state"]["key"])
-    # one spec alone is keyed as within the block
-    assert np.array_equal(philox_keys(specs[-1:]), keys[-1:])
+    keys = stream_keys(seed, indices)
+    assert keys.dtype == np.uint64 and keys.shape == (len(indices), 2)
+    for index, key in zip(indices, keys):
+        own = generator(SeedSpec(seed, index)).bit_generator.state["state"]["key"]
+        assert np.array_equal(key, own)
+    # one stream alone is keyed as within the block
+    assert np.array_equal(stream_keys(seed, indices[-1]), keys[-1:])
 
 
 def test_distinct_streams_differ_and_are_uncorrelated():
     """Two streams keyed on the scratch generator draw what their own
     generators would, and their draws differ and are uncorrelated."""
     streams = [SeedSpec(5, 0), SeedSpec(5, 1)]
-    x, y = (rng.exponential(1.0, 100_000) for rng in keyed(philox_keys(streams)))
+    x, y = (rng.exponential(1.0, 100_000) for rng in keyed(stream_keys(5, [0, 1])))
     for draws, stream in zip((x, y), streams):
         assert np.array_equal(draws, generator(stream).exponential(1.0, 100_000))
     assert not np.array_equal(x[:100], y[:100])
