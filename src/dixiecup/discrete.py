@@ -185,7 +185,8 @@ class _CompiledRows:
     def exponentials(self, keys: np.ndarray, times: np.ndarray) -> np.ndarray:
         rows = len(keys)
         states = np.empty((rows, self._words), dtype=np.uint64)
-        self._exponentials(rows, times[0].size, _address(keys, np.uint64, (rows, 2)),
+        self._exponentials(rows, times.shape[1] * times.shape[2],
+                           _address(keys, np.uint64, (rows, 2)),
                            _address(times, np.float64, (rows, *times.shape[1:])),
                            _address(states, np.uint64, states.shape))
         return states
@@ -339,7 +340,9 @@ class TraceBlock:
     """Traces of one ``(n, r_max)``, one per Philox key, sampled as one array.
 
     ``keys`` holds one key per trace, a row of two uint64 words each, as
-    :func:`~dixiecup.samplers.stream_keys` gives them.  ``times`` and
+    :func:`~dixiecup.samplers.stream_keys` gives them: a uint64 array of
+    shape (k, 2), k >= 0, in any memory layout; anything else is a
+    ValueError, on either row sampler.  ``times`` and
     ``arrivals`` have one row of shape ``(n, r_max)`` per key, and row i is
     what a block of ``keys[i]`` alone samples, to the byte: every generator
     call and its arguments are the ones that block makes, and each array
@@ -350,7 +353,13 @@ class TraceBlock:
     """
 
     def __init__(self, n: int, r_max: int, keys: np.ndarray) -> None:
-        self.n, self.r_max, self.keys = n, r_max, keys
+        if not (isinstance(keys, np.ndarray) and keys.dtype == np.uint64
+                and keys.ndim == 2 and keys.shape[1] == 2):
+            got = (f"dtype {keys.dtype} and shape {keys.shape}"
+                   if isinstance(keys, np.ndarray) else type(keys).__name__)
+            raise ValueError(f"keys must be a uint64 array of shape (k, 2), got {got}")
+        # a copy only of a strided view: the compiled sampler reads C order
+        self.n, self.r_max, self.keys = n, r_max, np.ascontiguousarray(keys)
 
     @cached_property
     def times(self) -> np.ndarray:

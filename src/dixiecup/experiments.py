@@ -523,9 +523,7 @@ class Kind:
     a counting kind Poisson-tests against their limit mass, as ``(what, a, b,
     row name, verdict key)``: ``what`` names the window in errors and the key
     is a format string of ``n``.  Column k of its count payload is the count
-    in window k.  ``reads_chain`` is False for a kind whose extraction never
-    reads ``arrivals``: a bank only such kinds read derives no jump chain,
-    and is priced by its exponential draws alone.
+    in window k.
     """
 
     description: str
@@ -534,7 +532,6 @@ class Kind:
     aggregate: Callable
     battery: tuple[dict, ...]
     windows: Callable[[ExperimentConfig], list[tuple]] = lambda cfg: []
-    reads_chain: bool = True
 
 
 _r, _c = attrgetter("r"), attrgetter("c")
@@ -543,8 +540,7 @@ KINDS = {
     "poissonized-marginal": Kind(
         "exact finite-n law of the normalized poissonized arrival times",
         _r, _extract_marginal, _aggregate_marginal,
-        tuple(dict(n_grid=[100], r=r, replications=100) for r in (1, 2, 3)),
-        reads_chain=False),
+        tuple(dict(n_grid=[100], r=r, replications=100) for r in (1, 2, 3))),
     "theorem1-counts": Kind(
         "Poisson limit of interval counts of the normalized arrival pattern",
         _r, _extract_counts, _aggregate_counts,
@@ -579,7 +575,7 @@ KINDS = {
     "limit-consistency": Kind(
         "null calibration of the battery against its own limit laws",
         lambda cfg: 0, _extract_null_p_values, _aggregate_null,
-        (dict(r=1, m=0, replications=200),), reads_chain=False),
+        (dict(r=1, m=0, replications=200),)),
 }
 
 
@@ -713,21 +709,17 @@ def _usable_cpus() -> int:
 
 
 # The cost model of a bank: a trace of n * r_max tracked arrivals costs
-# about what sampling n * r_max + _TRACE_COST arrivals would, and a bank of
-# total cost at most _POOL_MIN_COST runs faster serially than with forked
-# helpers.  A trace whose jump chain no reader derives costs its n * r_max
-# exponential draws, so it is priced at n * r_max // _CHAIN_PER_DRAW +
-# _TRACE_COST.  Measured on 2 vCPUs, with extraction from whole blocks: in a
-# serial bank on numpy's row sampler a trace costs about 25 us plus
-# 0.12-0.14 us per tracked arrival, so its fixed part is nearer 200 arrivals
-# than 300.  On the compiled row sampler, with its one-pass jump chain, an
-# exponential draw costs 8-15 ns and a chain arrival 50-63 ns (n = 1e3,
-# r_max = 1 and n = 1e4, r_max = 3), so a draw is a fourth to a sixth of a
-# chain arrival; an erdos-renyi trace costs at most about 3 us plus
-# 0.06-0.08 us per arrival (medians of 9 banks of 1000 traces at n = 100
-# and 1000, over 3 runs), a fixed part below 40 arrivals.  _TRACE_COST and
-# _CHAIN_PER_DRAW stay 300 and 10 so that every bank keeps the process count
-# it was measured at.  Forking a helper, reading its pipe and joining it
+# about what sampling n * r_max + _TRACE_COST arrivals would, whether or not
+# a reader derives its jump chain, and a bank of total cost at most
+# _POOL_MIN_COST runs faster serially than with forked helpers.  Measured on
+# 2 vCPUs, with extraction from whole blocks: in a serial bank on numpy's
+# row sampler a trace costs about 25 us plus 0.12-0.14 us per tracked
+# arrival, so its fixed part is nearer 200 arrivals than 300.  On the
+# compiled row sampler, with its one-pass jump chain, an erdos-renyi trace
+# costs at most about 3 us plus 0.06-0.08 us per arrival (medians of 9 banks
+# of 1000 traces at n = 100 and 1000, over 3 runs), a fixed part below 40
+# arrivals.  _TRACE_COST stays 300 so that every bank keeps the process
+# count it was measured at.  Forking a helper, reading its pipe and joining it
 # costs about 5 ms, against about 11 ms to start, map and exit a 2-process
 # pool, which broke even near cost 600000, then about 50-75 ms of serial
 # work (36-48 ms at the per-arrival cost above).  The cheaper start did not move the
@@ -737,7 +729,6 @@ def _usable_cpus() -> int:
 # parent and one helper, each taking over 1000 faults.
 _TRACE_COST = 300
 _POOL_MIN_COST = 600_000
-_CHAIN_PER_DRAW = 10
 
 
 def _processes(workers: int, traces: int, cost: int) -> int:
@@ -778,12 +769,9 @@ def _plan(configs: list[ExperimentConfig], workers: int) -> tuple[list, int, int
             reading = [k for k in ks if configs[k].replications >= stop]
             tasks += [(n, keys[j:min(j + size, stop)], r_max, reading)
                       for j in range(start, stop, size)]
-            tracked = n * max(r_max, 1)
-            if not any(KINDS[configs[k].kind].reads_chain for k in reading):
-                tracked //= _CHAIN_PER_DRAW
-            cost += (stop - start) * (tracked + _TRACE_COST)
             start = stop
         traces += start
+        cost += start * (n * r_max + _TRACE_COST)
     return tasks, traces, _processes(workers, traces, cost)
 
 
@@ -874,9 +862,9 @@ def run_experiments(configs: list[ExperimentConfig], workers: int = 1) -> list[d
 
 def write_json(data: dict, path: str) -> None:
     """Write a report, or a battery of them, in the one JSON report format."""
+    # one write: json.dump would write each of its thousands of tokens alone
     with open(path, "w") as fh:
-        json.dump(data, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(data, sort_keys=True, indent=2) + "\n")
 
 
 def write_csv(reports: list[dict], path: str, source: str | None = None) -> None:

@@ -3,6 +3,7 @@ import ast
 import functools
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -12,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 from scipy import stats
 
@@ -228,7 +231,7 @@ def test_block_rows_are_the_traces_alone(n, r_max):
     times_first = TraceBlock(n, r_max, spec_keys(streams))
     times = times_first.times.copy()
     # another block samples on the shared generator between its times and its chain
-    TraceBlock(n, r_max, spec_keys(streams[::-1])).arrivals
+    TraceBlock(n, r_max, block.keys[::-1]).arrivals
     assert_same_bytes([times_first.arrivals, times], [block.arrivals, block.times])
 
 
@@ -478,6 +481,107 @@ def test_both_row_samplers_break_ties_between_types_by_position(n, r_max):
     for rows in (discrete.row_sampler(), discrete._NUMPY):
         chain = rows.chain(rows.exponentials(block.keys, np.empty_like(times)), times)
         assert_same_bytes([chain], [np.stack(wanted)])
+
+
+KEYS = stream_keys(1, np.arange(4))
+
+# per input: the stream indices of seed 1 whose keys it holds, in order, or
+# what the error a block refuses it with says it got
+KEY_INPUTS = {
+    "reversed-view": (KEYS[::-1], [3, 2, 1, 0]),
+    "fortran-order": (np.asfortranarray(KEYS), [0, 1, 2, 3]),
+    "zero-rows": (KEYS[:0], []),
+    "list": (KEYS.tolist(), "got list"),
+    "three-words": (np.concatenate([KEYS, KEYS[:, :1]], axis=1),
+                    "got dtype uint64 and shape (4, 3)"),
+    "int64": (KEYS.astype(np.int64), "got dtype int64 and shape (4, 2)"),
+    "one-1d-key": (KEYS[0], "got dtype uint64 and shape (2,)"),
+}
+
+
+@pytest.mark.parametrize("sampler", ["numpy", "compiled"])
+@pytest.mark.parametrize("case", list(KEY_INPUTS))
+def test_both_row_samplers_take_and_refuse_the_same_keys(case, sampler, monkeypatch):
+    """A block takes its keys as a uint64 array of shape (k, 2) in any
+    layout, zero rows included, keeps them in C order and samples the
+    streams they key; it refuses anything else when it is built, whichever
+    row sampler would draw."""
+    rows = discrete.row_sampler() if sampler == "compiled" else discrete._NUMPY
+    if rows.name != sampler:
+        pytest.skip("the compiled row sampler is not built here")
+    monkeypatch.setattr(discrete, "_rows", rows)
+    keys, wanted = KEY_INPUTS[case]
+    if isinstance(wanted, str):
+        with pytest.raises(ValueError, match=re.escape(wanted)):
+            TraceBlock(10, 2, keys)
+        return
+    block = TraceBlock(10, 2, keys)
+    assert block.keys.flags.c_contiguous and np.array_equal(block.keys, keys)
+    alone = TraceBlock(10, 2, stream_keys(1, np.array(wanted, dtype=np.uint64)))
+    assert_same_bytes([block.times, block.arrivals], [alone.times, alone.arrivals])
+
+
+def sampled(rows, n, r_max, keys):
+    """What a block of ``keys`` gives on the row sampler ``rows``: its times
+    and arrivals, or the type of the exception it raised."""
+    saved, discrete._rows = discrete._rows, rows
+    try:
+        block = TraceBlock(n, r_max, keys)
+        return [block.times, block.arrivals]
+    except Exception as exc:
+        return type(exc)
+    finally:
+        discrete._rows = saved
+
+
+WORDS = st.integers(0, 2**64 - 1)
+LAYOUTS = {
+    "c-order": lambda keys: keys,
+    "reversed-view": lambda keys: keys[::-1],
+    "every-other-row": lambda keys: np.repeat(keys, 2, axis=0)[::2],
+    "fortran-order": np.asfortranarray,
+    "list": lambda keys: keys.tolist(),
+    "int64": lambda keys: keys.view(np.int64),
+    "three-words": lambda keys: np.concatenate([keys, keys[:, :1]], axis=1),
+}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(n=st.integers(2, 300), r_max=st.integers(1, 4),
+       streams=st.lists(st.tuples(WORDS, WORDS), max_size=6),
+       layout=st.sampled_from(sorted(LAYOUTS)))
+def test_both_row_samplers_give_the_same_blocks(n, r_max, streams, layout):
+    """On any keys of ``stream_keys`` in any layout, both row samplers give
+    the same times and arrivals, to the byte, or raise the same exception."""
+    compiled = discrete.row_sampler()
+    if compiled.name != "compiled":
+        pytest.skip("the compiled row sampler is not built here")
+    seeds, indices = (np.array([words[i] for words in streams], dtype=np.uint64) for i in (0, 1))
+    keys = LAYOUTS[layout](stream_keys(seeds, indices))
+    got, want = (sampled(rows, n, r_max, keys) for rows in (compiled, discrete._NUMPY))
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert_same_bytes(got, want)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(n=st.integers(2, 300), r_max=st.integers(1, 4), traces=st.integers(1, 6), seed=WORDS,
+       grain=st.sampled_from([1 / 16, 1.0, 16.0]), adjacent=st.booleans())
+def test_both_row_samplers_chain_tied_times_alike(n, r_max, traces, seed, grain, adjacent):
+    """On times rounded down to a multiple of ``grain``, which tie, and on
+    those with each type's first arrival one float later, whose packed keys
+    collide but for the position, both row samplers derive the same chain."""
+    compiled = discrete.row_sampler()
+    if compiled.name != "compiled":
+        pytest.skip("the compiled row sampler is not built here")
+    keys = stream_keys(seed, np.arange(traces))
+    times = np.floor(TraceBlock(n, r_max, keys).times / grain) * grain
+    if adjacent:
+        times[:, :, 0] = np.nextafter(times[:, :, 0], np.inf)
+    chains = [rows.chain(rows.exponentials(keys, np.empty_like(times)), times)
+              for rows in (compiled, discrete._NUMPY)]
+    assert_same_bytes(chains[:1], chains[1:])
 
 
 TIED_DIGESTS = """
