@@ -11,7 +11,9 @@ import argparse
 import configparser
 import copy
 import csv
+import ctypes
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -35,6 +37,10 @@ from .experiments import (
 EXIT_PASS = 0
 EXIT_STAT_FAIL = 1
 EXIT_USAGE = 2
+
+# glibc's mallopt parameter numbers (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -334,7 +340,25 @@ def _cmd_report(args) -> int:
     return EXIT_PASS if passed else EXIT_STAT_FAIL
 
 
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Have glibc keep the arrays a block frees for the next block, rather than
+    unmap them and fault them back in, once per process; forked helpers
+    inherit it.  Allocations of up to 32 MiB (glibc's 64-bit ceiling) come
+    from the heap, which returns free memory to the OS only beyond 64 MiB.
+    Setting either threshold turns off glibc's own adjustment of both, so
+    both are set, or neither where the first is refused.  A libc without
+    ``mallopt`` is left as it is."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    if mallopt(_M_MMAP_THRESHOLD, 32 << 20):
+        mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def main(argv=None) -> int:
+    _keep_freed_memory()
     parser = build_parser()
     args = parser.parse_args(argv)
     handlers = {

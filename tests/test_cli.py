@@ -3,6 +3,7 @@ import argparse
 import ast
 import copy
 import csv
+import ctypes
 import dataclasses
 import hashlib
 import importlib.metadata
@@ -12,6 +13,7 @@ import json
 import math
 import multiprocessing
 import os
+import platform
 import re
 import resource
 import select
@@ -194,6 +196,90 @@ def test_failed_allocation_is_a_usage_error(tmp_path):
     errors = done.stderr.splitlines()
     assert len(errors) == 3 and all(line.startswith("error: Unable to allocate") for line in errors)
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# heap policy
+
+class FakeLibc:
+    """A libc whose ``mallopt`` records its calls and answers ``answer``."""
+
+    def __init__(self, answer):
+        self.answer = answer
+        self.calls = []
+
+    def mallopt(self, param, value):
+        self.calls.append((param, value))
+        return self.answer
+
+
+@pytest.fixture
+def libc(monkeypatch):
+    """``libc(found)`` makes ``found`` what ``ctypes.CDLL(None)`` gives, or
+    raises, in a process whose heap policy is not yet set."""
+    def install(found):
+        def load(name):
+            if isinstance(found, Exception):
+                raise found
+            return found
+
+        monkeypatch.setattr(ctypes, "CDLL", load)
+        cli._keep_freed_memory.cache_clear()
+
+    yield install
+    cli._keep_freed_memory.cache_clear()
+
+
+# a command that ends in a usage error before it samples
+NO_SAMPLE = ("battery", "--scale", "0")
+
+
+@pytest.mark.parametrize("answer, calls", [
+    (1, [(-3, 32 << 20), (-1, 64 << 20)]),
+    # a refused mmap threshold leaves glibc's own adjustment of both on
+    (0, [(-3, 32 << 20)]),
+])
+def test_the_heap_policy_is_set_once_per_process(libc, answer, calls, capsys):
+    fake = FakeLibc(answer)
+    libc(fake)
+    assert run_cli(*NO_SAMPLE) == EXIT_USAGE
+    assert fake.calls == calls
+    assert run_cli(*NO_SAMPLE) == EXIT_USAGE
+    assert fake.calls == calls
+
+
+@pytest.mark.parametrize("found", [OSError("no libc"), TypeError("no path"), object()])
+def test_a_libc_without_mallopt_is_left_alone(libc, found, capsys):
+    libc(found)
+    assert run_cli(*NO_SAMPLE) == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == [
+        "error: scale must be finite and positive, got 0.0"]
+
+
+# the minor page faults of a second verify, after a first one of the same size
+SECOND_RUN_FAULTS = """
+import contextlib, io, resource
+from dixiecup.cli import main
+argv = ["verify", "--kind", "coupling-decay", "--r", "1", "--n", "100000", "--reps", "4"]
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(argv)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap policy is glibc's")
+def test_a_second_run_reuses_the_heap_of_the_first():
+    """A CLI process keeps the arrays a trace block frees for the next block.
+    glibc's default unmaps or trims them, and faulting them back in cost about
+    800 minor faults per n = 1e5 trace; with them kept, a few in all."""
+    src = os.path.dirname(os.path.dirname(dixiecup.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", SECOND_RUN_FAULTS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 200 * 4
 
 
 FORKED_VERIFY = ("verify", "--kind", "erdos-renyi", "--c", "1", "--n", "1000",
