@@ -11,13 +11,17 @@
  * draws once set to that key.
  *
  * Build: cc -O3 -fPIC -shared -o _sampler.so _sampler.c
- *        -I<numpy.get_include()> -I<the Python include directory>
- *        -L<numpy>/random/lib -lnpyrandom -lm
+ *        -I<numpy.get_include()> -L<numpy>/random/lib -lnpyrandom -lm
  */
 #include <math.h>
 #include <stdint.h>
 
-#include "numpy/random/distributions.h"
+#include "numpy/random/bitgen.h"
+
+/* The two functions of numpy's random C API that run on the Philox below, as
+ * numpy documents them; distributions.h, which declares them, needs Python.h. */
+void random_standard_exponential_fill(bitgen_t *bitgen_state, intptr_t cnt, double *out);
+int64_t random_poisson(bitgen_t *bitgen_state, double lam);
 
 /* All 64-bit words, so that a block's states are one uint64 array. */
 typedef struct {

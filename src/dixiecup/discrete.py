@@ -7,9 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
-import sysconfig
 import tempfile
-from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -23,7 +21,6 @@ __all__ = [
     "CollectorTrace",
     "TraceBlock",
     "block_size",
-    "keyed",
     "row_sampler",
     "run_discrete",
 ]
@@ -74,25 +71,6 @@ def block_size(n: int, r_max: int) -> int:
 _SCRATCH = Generator(Philox(0))
 
 
-def keyed(keys: np.ndarray) -> Iterator[Generator]:
-    """The scratch generator set to each row of ``keys`` at counter 0, in turn.
-
-    A Philox stream is its key at counter 0, so what the generator draws
-    before the next step are the stream's first draws; the next step keys it
-    anew.  The keys are the rows that :func:`~dixiecup.samplers.stream_keys`
-    gives.
-    """
-    philox = _SCRATCH.bit_generator
-    zeros = np.zeros(4, dtype=np.uint64)
-    # the state setter copies what it reads, so one dict serves every key
-    start = {"bit_generator": "Philox", "state": {"counter": zeros, "key": None},
-             "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for key in keys:
-        start["state"]["key"] = key
-        philox.state = start
-        yield _SCRATCH
-
-
 class _NumpyRows:
     """The draws of a block's rows on the scratch generator, through numpy's
     ``Generator``, a row at a time: the reference of the compiled sampler,
@@ -106,11 +84,21 @@ class _NumpyRows:
 
     def exponentials(self, keys: np.ndarray, times: np.ndarray) -> list[dict]:
         """Fill row i of ``times`` with the first standard exponentials of
-        the stream keyed ``keys[i]``; returns the generator state after each row."""
+        the stream keyed ``keys[i]``; returns the generator state after each row.
+
+        A Philox stream is its key at counter 0, so each row sets the scratch
+        generator to its key there before it draws."""
+        philox = _SCRATCH.bit_generator
+        zeros = np.zeros(4, dtype=np.uint64)
+        # the state setter copies what it reads, so one dict serves every key
+        start = {"bit_generator": "Philox", "state": {"counter": zeros, "key": None},
+                 "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
         states = []
-        for row, rng in zip(times, keyed(keys)):
-            rng.standard_exponential(out=row)
-            states.append(rng.bit_generator.state)
+        for row, key in zip(times, keys):
+            start["state"]["key"] = key
+            philox.state = start
+            _SCRATCH.standard_exponential(out=row)
+            states.append(philox.state)
         return states
 
     def chain(self, states: list[dict], times: np.ndarray) -> np.ndarray:
@@ -219,9 +207,9 @@ _NUMPY = _NumpyRows()
 
 # The compiled row sampler is _sampler.c beside this file, built once per
 # source, numpy version and interpreter into the package's __pycache__ by the
-# C compiler _CC, against the static libnpyrandom in _RANDOM_LIB that numpy
-# ships.  A compile that fails leaves the reason beside it, under the same
-# tag, so that later processes do not run it again.
+# C compiler _CC, against numpy's headers and the static libnpyrandom in
+# _RANDOM_LIB that numpy ships.  A compile that fails leaves nothing, so the
+# next process tries it again.
 _SOURCE = Path(__file__).with_name("_sampler.c")
 _CACHE = _SOURCE.parent / "__pycache__"
 _CC = "cc"
@@ -255,18 +243,14 @@ def row_sampler() -> _NumpyRows | _CompiledRows:
 
 
 def _compiled() -> _CompiledRows:
-    """The compiled row sampler, built into the cache unless it is there or
-    an earlier compile failed; raises _Unavailable if it cannot be built,
-    loaded or verified."""
+    """The compiled row sampler, built into the cache unless it is there;
+    raises _Unavailable if it cannot be built, loaded or verified."""
     try:
         tag = hashlib.sha256(_SOURCE.read_bytes())
     except OSError as exc:
         raise _Unavailable(f"cannot read {_SOURCE.name}: {exc.strerror}") from None
     tag.update(f"{np.__version__} {sys.implementation.cache_tag}".encode())
     path = _CACHE / f"_sampler.{tag.hexdigest()[:16]}.so"
-    failed = path.with_suffix(".failed")
-    if failed.is_file():
-        raise _Unavailable(failed.read_text())
     if not path.exists():
         try:
             _build(path)
@@ -286,9 +270,8 @@ def _compiled() -> _CompiledRows:
 def _build(path: Path) -> None:
     """Compile ``_SOURCE`` into the shared library ``path``; raises
     _Unavailable if the build cannot run or fails, OSError if the cache is
-    not writable.  A compile that fails, which takes about 0.06 s, leaves
-    its reason beside ``path`` with the suffix ``.failed``, so that later
-    processes do not run it again; the other causes cost nothing to find."""
+    not writable.  A compile that fails, in about 0.01-0.06 s, writes
+    nothing, so the next process tries it again."""
     path.parent.mkdir(exist_ok=True)
     if not (_RANDOM_LIB / "libnpyrandom.a").is_file():
         raise _Unavailable(f"no libnpyrandom.a in {_RANDOM_LIB}")
@@ -298,20 +281,15 @@ def _build(path: Path) -> None:
         built = Path(scratch) / path.name
         try:
             subprocess.run([_CC, "-O3", "-fPIC", "-shared", "-o", built, _SOURCE,
-                            "-I", np.get_include(), "-I", sysconfig.get_paths()["include"],
-                            "-L", _RANDOM_LIB, "-lnpyrandom", "-lm"],
+                            "-I", np.get_include(), "-L", _RANDOM_LIB, "-lnpyrandom", "-lm"],
                            check=True, capture_output=True, timeout=120)
         except subprocess.CalledProcessError as exc:
             lines = exc.stderr.decode(errors="replace").strip().splitlines()
-            why = f"{_CC} failed: {lines[0] if lines else exc}"
+            raise _Unavailable(f"{_CC} failed: {lines[0] if lines else exc}") from None
         except subprocess.TimeoutExpired:
-            why = f"{_CC} took over 120 s"
-        else:
-            # a rename is atomic, so a process building beside this one loads a whole file
-            os.replace(built, path)
-            return
-    path.with_suffix(".failed").write_text(why)
-    raise _Unavailable(why)
+            raise _Unavailable(f"{_CC} took over 120 s") from None
+        # a rename is atomic, so a process building beside this one loads a whole file
+        os.replace(built, path)
 
 
 def _verified(rows: _CompiledRows) -> bool:

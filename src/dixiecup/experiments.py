@@ -180,17 +180,19 @@ class ExperimentConfig:
                 raise ConfigError(f"interval [{a}, {b}] is empty")
         if not all(math.isfinite(x) for x in self.thresholds):
             raise ConfigError(f"thresholds must be finite, got {self.thresholds}")
-        if any(np.diff(self.thresholds) < 0):
+        # compared, not subtracted: the difference of -1e308 and 1e308 overflows
+        if list(self.thresholds) != sorted(self.thresholds):
             raise ConfigError("thresholds must be sorted ascending")
         for what, a, b, *_ in KINDS[self.kind].windows(self):
             try:
                 mass = intensity_mass(self.r, a, b)
             except OverflowError:  # exp(-a) is beyond the float range
                 mass = math.inf
-            # the Poisson mean its counts are tested against, checked before sampling
-            if not 0.0 < mass < math.inf:
-                raise ConfigError(f"{what} [{a}, {b}] has limit mass {mass}, "
-                                  "which must be finite and positive")
+            # the Poisson mean its total count is tested against, checked before sampling
+            if not 0.0 < mass * self.replications < math.inf:
+                raise ConfigError(f"{what} [{a}, {b}] has limit mass {mass}, which must be "
+                                  f"positive, and finite times the {self.replications} "
+                                  "replications")
 
     def to_dict(self) -> dict:
         # the fields as JSON values: its lists copied, an interval a list

@@ -185,7 +185,9 @@ def poisson_count_test(counts, mean: float) -> GofResult:
         # P(S >= 0) is 1, and pdtrc(-1, lam) is nan
         above = special.pdtrc(total - 1, lam) if total else 1.0
         p_value = min(1.0, 2.0 * float(min(special.pdtr(total, lam), above)))
-        return GofResult((total - lam) ** 2 / lam, p_value, len(counts))
+        deviation = total - lam
+        # divided before it is squared, so a mean near the float limit gives no overflow
+        return GofResult(deviation * (deviation / lam), p_value, len(counts))
     statistic = float(np.sum((observed - expected) ** 2 / expected))
     p_value = float(special.chdtrc(dof, statistic))
     return GofResult(statistic, p_value, len(counts))
@@ -228,7 +230,10 @@ def increment_test(lastbut_vectors, r: int, m: int) -> GofResult:
     details: dict = {}
     # a column that never varies, as in a lone replication, has no correlation
     if m >= 1 and finite and np.ptp(increments, axis=0).all():
-        corr = np.corrcoef(increments, rowvar=False)
+        # scaled by a power of two, which is exact, so that products of
+        # increments near the float limit do not overflow
+        scaled = np.ldexp(increments, -np.frexp(np.abs(increments).max())[1])
+        corr = np.corrcoef(scaled, rowvar=False)
         off_diag = corr[~np.eye(m + 1, dtype=bool)]
         details["max_abs_increment_correlation"] = float(np.max(np.abs(off_diag)))
     return GofResult(res.statistic, res.p_value if finite else 0.0, len(vectors),

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, config files, rendering."""
 import argparse
 import ast
+import contextlib
 import copy
 import csv
 import ctypes
@@ -17,16 +18,19 @@ import platform
 import re
 import resource
 import select
+import shlex
 import shutil
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dixiecup
@@ -470,10 +474,13 @@ def test_verify_non_finite_thresholds_fail_before_sampling(thresholds, capsys):
     ("theorem1-counts", "--interval=-1000,0", "-1000.0"),
     ("theorem1-counts", "--interval=-inf,0", "-inf"),
     ("rare-path", "--thresholds=-1000,0", "-1000.0"),
+    ("theorem1-counts", "--interval=-709,inf", "-709.0"),
 ])
 def test_verify_extreme_limit_masses_fail_before_sampling(kind, window, endpoint, capsys):
     """A limit mass that overflows or is infinite used to raise OverflowError
-    (exit 1, a traceback) or fail only after sampling; it is a usage error."""
+    (exit 1, a traceback) or fail only after sampling; it is a usage error.
+    So is a finite mass whose total over the replications, 20 e^709 in the
+    last case, overflows: that one used to write NaN into the report."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = run_cli("verify", "--kind", kind, window, "--n", "100", "--reps", "20")
@@ -487,12 +494,55 @@ def test_verify_extreme_limit_masses_fail_before_sampling(kind, window, endpoint
 @pytest.mark.parametrize("argv", [
     ("--kind", "rare-path", "--thresholds=-10,-5", "--n", "20", "--reps", "50"),
     ("--kind", "theorem1-counts", "--interval=-8,inf", "--n", "1000"),
-], ids=["rare-path", "theorem1-counts"])
+    ("--kind", "theorem1-counts", "--r", "1", "--n", "100", "--reps", "20",
+     "--interval=-700,-699"),
+    ("--kind", "rare-path", "--r", "1", "--n", "100", "--reps", "20", "--thresholds=-700,0"),
+], ids=["rare-path", "theorem1-counts", "theorem1-counts-near-the-float-limit",
+        "rare-path-near-the-float-limit"])
 def test_verify_single_cell_count_test_fails_a_far_off_mean(argv, capsys):
     """Limit means of 22026 and 2981, where each count is at most n, merge
-    into one chi-square cell; that test used to pass with p = 1."""
+    into one chi-square cell; that test used to pass with p = 1.  Total means
+    near 1e305, whose squared deviation overflows, used to end in an
+    OverflowError."""
     assert run_cli("verify", *argv) == EXIT_STAT_FAIL
     assert "FAIL" in capsys.readouterr().out
+
+
+WINDOW_ENDPOINTS = st.sampled_from([-1e308, -709.0, -700.0, 0.0, 700.0, 709.0, 745.0, 1e308])
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(kind=st.sampled_from(["theorem1-counts", "rare-path", "partial-collection", "chi2-law",
+                             "erdos-renyi"]),
+       r=st.integers(1, 171), m=st.integers(0, 3),
+       n_grid=st.lists(st.integers(2, 200), min_size=1, max_size=2, unique=True),
+       reps=st.integers(1, 20), window=st.lists(WINDOW_ENDPOINTS, min_size=2, max_size=2))
+@example(kind="theorem1-counts", r=1, m=0, n_grid=[100], reps=20, window=[-700.0, -699.0])
+@example(kind="rare-path", r=1, m=0, n_grid=[100], reps=20, window=[-700.0, 0.0])
+@example(kind="theorem1-counts", r=1, m=0, n_grid=[100], reps=20, window=[-709.0, math.inf])
+@example(kind="partial-collection", r=100, m=2, n_grid=[100], reps=20, window=[0.0, 0.0])
+def test_verify_extreme_valid_configs_exit_cleanly(kind, r, m, n_grid, reps, window):
+    """Limit masses near the float limit, r up to 171 and tiny grids end in
+    exit 0, 1 or 2, with no exception or warning and no NaN in the report.
+    The examples used to end in an OverflowError or write NaN."""
+    a, b = sorted(window)
+    argv = ["verify", "--kind", kind, "--r", str(r), "--m", str(m), "--reps", str(reps),
+            "--n", ",".join(map(str, n_grid)), "--seed", "1"]
+    if kind == "theorem1-counts":
+        argv.append(f"--interval={a!r},{b!r}")
+    elif kind == "rare-path":
+        argv.append(f"--thresholds={a!r},{b!r}")
+    with tempfile.TemporaryDirectory() as scratch, \
+            warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        warnings.simplefilter("always")
+        out = Path(scratch) / "report.json"
+        code = run_cli(*argv, "--out", str(out))
+        report = out.read_text() if out.exists() else ""
+    assert code in (EXIT_PASS, EXIT_STAT_FAIL, EXIT_USAGE)
+    assert not caught and "Warning" not in err.getvalue()
+    assert "NaN" not in report
 
 
 def test_verify_prints_the_processes_it_started(monkeypatch, capsys):
@@ -870,11 +920,12 @@ def test_the_bank_line_says_why_numpy_drew(case, tmp_path, monkeypatch, capsys):
         case == "check-mismatch")
 
 
-def test_a_failed_compile_is_not_run_again(tmp_path, monkeypatch, capsys):
-    """A compile that fails leaves its reason in the cache, under the build's
-    tag: a later process samples on numpy for that reason and builds nothing."""
-    if not (discrete._RANDOM_LIB / "libnpyrandom.a").is_file():
-        pytest.skip("no libnpyrandom.a, so no compile is tried")
+def test_a_failed_compile_leaves_nothing_and_is_tried_again(tmp_path, monkeypatch, capsys):
+    """A compile that fails writes nothing to the cache and samples on numpy
+    for its reason; a later process, with a compiler that works, builds and
+    loads the compiled sampler."""
+    if not can_build_the_sampler():
+        pytest.skip("no C compiler or libnpyrandom.a to build the sampler with")
     compiler = tmp_path / "failing-cc"
     compiler.write_text("#!/bin/sh\necho 'fatal: no such header' >&2\nexit 1\n")
     compiler.chmod(0o755)
@@ -883,19 +934,46 @@ def test_a_failed_compile_is_not_run_again(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(discrete, "_CC", str(compiler))
     why = discrete.row_sampler().why
     assert why == f"{compiler} failed: fatal: no such header"
-    assert [path.suffix for path in (tmp_path / "cache").iterdir()] == [".failed"]
+    assert list((tmp_path / "cache").iterdir()) == []
     assert run_cli("verify", "--kind", "erdos-renyi", "--n", "20", "--reps", "5") in (
         EXIT_PASS, EXIT_STAT_FAIL)
     assert f"(sampler=numpy) ({why})" in capsys.readouterr().err
-    # as in a new process, with a compiler that would build the sampler
+    # as in a new process, with a compiler that builds the sampler
     monkeypatch.setattr(discrete, "_rows", None)
     monkeypatch.setattr(discrete, "_CC", "cc")
+    assert discrete.row_sampler().name == "compiled"
+    assert [path.suffix for path in (tmp_path / "cache").iterdir()] == [".so"]
 
-    def build(path):
-        raise AssertionError("the failed build was tried again")
 
-    monkeypatch.setattr(discrete, "_build", build)
-    assert discrete.row_sampler().why == why
+def test_the_sampler_builds_with_numpys_include_directory_alone(tmp_path, monkeypatch):
+    """The build passes the compiler numpy's include directory and no other,
+    so a host without Python's headers builds the compiled sampler too.  The
+    stand-in compiler records its arguments and fails on any other ``-I``."""
+    if not can_build_the_sampler():
+        pytest.skip("no C compiler or libnpyrandom.a to build the sampler with")
+    include, record = np.get_include(), tmp_path / "arguments"
+    compiler = tmp_path / "numpy-include-only-cc"
+    compiler.write_text(f"""#!/bin/sh
+printf '%s\\n' "$@" > {shlex.quote(str(record))}
+previous=
+for argument in "$@"; do
+    if [ "$previous" = -I ] && [ "$argument" != {shlex.quote(include)} ]; then
+        echo "unexpected -I $argument" >&2
+        exit 1
+    fi
+    case "$argument" in -I?*) echo "unexpected $argument" >&2; exit 1;; esac
+    previous=$argument
+done
+exec cc "$@"
+""")
+    compiler.chmod(0o755)
+    monkeypatch.setattr(discrete, "_rows", None)
+    monkeypatch.setattr(discrete, "_CACHE", tmp_path / "cache")
+    monkeypatch.setattr(discrete, "_CC", str(compiler))
+    rows = discrete.row_sampler()
+    assert (rows.name, rows.why) == ("compiled", None)
+    arguments = record.read_text().splitlines()
+    assert [arguments[i + 1] for i, a in enumerate(arguments) if a == "-I"] == [include]
 
 
 def test_an_installed_copy_whose_cache_cannot_be_written_samples_on_numpy(tmp_path):

@@ -7,7 +7,6 @@ import re
 import shutil
 import subprocess
 import sys
-import sysconfig
 import tracemalloc
 from pathlib import Path
 
@@ -316,9 +315,10 @@ def test_poissonized_times_are_the_coupled_times(n, r_max, request):
 
 def test_blocks_key_streams_without_their_own_generators():
     """Every stream, a lone trace's and limit-consistency's too, is drawn on
-    the one scratch generator, keyed by ``keyed``: no module of the package
-    but that generator's builds a Philox generator or a seed sequence, since
-    a generator per stream would cost about twice the keying."""
+    the one scratch generator, keyed in ``_NumpyRows.exponentials``: no
+    module of the package but that generator's builds a Philox generator or
+    a seed sequence, since a generator per stream would cost about twice the
+    keying."""
     found = []
     for path in Path(discrete.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -334,12 +334,16 @@ def test_blocks_key_streams_without_their_own_generators():
 
 
 def test_the_compiled_sampler_loads_wherever_it_can_be_built():
-    """A C compiler, Python's headers and numpy's static libnpyrandom build
-    the compiled row sampler; with them, a numpy-only run is a broken build."""
-    needs = [Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a",
-             Path(sysconfig.get_paths()["include"]) / "Python.h"]
-    if shutil.which(discrete._CC) is None or not all(path.is_file() for path in needs):
-        pytest.skip("no C compiler, Python.h or libnpyrandom.a to build the sampler with")
+    """A C compiler, numpy's headers and numpy's static libnpyrandom build
+    the compiled row sampler, and nothing of Python's: no header it includes
+    from numpy's include directory includes Python.h.  With them, a
+    numpy-only run is a broken build."""
+    include = Path(np.get_include())
+    headers = re.findall(r'^#include "(.+)"', discrete._SOURCE.read_text(), re.MULTILINE)
+    assert headers and not any("Python.h" in (include / name).read_text() for name in headers)
+    library = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
+    if shutil.which(discrete._CC) is None or not library.is_file():
+        pytest.skip("no C compiler or libnpyrandom.a to build the sampler with")
     assert discrete.row_sampler().name == "compiled"
 
 

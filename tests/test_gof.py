@@ -1,5 +1,6 @@
 """Goodness-of-fit machinery: statistics, p-values, cell merging, calibration."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -277,6 +278,13 @@ def test_poisson_count_single_cell_tests_the_total_exactly(total):
     assert poisson_count_test([20] * 50, 22026.0).p_value < 1e-300
 
 
+def test_poisson_count_single_cell_total_mean_near_the_float_limit():
+    """A total mean of 1.28e305, whose squared deviation overflows, gives a
+    finite one-cell statistic; it used to raise OverflowError."""
+    res = poisson_count_test(np.zeros(20, dtype=np.int64), 6.4e303)
+    assert res.statistic == pytest.approx(1.28e305) and res.p_value == 0.0
+
+
 def test_poisson_count_null_calibration():
     fails = 0
     for t in range(50):
@@ -382,3 +390,17 @@ def test_increment_test_validation():
         increment_test(np.zeros((5, 2)), 1, 2)
     with pytest.raises(ValueError):
         increment_test(np.array([[0.0, 1.0]]), 1, 1)  # increasing row
+
+
+def test_increment_correlation_of_increments_near_the_float_limit():
+    """Increments near 1e155, whose products overflow, have the correlation
+    of the same increments at unit scale; it used to be NaN, with
+    RuntimeWarnings."""
+    unit = generator(SeedSpec(96, 0)).standard_exponential((2000, 3))
+    vectors = -np.log(1e155 * unit.cumsum(axis=1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = increment_test(vectors, 1, 2)
+    corr = np.corrcoef(unit, rowvar=False)
+    want = np.abs(corr[~np.eye(3, dtype=bool)]).max()
+    assert res.details["max_abs_increment_correlation"] == pytest.approx(want, abs=1e-9)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from dixiecup.discrete import keyed
+from dixiecup import discrete
 from dixiecup.samplers import SeedSpec, stream_keys
 
 from oracles import generator, seeded_traces, time_column
@@ -72,7 +72,8 @@ def test_distinct_streams_differ_and_are_uncorrelated():
     """Two streams keyed on the scratch generator draw what their own
     generators would, and their draws differ and are uncorrelated."""
     streams = [SeedSpec(5, 0), SeedSpec(5, 1)]
-    x, y = (rng.exponential(1.0, 100_000) for rng in keyed(stream_keys(5, [0, 1])))
+    x, y = times = np.empty((2, 100_000))
+    discrete._NUMPY.exponentials(stream_keys(5, [0, 1]), times)
     for draws, stream in zip((x, y), streams):
         assert np.array_equal(draws, generator(stream).exponential(1.0, 100_000))
     assert not np.array_equal(x[:100], y[:100])
