@@ -2,8 +2,8 @@
  * The trace sampler's generator calls for a whole block in one call each:
  * its exponentials, and the jump chain with its Poisson draws.
  *
- * A Philox4x64-10 bit generator that draws what numpy's Philox draws, bit for
- * bit, behind numpy's bitgen_t, so numpy's own distribution functions
+ * A Philox4x64-10 bit generator whose 64-bit words and doubles are numpy's
+ * Philox's, bit for bit, behind numpy's bitgen_t, so numpy's own functions
  * (random_standard_exponential_fill, random_poisson, from the static
  * libnpyrandom that numpy ships) run on it.  Row i of a block is keyed with
  * key words keys[2i], keys[2i + 1] at counter 0 and an empty buffer, as
@@ -23,14 +23,14 @@
 void random_standard_exponential_fill(bitgen_t *bitgen_state, intptr_t cnt, double *out);
 int64_t random_poisson(bitgen_t *bitgen_state, double lam);
 
-/* All 64-bit words, so that a block's states are one uint64 array. */
+/* All 64-bit words, so that a block's states are one uint64 array: numpy's
+ * Philox state but for its 32-bit half-word, which the two functions above
+ * never read. */
 typedef struct {
     uint64_t counter[4];
     uint64_t key[2];
     uint64_t buffer[4];
     uint64_t buffer_pos;
-    uint64_t has_uint32;
-    uint64_t uinteger;
 } philox_state;
 
 int64_t dixie_state_words(void) { return sizeof(philox_state) / sizeof(uint64_t); }
@@ -79,17 +79,8 @@ static inline uint64_t philox_next64(philox_state *s) {
 
 static uint64_t philox_uint64(void *st) { return philox_next64((philox_state *)st); }
 
-static uint32_t philox_uint32(void *st) {
-    philox_state *s = (philox_state *)st;
-    if (s->has_uint32) {
-        s->has_uint32 = 0;
-        return (uint32_t)s->uinteger;
-    }
-    uint64_t next = philox_next64(s);
-    s->has_uint32 = 1;
-    s->uinteger = next >> 32;
-    return (uint32_t)next;
-}
+/* Neither numpy function calls it; numpy's Philox would buffer the high half. */
+static uint32_t philox_uint32(void *st) { return (uint32_t)philox_next64((philox_state *)st); }
 
 static double philox_double(void *st) {
     return (philox_next64((philox_state *)st) >> 11) * (1.0 / 9007199254740992.0);
@@ -114,8 +105,7 @@ void dixie_exponentials(int64_t rows, int64_t count, const uint64_t *keys, doubl
 
 /* A Poisson draw of mean lam, as numpy's random_poisson draws it: numpy's own
  * function for lam >= 10; for 0 < lam < 10 its multiplication method, inlined
- * on the inlined Philox, which draws the same uniforms as its next_double;
- * nothing for lam == 0. */
+ * on the inlined Philox; nothing for lam == 0. */
 static inline int64_t poisson(philox_state *s, bitgen_t *bitgen, double lam) {
     if (lam >= 10) {
         return random_poisson(bitgen, lam);
@@ -127,7 +117,7 @@ static inline int64_t poisson(philox_state *s, bitgen_t *bitgen, double lam) {
     double prod = 1.0;
     int64_t x = 0;
     while (1) {
-        prod *= (philox_next64(s) >> 11) * (1.0 / 9007199254740992.0);
+        prod *= philox_double(s);
         if (prod > enlam) {
             x += 1;
         } else {

@@ -15,13 +15,10 @@ magnitude larger than the r = 1 ones at desk-scale n.
 """
 from __future__ import annotations
 
-# KS distance of the normalized c-collection time against its Gumbel-type
-# limit, gated at n = 1e4.  Pilot distances (2000 reps): c=1 0.0270 at n=1e4,
-# 0.0155 at n=1e5; c=2 0.1283 at n=1e4, 0.1202 at n=1e5.
-ERDOS_RENYI_KS_TOL: dict[int, float] = {1: 0.06, 2: 0.17}
-
 # KS distance of the partial-collection statistic against the chi-square-log
 # law (r=1) and the log-gamma law (r>=2), keyed by (r, m), gated at n = 1e4.
+# The c-collection time T_c is T_{c,0}, so the (c, 0) entries also gate the
+# erdos-renyi distance to its Gumbel-type limit, on the same traces.
 # Pilot distances (2000 reps) at n=1e4 and n=1e5: (1, 0) 0.0270, 0.0155;
 # (1, 1) 0.0323, 0.0309; (1, 3) 0.0174, 0.0160; (2, 0) 0.1283, 0.1202;
 # (2, 1) 0.1447, 0.1444; (3, 2) 0.4590, 0.4102.

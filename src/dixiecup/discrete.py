@@ -208,8 +208,8 @@ _NUMPY = _NumpyRows()
 # The compiled row sampler is _sampler.c beside this file, built once per
 # source, numpy version and interpreter into the package's __pycache__ by the
 # C compiler _CC, against numpy's headers and the static libnpyrandom in
-# _RANDOM_LIB that numpy ships.  A compile that fails leaves nothing, so the
-# next process tries it again.
+# _RANDOM_LIB that numpy ships.  A build removes the cache's other builds; a
+# compile that fails leaves nothing, so the next process tries it again.
 _SOURCE = Path(__file__).with_name("_sampler.c")
 _CACHE = _SOURCE.parent / "__pycache__"
 _CC = "cc"
@@ -268,10 +268,11 @@ def _compiled() -> _CompiledRows:
 
 
 def _build(path: Path) -> None:
-    """Compile ``_SOURCE`` into the shared library ``path``; raises
+    """Compile ``_SOURCE`` into the shared library ``path`` and remove the
+    cache's other ``_sampler.*`` files: builds of other sources or numpy
+    versions, and failed-build markers of older packages.  Raises
     _Unavailable if the build cannot run or fails, OSError if the cache is
-    not writable.  A compile that fails, in about 0.01-0.06 s, writes
-    nothing, so the next process tries it again."""
+    not writable; a compile that fails writes nothing."""
     path.parent.mkdir(exist_ok=True)
     if not (_RANDOM_LIB / "libnpyrandom.a").is_file():
         raise _Unavailable(f"no libnpyrandom.a in {_RANDOM_LIB}")
@@ -290,6 +291,8 @@ def _build(path: Path) -> None:
             raise _Unavailable(f"{_CC} took over 120 s") from None
         # a rename is atomic, so a process building beside this one loads a whole file
         os.replace(built, path)
+    for stale in set(path.parent.glob("_sampler.*")) - {path}:
+        stale.unlink(missing_ok=True)
 
 
 def _verified(rows: _CompiledRows) -> bool:

@@ -273,10 +273,10 @@ def _harmonic(n: int) -> float:
     return float(np.cumsum(1.0 / np.arange(1, n + 1))[-1])
 
 
-def _ks_tolerance(table: dict, key, label: str) -> float | None:
-    """The frozen KS tolerance at ``key`` in ``table``, or None with a warning:
-    a KS verdict without one has no bound to meet, so it fails."""
-    tol = table.get(key)
+def _ks_tolerance(r: int, m: int, label: str) -> float | None:
+    """The frozen KS tolerance of the statistic of T_{r,m}, or None with a
+    warning: a KS verdict without one has no bound to meet, so it fails."""
+    tol = calibration.PARTIAL_COLLECTION_KS_TOL.get((r, m))
     if tol is None:
         print(f"warning: no calibrated KS tolerance for {label}; "
               "its KS verdicts fail as uncalibrated", file=sys.stderr)
@@ -372,7 +372,7 @@ def _extract_collection(block, cfg):
 def _aggregate_collection(out, per_n):
     cfg = out.cfg
     distances = {}
-    tol = _ks_tolerance(calibration.ERDOS_RENYI_KS_TOL, cfg.c, f"erdos-renyi c={cfg.c}")
+    tol = _ks_tolerance(cfg.c, 0, f"erdos-renyi c={cfg.c}")  # T_c is T_{c,0}
     for n, payloads in per_n.items():
         values, t1 = payloads.T
         dist = distances[n] = ks_statistic(values, GumbelType(cfg.c).cdf)
@@ -415,8 +415,7 @@ def _extract_partial(block, cfg):
 
 def _aggregate_partial(out, per_n):
     cfg = out.cfg
-    tol = _ks_tolerance(calibration.PARTIAL_COLLECTION_KS_TOL, (cfg.r, cfg.m),
-                        f"chi2-law r={cfg.r}, m={cfg.m}")
+    tol = _ks_tolerance(cfg.r, cfg.m, f"chi2-law r={cfg.r}, m={cfg.m}")
     law = ChiSqLog(cfg.m) if cfg.r == 1 else LogGamma(cfg.r, cfg.m)
     for n, values in per_n.items():
         dist = ks_statistic(values, law.cdf)

@@ -945,6 +945,25 @@ def test_a_failed_compile_leaves_nothing_and_is_tried_again(tmp_path, monkeypatc
     assert [path.suffix for path in (tmp_path / "cache").iterdir()] == [".so"]
 
 
+def test_a_build_removes_the_caches_other_builds(tmp_path, monkeypatch):
+    """A build of an earlier source or numpy version, and a failed-build
+    marker an older package wrote, leave the cache when the sampler is
+    built: it then holds the new build alone, and that loads."""
+    if not can_build_the_sampler():
+        pytest.skip("no C compiler or libnpyrandom.a to build the sampler with")
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    for name in ("_sampler.0000000000000000.so", "_sampler.x.failed"):
+        (cache / name).write_text("")
+    monkeypatch.setattr(discrete, "_rows", None)
+    monkeypatch.setattr(discrete, "_CACHE", cache)
+    rows = discrete.row_sampler()
+    assert (rows.name, rows.why) == ("compiled", None)
+    [built] = cache.iterdir()
+    assert re.fullmatch(r"_sampler\.[0-9a-f]{16}\.so", built.name)
+    assert built.name != "_sampler.0000000000000000.so"
+
+
 def test_the_sampler_builds_with_numpys_include_directory_alone(tmp_path, monkeypatch):
     """The build passes the compiler numpy's include directory and no other,
     so a host without Python's headers builds the compiled sampler too.  The

@@ -392,6 +392,45 @@ def test_compiled_rows_are_numpys_bytes(monkeypatch):
     assert any(0 < low < 10 or 0 < high < 10 for low, high in means)
 
 
+def philox_words(state):
+    """numpy's Philox state as the compiled sampler's row of uint64 words:
+    counter, key, buffer and buffer position."""
+    return np.concatenate([state["state"]["counter"], state["state"]["key"], state["buffer"],
+                           np.array([state["buffer_pos"]], dtype=np.uint64)])
+
+
+def test_the_compiled_state_is_numpys_philox_state():
+    """A compiled state row is numpy's Philox state after the same draws, in
+    11 words: numpy's buffered half word is left out, and numpy's own state
+    shows it unused after the exponentials and after the jump chain's
+    Poisson draws, on both sides of 10, where numpy switches method."""
+    compiled = discrete.row_sampler()
+    if compiled.name != "compiled":
+        pytest.skip("the compiled row sampler is not built here")
+    assert compiled._words == 11  # dixie_state_words()
+    keys = stream_keys(np.arange(4), 1 << 40)
+    assert (keys >= 2**63).any() and (keys < 2**63).any()
+    n, r_max = 100, 2
+    drawn = {}
+    for sampler in (compiled, discrete._NUMPY):
+        times = np.empty((len(keys), n, r_max))
+        states = sampler.exponentials(keys, times)
+        drawn[sampler.name] = states, n * times.cumsum(axis=2)
+    (states, times), (numpy_states, numpy_times) = drawn["compiled"], drawn["numpy"]
+    assert_same_bytes([times], [numpy_times])
+    assert [state["has_uint32"] for state in numpy_states] == [0] * len(keys)
+    assert_same_bytes([states], [np.stack([philox_words(state) for state in numpy_states])])
+    lam = chain_means(times)
+    assert lam.max() >= 10 and ((0 < lam) & (lam < 10)).any()
+    # the compiled chain draws on the states it is given, in place
+    compiled.chain(states, times)
+    for i, state in enumerate(numpy_states):
+        discrete._NUMPY.chain([state], numpy_times[i:i + 1])
+        after = discrete._SCRATCH.bit_generator.state
+        assert after["has_uint32"] == 0
+        assert_same_bytes([states[i]], [philox_words(after)])
+
+
 def adjacent_times(block, rng):
     """``block``'s times, with two arrivals of each row moved to one time and
     the next float above it: their keys tie but for the position bits, so

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dixiecup import discrete, experiments, samplers
+from dixiecup import calibration, discrete, experiments, samplers
 from dixiecup.cli import _verify_config, battery_configs, build_parser
 from dixiecup.discrete import CollectorTrace, block_size, run_discrete
 from dixiecup.experiments import (
@@ -606,6 +606,9 @@ def test_report_json_is_sorted_and_newline_terminated(tmp_path):
 
 
 def test_calibration_pilot_prints_every_statistic(monkeypatch, capsys):
+    """The tool's pilots are named by the (r, m) keys of the frozen KS
+    tolerances, one each: a tolerance with no pilot fails, and so does a
+    pilot under any other name, such as a second one of the same statistic."""
     path = Path(__file__).resolve().parents[1] / "tools" / "calibrate.py"
     spec = importlib.util.spec_from_file_location("calibrate", path)
     calibrate = importlib.util.module_from_spec(spec)
@@ -616,8 +619,6 @@ def test_calibration_pilot_prints_every_statistic(monkeypatch, capsys):
     calibrate.main()
     results = json.loads(capsys.readouterr().out)
     assert set(results) == {"discrete_n20", "mismatch_n20", "mismatch_n40"}
-    assert set(results["discrete_n20"]) == {
-        "erdos_renyi_ks_c1", "erdos_renyi_ks_c2",
-        *(f"partial_ks_r{r}_m{m}" for r, m in calibrate.PAIRS),
-    }
+    assert sorted(results["discrete_n20"]) == sorted(
+        f"partial_ks_r{r}_m{m}" for r, m in calibration.PARTIAL_COLLECTION_KS_TOL)
     assert all(0.0 <= d <= 1.0 for d in results["discrete_n20"].values())

@@ -32,10 +32,9 @@ def pilot(kind: str, grid, **fields) -> ExperimentConfig:
 
 
 def main() -> None:
-    pilots = {f"erdos_renyi_ks_c{c}": pilot("erdos-renyi", DISCRETE_GRID, c=c)
-              for c in (1, 2)}
-    pilots.update({f"partial_ks_r{r}_m{m}": pilot("chi2-law", DISCRETE_GRID, r=r, m=m)
-                   for r, m in PAIRS})
+    # erdos-renyi's T_c is T_{c,0}, so the (c, 0) pilots serve its tolerances too
+    pilots = {f"partial_ks_r{r}_m{m}": pilot("chi2-law", DISCRETE_GRID, r=r, m=m)
+              for r, m in PAIRS}
     pilots["mismatch"] = pilot("coupling-decay", MISMATCH_GRID, r=1, intervals=[(-2.0, 2.0)])
 
     results: dict = {f"discrete_n{n}": {} for n in DISCRETE_GRID}
@@ -43,8 +42,7 @@ def main() -> None:
         for row in report["results"]:
             if name == "mismatch":
                 results[f"mismatch_n{row['n']}"] = row["value"]
-            # the KS distance of each n; erdos-renyi adds a mean-identity row
-            elif row["statistic_name"].startswith("ks"):
+            else:  # chi2-law's one row per n, its KS distance
                 results[f"discrete_n{row['n']}"][name] = row["value"]
     print(json.dumps(results, indent=2))
 
