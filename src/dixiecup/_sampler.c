@@ -10,8 +10,7 @@
  * numpy's Philox(key=...) starts, so it draws what the scratch generator
  * draws once set to that key.
  *
- * Build: cc -O3 -fPIC -shared -o _sampler.so _sampler.c
- *        -I<numpy.get_include()> -L<numpy>/random/lib -lnpyrandom -lm
+ * Built and cached by dixiecup.discrete._build.
  */
 #include <math.h>
 #include <stdint.h>

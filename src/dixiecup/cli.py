@@ -250,7 +250,8 @@ def _cmd_verify(args) -> int:
     config = _verify_config(args)
     if args.out is not None:
         _check_out_dir(args.out)
-    if 0 < min(config.grid) < 3:
+    # only a normalization of r >= 2 reads its (r - 1) ln ln n term
+    if KINDS[config.kind].r_max(config) >= 2 and min(config.grid) < 3:
         print("warning: n below 3 makes the ln ln n centering negative",
               file=sys.stderr)
 

@@ -205,11 +205,11 @@ class _CompiledRows:
 
 _NUMPY = _NumpyRows()
 
-# The compiled row sampler is _sampler.c beside this file, built once per
-# source, numpy version and interpreter into the package's __pycache__ by the
-# C compiler _CC, against numpy's headers and the static libnpyrandom in
-# _RANDOM_LIB that numpy ships.  A build removes the cache's other builds; a
-# compile that fails leaves nothing, so the next process tries it again.
+# The compiled row sampler is _sampler.c beside this file, built by the C
+# compiler _CC against numpy's headers and the static libnpyrandom.a in
+# _RANDOM_LIB that numpy ships into __pycache__/_sampler.<source>.<library>.so,
+# named by the hashes of the two files it reads.  A build removes the files of
+# other sources; a failed compile leaves nothing, so the next process retries.
 _SOURCE = Path(__file__).with_name("_sampler.c")
 _CACHE = _SOURCE.parent / "__pycache__"
 _CC = "cc"
@@ -246,11 +246,11 @@ def _compiled() -> _CompiledRows:
     """The compiled row sampler, built into the cache unless it is there;
     raises _Unavailable if it cannot be built, loaded or verified."""
     try:
-        tag = hashlib.sha256(_SOURCE.read_bytes())
+        source, library = (hashlib.sha256(file.read_bytes()).hexdigest()[:16]
+                           for file in (_SOURCE, _RANDOM_LIB / "libnpyrandom.a"))
     except OSError as exc:
-        raise _Unavailable(f"cannot read {_SOURCE.name}: {exc.strerror}") from None
-    tag.update(f"{np.__version__} {sys.implementation.cache_tag}".encode())
-    path = _CACHE / f"_sampler.{tag.hexdigest()[:16]}.so"
+        raise _Unavailable(f"cannot read {exc.filename}: {exc.strerror}") from None
+    path = _CACHE / f"_sampler.{source}.{library}.so"
     if not path.exists():
         try:
             _build(path)
@@ -269,13 +269,11 @@ def _compiled() -> _CompiledRows:
 
 def _build(path: Path) -> None:
     """Compile ``_SOURCE`` into the shared library ``path`` and remove the
-    cache's other ``_sampler.*`` files: builds of other sources or numpy
-    versions, and failed-build markers of older packages.  Raises
-    _Unavailable if the build cannot run or fails, OSError if the cache is
-    not writable; a compile that fails writes nothing."""
+    cache's ``_sampler.*`` files of other sources, stale builds and failed-build
+    markers; one of this source against another libnpyrandom.a is current
+    there, so it stays.  Raises _Unavailable if the build cannot run or fails,
+    OSError if the cache is not writable; a compile that fails writes nothing."""
     path.parent.mkdir(exist_ok=True)
-    if not (_RANDOM_LIB / "libnpyrandom.a").is_file():
-        raise _Unavailable(f"no libnpyrandom.a in {_RANDOM_LIB}")
     if shutil.which(_CC) is None:
         raise _Unavailable(f"no C compiler {_CC}")
     with tempfile.TemporaryDirectory(dir=path.parent) as scratch:
@@ -291,8 +289,9 @@ def _build(path: Path) -> None:
             raise _Unavailable(f"{_CC} took over 120 s") from None
         # a rename is atomic, so a process building beside this one loads a whole file
         os.replace(built, path)
-    for stale in set(path.parent.glob("_sampler.*")) - {path}:
-        stale.unlink(missing_ok=True)
+    for stale in path.parent.glob("_sampler.*"):
+        if stale.name.split(".")[1] != path.name.split(".")[1]:
+            stale.unlink(missing_ok=True)
 
 
 def _verified(rows: _CompiledRows) -> bool:

@@ -443,6 +443,18 @@ def test_verify_flags_only_pass(tmp_path, capsys):
     assert "workers" not in data["config"]
 
 
+@pytest.mark.parametrize("kind,order,warns", [
+    ("poissonized-marginal", ("--r", "1"), False), ("poissonized-marginal", ("--r", "2"), True),
+    ("erdos-renyi", ("--c", "1"), False), ("erdos-renyi", ("--c", "2"), True),
+])
+def test_verify_warns_of_n_below_3_only_where_ln_ln_n_is_read(kind, order, warns, capsys):
+    """At n = 2, ln ln n is negative, but a normalization reads it only
+    through its (r - 1) ln ln n term, which is zero at r = 1."""
+    code = run_cli("verify", "--kind", kind, "--n", "2", *order, "--reps", "5", "--seed", "1")
+    assert code in (EXIT_PASS, EXIT_STAT_FAIL)
+    assert ("n below 3 makes the ln ln n centering negative" in capsys.readouterr().err) == warns
+
+
 def test_verify_missing_kind_is_usage_error(capsys):
     code = run_cli("verify", "--n", "20")
     assert code == EXIT_USAGE
@@ -901,7 +913,7 @@ def test_the_bank_line_says_why_numpy_drew(case, tmp_path, monkeypatch, capsys):
         why = f"no C compiler {tmp_path / 'no-cc'}"
     elif case == "no-library":
         monkeypatch.setattr(discrete, "_RANDOM_LIB", tmp_path)
-        why = f"no libnpyrandom.a in {tmp_path}"
+        why = f"cannot read {tmp_path / 'libnpyrandom.a'}: No such file or directory"
     elif case == "unwritable-cache":
         (tmp_path / "file").write_text("")
         monkeypatch.setattr(discrete, "_CACHE", tmp_path / "file" / "cache")
@@ -946,22 +958,64 @@ def test_a_failed_compile_leaves_nothing_and_is_tried_again(tmp_path, monkeypatc
 
 
 def test_a_build_removes_the_caches_other_builds(tmp_path, monkeypatch):
-    """A build of an earlier source or numpy version, and a failed-build
-    marker an older package wrote, leave the cache when the sampler is
-    built: it then holds the new build alone, and that loads."""
+    """A build of an earlier source, and a failed-build marker an older
+    package wrote, leave the cache when the sampler is built; a build of this
+    source against another libnpyrandom.a stays, since it is current there.
+    The new build loads."""
     if not can_build_the_sampler():
         pytest.skip("no C compiler or libnpyrandom.a to build the sampler with")
+    source = hashlib.sha256(discrete._SOURCE.read_bytes()).hexdigest()[:16]
     cache = tmp_path / "cache"
     cache.mkdir()
-    for name in ("_sampler.0000000000000000.so", "_sampler.x.failed"):
+    kept = f"_sampler.{source}.0000000000000000.so"
+    for name in ("_sampler.0000000000000000.so", "_sampler.x.failed", kept):
         (cache / name).write_text("")
     monkeypatch.setattr(discrete, "_rows", None)
     monkeypatch.setattr(discrete, "_CACHE", cache)
     rows = discrete.row_sampler()
     assert (rows.name, rows.why) == ("compiled", None)
-    [built] = cache.iterdir()
-    assert re.fullmatch(r"_sampler\.[0-9a-f]{16}\.so", built.name)
-    assert built.name != "_sampler.0000000000000000.so"
+    [built] = {path.name for path in cache.iterdir()} - {kept}
+    assert re.fullmatch(r"_sampler\.[0-9a-f]{16}\.[0-9a-f]{16}\.so", built)
+    assert built != kept
+
+
+def test_environments_that_share_a_cache_build_once_each(tmp_path, monkeypatch):
+    """Two environments over one source tree, here two libnpyrandom.a of
+    different bytes, keep one build each in the shared cache: once both are
+    built, a process of either loads its own with no working compiler.  The
+    interpreter is not part of the key, since the build reads nothing of
+    Python.  The second library is an ``ar q`` copy of numpy's with one more
+    member, so it still links."""
+    if not can_build_the_sampler() or shutil.which("ar") is None:
+        pytest.skip("no C compiler, libnpyrandom.a or ar to build the sampler with")
+    other = tmp_path / "other-lib"
+    other.mkdir()
+    shutil.copy(discrete._RANDOM_LIB / "libnpyrandom.a", other)
+    (tmp_path / "member.txt").write_text("one more member\n")
+    subprocess.run(["ar", "q", other / "libnpyrandom.a", tmp_path / "member.txt"],
+                   check=True, capture_output=True)
+    failing = tmp_path / "failing-cc"
+    failing.write_text("#!/bin/sh\nexit 1\n")
+    failing.chmod(0o755)
+    cache = tmp_path / "cache"
+    monkeypatch.setattr(discrete, "_CACHE", cache)
+
+    def load(library, compiler):
+        # as in a new process of the environment whose numpy ships ``library``
+        monkeypatch.setattr(discrete, "_rows", None)
+        monkeypatch.setattr(discrete, "_RANDOM_LIB", library)
+        monkeypatch.setattr(discrete, "_CC", compiler)
+        rows = discrete.row_sampler()
+        assert (rows.name, rows.why) == ("compiled", None)
+
+    for compiler in (discrete._CC, str(failing)):
+        for library in (discrete._RANDOM_LIB, other):
+            load(library, compiler)
+    builds = sorted(path.name.split(".") for path in cache.iterdir())
+    assert len(builds) == 2 and builds[0][1] == builds[1][1] and builds[0][2] != builds[1][2]
+    monkeypatch.setattr(sys.implementation, "cache_tag", "another-interpreter")
+    for library in (discrete._RANDOM_LIB, other):
+        load(library, str(failing))
 
 
 def test_the_sampler_builds_with_numpys_include_directory_alone(tmp_path, monkeypatch):
